@@ -10,20 +10,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import barrier, formats, lexcode, menger, trees, wqo
-from .errors import (
-    CycleError,
-    MalformedCode,
-    OrderlabError,
-    ParseError,
-    PreconditionViolation,
-    UnknownElement,
-    WellFounded,
-)
-from .order import seq_less, validate_poset
+from .errors import OrderlabError, ParseError
+from .order import seq_less, seq_less_by, validate_poset
 from .trees import LassoPath
 
 EXIT_PASS = 0
@@ -73,105 +66,55 @@ def _csv_items(text: str, spec: formats.QuasiSpec, where: str) -> tuple:
     return tuple(spec.parse_item(tok, where) for tok in _csv(text))
 
 
-def _report(command, inputs, verdict, details, checked=1, failures=0):
-    return {
-        "command": command,
-        "inputs": inputs,
-        "verdict": verdict,
-        "details": details,
-        "counters": {"checked": checked, "failures": failures},
-    }
+def _load(loader, path: str, *extra):
+    """Read the JSON document at ``path`` and parse it with ``loader``."""
+    return loader(formats.read_json(path), *extra, path)
 
 
-def _lasso_doc(lasso: LassoPath) -> dict:
-    return {"prefix": list(lasso.prefix), "cycle": list(lasso.cycle)}
+def _holds(ok: bool) -> str:
+    return "pass" if ok else "fail"
 
 
 # ---------------------------------------------------------------- order
 
 
-def _cmd_order_validate(args):
-    inputs = {"poset": _digest(args.poset)}
-    doc = formats.read_json(args.poset)
-    names, pairs = formats.raw_poset_from_doc(doc, args.poset)
-    try:
-        poset = validate_poset(pairs, range(len(names)))
-    except (CycleError, UnknownElement) as exc:
-        return _report(
-            "order validate",
-            inputs,
-            "fail",
-            {"error": type(exc).__name__, "message": str(exc)},
-            failures=1,
-        )
-    return _report(
-        "order validate",
-        inputs,
-        "pass",
-        {"elements": len(names), "strict_pairs": len(poset.lt)},
-    )
+def _order_validate(a, _):
+    names, pairs = _load(formats.raw_poset_from_doc, a.poset)
+    poset = validate_poset(pairs, range(len(names)))
+    return "pass", {"elements": len(names), "strict_pairs": len(poset.lt)}
 
 
-def _cmd_order_seq_less(args):
-    inputs = {"poset": _digest(args.poset), "left": args.left, "right": args.right}
-    named = formats.poset_from_doc(formats.read_json(args.poset), args.poset)
-    left = tuple(named.to_id(tok, "left") for tok in _csv(args.left))
-    right = tuple(named.to_id(tok, "right") for tok in _csv(args.right))
+def _order_seq_less(a, _):
+    named = _load(formats.poset_from_doc, a.poset)
+    left = tuple(named.to_id(tok, "left") for tok in _csv(a.left))
+    right = tuple(named.to_id(tok, "right") for tok in _csv(a.right))
     less = seq_less(left, right, named.poset)
-    return _report(
-        "order seq-less",
-        inputs,
-        "pass" if less else "fail",
-        {"less": less},
-        failures=0 if less else 1,
-    )
+    return _holds(less), {"less": less}
 
 
 # ---------------------------------------------------------------- lexcode
 
 
-def _load_code(args):
-    named = formats.poset_from_doc(formats.read_json(args.poset), args.poset)
-    tie = getattr(args, "tie_break", "smallest-id")
-    return named, lexcode.encode_order(named.poset, tie)
+def _load_code(a):
+    named = _load(formats.poset_from_doc, a.poset)
+    return named, lexcode.encode_order(named.poset, a.tie_break)
 
 
-def _cmd_lexcode_encode(args):
-    inputs = {"poset": _digest(args.poset), "tie_break": args.tie_break}
-    named, code = _load_code(args)
+def _lexcode_encode(a, _):
+    named, code = _load_code(a)
     table = {str(named.to_name(x)): list(code.table[x]) for x in sorted(code.table)}
-    return _report(
-        "lexcode encode",
-        inputs,
-        "pass",
-        {"table": table, "processing_order": [named.to_name(x) for x in code.processing_order]},
-    )
+    order = [named.to_name(x) for x in code.processing_order]
+    return "pass", {"table": table, "processing_order": order}
 
 
-def _cmd_lexcode_decode(args):
-    inputs = {"poset": _digest(args.poset), "coded": args.coded}
-    named, code = _load_code(args)
-    coded = _csv_ints(args.coded, "coded")
-    try:
-        seq = lexcode.decode_path(code, coded)
-    except MalformedCode as exc:
-        return _report(
-            "lexcode decode",
-            inputs,
-            "fail",
-            {"error": "MalformedCode", "message": str(exc)},
-            failures=1,
-        )
-    return _report(
-        "lexcode decode", inputs, "pass", {"seq": [named.to_name(x) for x in seq]}
-    )
+def _lexcode_decode(a, _):
+    named, code = _load_code(a)
+    seq = lexcode.decode_path(code, _csv_ints(a.coded, "coded"))
+    return "pass", {"seq": [named.to_name(x) for x in seq]}
 
 
-def _cmd_lexcode_check_claims(args):
-    import itertools
-
-    inputs = {"poset": _digest(args.poset), "tie_break": args.tie_break}
-    named, code = _load_code(args)
+def _lexcode_check_claims(a, _):
+    named, code = _load_code(a)
     poset = named.poset
     elems = poset.sorted_elements()
     problems = []
@@ -179,8 +122,6 @@ def _cmd_lexcode_check_claims(args):
 
     for x, y in poset.lt:
         checked += 1
-        from .order import seq_less_by
-
         if not seq_less_by(code.table[x], code.table[y], int.__lt__):
             problems.append(
                 {"claim": "monotone", "below": named.to_name(x), "above": named.to_name(y)}
@@ -202,298 +143,145 @@ def _cmd_lexcode_check_claims(args):
         if lexcode.decode_path(code, lexcode.encode_seq(code, seq)) != seq:
             problems.append({"claim": "roundtrip", "seq": [named.to_name(x) for x in seq]})
 
-    verdict = "pass" if not problems else "fail"
-    return _report(
-        "lexcode check-claims",
-        inputs,
-        verdict,
-        {"problems": problems[:8]},
-        checked=checked,
-        failures=len(problems),
-    )
+    return _holds(not problems), {"problems": problems[:8]}, checked, len(problems)
 
 
 # ---------------------------------------------------------------- wqo
 
 
-def _cmd_wqo_higman(args):
-    inputs = {"q": args.q, "left": args.left, "right": args.right}
-    spec = formats.quasi_from_spec(args.q)
-    if spec.named is not None:
-        inputs["q"] = _digest(args.q)
-    left = _csv_items(args.left, spec, "left")
-    right = _csv_items(args.right, spec, "right")
+def _wqo_higman(a, spec):
+    left = _csv_items(a.left, spec, "left")
+    right = _csv_items(a.right, spec, "right")
     ok = wqo.higman_leq(left, right, spec.q)
-    return _report(
-        "wqo higman", inputs, "pass" if ok else "fail", {"embeds": ok}, failures=0 if ok else 1
-    )
+    return _holds(ok), {"embeds": ok}
 
 
-def _cmd_wqo_kruskal(args):
-    inputs = {"q": args.q, "left": _digest(args.left), "right": _digest(args.right)}
-    spec = formats.quasi_from_spec(args.q)
-    if spec.named is not None:
-        inputs["q"] = _digest(args.q)
-    s_tree = formats.ktree_from_doc(formats.read_json(args.left), spec, args.left)
-    t_tree = formats.ktree_from_doc(formats.read_json(args.right), spec, args.right)
+def _wqo_kruskal(a, spec):
+    s_tree = _load(formats.ktree_from_doc, a.left, spec)
+    t_tree = _load(formats.ktree_from_doc, a.right, spec)
     ok = wqo.ktree_leq(s_tree, t_tree, spec.q)
-    return _report(
-        "wqo kruskal", inputs, "pass" if ok else "fail", {"embeds": ok}, failures=0 if ok else 1
-    )
+    return _holds(ok), {"embeds": ok}
 
 
-def _cmd_wqo_bad(args):
-    inputs = {"q": args.q, "seq": args.seq}
-    spec = formats.quasi_from_spec(args.q)
-    if spec.named is not None:
-        inputs["q"] = _digest(args.q)
-    seq = _csv_items(args.seq, spec, "seq")
+def _wqo_bad(a, spec):
+    seq = _csv_items(a.seq, spec, "seq")
     pair = wqo.is_bad(seq, spec.q)
     if pair is None:
-        return _report("wqo bad", inputs, "pass", {"bad": True})
+        return "pass", {"bad": True}
     i, j = pair
-    return _report(
-        "wqo bad",
-        inputs,
-        "fail",
-        {
-            "bad": False,
-            "good_pair": [i, j],
-            "items": [spec.show_item(seq[i]), spec.show_item(seq[j])],
-        },
-        failures=1,
-    )
+    items = [spec.show_item(seq[i]), spec.show_item(seq[j])]
+    return "fail", {"bad": False, "good_pair": [i, j], "items": items}
 
 
-def _cmd_wqo_min_bad(args):
-    inputs = {"q": args.q, "bound": args.bound, "length": args.length}
-    spec = formats.quasi_from_spec(args.q)
-    if spec.named is not None:
-        inputs["q"] = _digest(args.q)
-    bound = args.bound
+def _wqo_min_bad(a, spec):
+    bound = a.bound
     if spec.named is not None:
         bound = min(bound, len(spec.named.names))
-    seq = wqo.min_bad_sequence(spec.q, int.__lt__, bound, args.length)
+    seq = wqo.min_bad_sequence(spec.q, int.__lt__, bound, a.length)
     if seq is None:
-        return _report(
-            "wqo min-bad", inputs, "fail", {"found": False, "message": "no bad sequence"},
-            failures=1,
-        )
-    return _report(
-        "wqo min-bad",
-        inputs,
-        "pass",
-        {"found": True, "seq": [spec.show_item(x) for x in seq]},
-    )
+        return "fail", {"found": False, "message": "no bad sequence"}
+    return "pass", {"found": True, "seq": [spec.show_item(x) for x in seq]}
 
 
-def _cmd_wqo_nw_step(args):
-    inputs = {"q": args.q, "seqs": _digest(args.seqs), "s": args.s}
-    spec = formats.quasi_from_spec(args.q)
-    if spec.named is not None:
-        inputs["q"] = _digest(args.q)
-    seqs = formats.seqs_from_doc(formats.read_json(args.seqs), spec, args.seqs)
-    s = frozenset(_csv_ints(args.s, "s"))
-    try:
-        out = wqo.nash_williams_step(seqs, s, spec.q)
-    except PreconditionViolation as exc:
-        return _report(
-            "wqo nw-step",
-            inputs,
-            "fail",
-            {"error": "PreconditionViolation", "clause": exc.clause, "message": str(exc)},
-            failures=1,
-        )
-    return _report(
-        "wqo nw-step",
-        inputs,
-        "pass",
-        {"seqs": [[spec.show_item(x) for x in entry] for entry in out]},
-    )
+def _wqo_nw_step(a, spec):
+    seqs = _load(formats.seqs_from_doc, a.seqs, spec)
+    out = wqo.nash_williams_step(seqs, frozenset(_csv_ints(a.s, "s")), spec.q)
+    return "pass", {"seqs": [[spec.show_item(x) for x in entry] for entry in out]}
 
 
 # ---------------------------------------------------------------- barrier
 
 
-def _cmd_barrier_check(args):
-    inputs = {"frag": _digest(args.frag)}
-    blocks, window = formats.raw_fragment_from_doc(formats.read_json(args.frag), args.frag)
+def _barrier_check(a, _):
+    blocks, window = _load(formats.raw_fragment_from_doc, a.frag)
     result = barrier.check_fragment(blocks, window)
-    return _report(
-        "barrier check",
-        inputs,
-        result.verdict,
-        {
-            "problems": list(result.problems),
-            "uncovered": [list(seq) for seq in result.uncovered],
-        },
-        failures=len(result.problems),
-    )
+    details = {
+        "problems": list(result.problems),
+        "uncovered": [list(seq) for seq in result.uncovered],
+    }
+    return result.verdict, details, 1, len(result.problems)
 
 
-def _cmd_barrier_tri(args):
-    inputs = {"left": args.left, "right": args.right}
-    b = _csv_ints(args.left, "left")
-    c = _csv_ints(args.right, "right")
+def _barrier_tri(a, _):
+    b = _csv_ints(a.left, "left")
+    c = _csv_ints(a.right, "right")
     ok = barrier.block_tri(b, c)
     details = {"tri": ok}
     if ok:
         details["union"] = list(barrier.union_block(b, c))
-    return _report(
-        "barrier tri", inputs, "pass" if ok else "fail", details, failures=0 if ok else 1
-    )
+    return _holds(ok), details
 
 
-def _cmd_barrier_star(args):
-    inputs = {"frag": _digest(args.frag)}
-    frag = formats.fragment_from_doc(formats.read_json(args.frag), args.frag)
-    starred = barrier.star_fragment(frag)
-    return _report(
-        "barrier star",
-        inputs,
-        "pass",
-        {"window": starred.window, "blocks": [list(b) for b in starred.sorted_blocks()]},
-    )
+def _barrier_star(a, _):
+    starred = barrier.star_fragment(_load(formats.fragment_from_doc, a.frag))
+    return "pass", {"window": starred.window, "blocks": [list(b) for b in starred.sorted_blocks()]}
 
 
-def _load_array_command(args, sequences: bool):
-    inputs = {"frag": _digest(args.frag), "array": _digest(args.array), "q": args.q}
-    spec = formats.quasi_from_spec(args.q)
-    if spec.named is not None:
-        inputs["q"] = _digest(args.q)
-    frag = formats.fragment_from_doc(formats.read_json(args.frag), args.frag)
-    arr = formats.array_from_doc(formats.read_json(args.array), spec, sequences, args.array)
-    return inputs, spec, frag, arr
+def _frag_and_array(a, spec, sequences: bool):
+    frag = _load(formats.fragment_from_doc, a.frag)
+    return frag, _load(formats.array_from_doc, a.array, spec, sequences)
 
 
-def _cmd_barrier_classify(args):
-    inputs, spec, frag, arr = _load_array_command(args, sequences=False)
-    labels = barrier.classify_array(arr, frag, spec.q)
-    return _report("barrier classify", inputs, "pass", {"labels": sorted(labels)})
+def _barrier_classify(a, spec):
+    frag, arr = _frag_and_array(a, spec, sequences=False)
+    return "pass", {"labels": sorted(barrier.classify_array(arr, frag, spec.q))}
 
 
-def _cmd_barrier_array_check(args):
-    inputs, spec, frag, arr = _load_array_command(args, sequences=True)
+def _barrier_array_check(a, spec):
+    frag, arr = _frag_and_array(a, spec, sequences=True)
     violations = barrier.bad_array_violations(arr, frag, wqo.higman_lift(spec.q))
-    return _report(
-        "barrier array-check",
-        inputs,
-        "pass" if not violations else "fail",
-        {"violations": list(violations)[:8]},
-        checked=max(1, len(arr.entries)),
-        failures=len(violations),
-    )
+    details = {"violations": list(violations)[:8]}
+    return _holds(not violations), details, max(1, len(arr.entries)), len(violations)
 
 
-def _cmd_barrier_nwt_step(args):
-    inputs, spec, frag, arr = _load_array_command(args, sequences=True)
-    inputs["s"] = args.s
-    s = frozenset(_csv_ints(args.s, "s"))
-    try:
-        out = barrier.nwt_improvement_step(arr, s, frag, spec.q)
-    except PreconditionViolation as exc:
-        return _report(
-            "barrier nwt-step",
-            inputs,
-            "fail",
-            {"error": "PreconditionViolation", "clause": exc.clause, "message": str(exc)},
-            failures=1,
-        )
+def _barrier_nwt_step(a, spec):
+    frag, arr = _frag_and_array(a, spec, sequences=True)
+    out = barrier.nwt_improvement_step(arr, frozenset(_csv_ints(a.s, "s")), frag, spec.q)
     entries = [
         [list(block), [spec.show_item(x) for x in value]] for block, value in out.entries
     ]
-    return _report("barrier nwt-step", inputs, "pass", {"entries": entries})
+    return "pass", {"entries": entries}
 
 
 # ---------------------------------------------------------------- tree
 
 
-def _load_automaton(args):
-    return formats.automaton_from_doc(formats.read_json(args.aut), args.aut)
-
-
-def _cmd_tree_live(args):
-    inputs = {"aut": _digest(args.aut)}
-    aut = _load_automaton(args)
-    live = trees.live_states(aut)
-    return _report(
-        "tree live",
-        inputs,
-        "pass",
-        {"live": sorted(live), "start_live": aut.start in live},
-    )
-
-
-def _cmd_tree_leftmost(args):
-    inputs = {"aut": _digest(args.aut)}
-    aut = _load_automaton(args)
-    try:
-        lasso = trees.leftmost_path(aut)
-    except WellFounded as exc:
-        return _report(
-            "tree leftmost",
-            inputs,
-            "fail",
-            {"error": "WellFounded", "message": str(exc)},
-            failures=1,
-        )
-    return _report("tree leftmost", inputs, "pass", {"lasso": _lasso_doc(lasso)})
-
-
-def _alphabet_order(args, aut):
-    named = formats.poset_from_doc(formats.read_json(args.order), args.order)
+def _alphabet_order(a, aut):
+    named = _load(formats.poset_from_doc, a.order)
     if len(named.names) != aut.alphabet_size:
         raise ParseError(
-            f"{args.order}: order has {len(named.names)} elements, "
+            f"{a.order}: order has {len(named.names)} elements, "
             f"alphabet has {aut.alphabet_size}"
         )
     return named
 
 
-def _cmd_tree_minimal(args):
-    inputs = {"aut": _digest(args.aut), "order": _digest(args.order)}
-    aut = _load_automaton(args)
-    named = _alphabet_order(args, aut)
-    try:
-        lasso = trees.minimal_path(aut, named.poset)
-    except WellFounded as exc:
-        return _report(
-            "tree minimal",
-            inputs,
-            "fail",
-            {"error": "WellFounded", "message": str(exc)},
-            failures=1,
-        )
-    return _report("tree minimal", inputs, "pass", {"lasso": _lasso_doc(lasso)})
+def _tree_live(a, _):
+    aut = _load(formats.automaton_from_doc, a.aut)
+    live = trees.live_states(aut)
+    return "pass", {"live": sorted(live), "start_live": aut.start in live}
 
 
-def _cmd_tree_challenge(args):
-    inputs = {
-        "aut": _digest(args.aut),
-        "order": _digest(args.order),
-        "prefix": args.prefix,
-        "cycle": args.cycle,
-        "challengers": _digest(args.challengers),
-    }
-    aut = _load_automaton(args)
-    named = _alphabet_order(args, aut)
-    cycle = _csv_ints(args.cycle, "cycle")
+def _tree_leftmost(a, _):
+    lasso = trees.leftmost_path(_load(formats.automaton_from_doc, a.aut))
+    return "pass", {"lasso": formats.lasso_to_doc(lasso)}
+
+
+def _tree_minimal(a, _):
+    aut = _load(formats.automaton_from_doc, a.aut)
+    lasso = trees.minimal_path(aut, _alphabet_order(a, aut).poset)
+    return "pass", {"lasso": formats.lasso_to_doc(lasso)}
+
+
+def _tree_challenge(a, _):
+    aut = _load(formats.automaton_from_doc, a.aut)
+    named = _alphabet_order(a, aut)
+    cycle = _csv_ints(a.cycle, "cycle")
     if not cycle:
         raise ParseError("cycle: must be non-empty")
-    witness = LassoPath(_csv_ints(args.prefix, "prefix"), cycle)
-    challengers = formats.lassos_from_doc(
-        formats.read_json(args.challengers), args.challengers
-    )
-    try:
-        report = trees.challenger_check(aut, witness, challengers, named.poset)
-    except OrderlabError as exc:
-        return _report(
-            "tree challenge",
-            inputs,
-            "fail",
-            {"error": type(exc).__name__, "message": str(exc)},
-            failures=1,
-        )
+    witness = LassoPath(_csv_ints(a.prefix, "prefix"), cycle)
+    challengers = _load(formats.lassos_from_doc, a.challengers)
+    report = trees.challenger_check(aut, witness, challengers, named.poset)
     entries = [
         {
             "challenger": formats.lasso_to_doc(e.challenger),
@@ -503,121 +291,65 @@ def _cmd_tree_challenge(args):
         for e in report.entries
     ]
     beaten = sum(1 for e in report.entries if e.in_tree and e.left_of_witness)
-    return _report(
-        "tree challenge",
-        inputs,
-        "pass" if report.minimal else "fail",
-        {"minimal": report.minimal, "entries": entries},
-        checked=max(1, len(entries)),
-        failures=beaten,
-    )
+    details = {"minimal": report.minimal, "entries": entries}
+    return _holds(report.minimal), details, max(1, len(entries)), beaten
 
 
 # ---------------------------------------------------------------- menger
 
 
-def _load_graph(args):
-    return formats.graph_from_doc(formats.read_json(args.graph), args.graph)
+def _menger_solve(a, _):
+    system = menger.menger_solve(_load(formats.graph_from_doc, a.graph))
+    return "pass", {
+        "size": len(system.paths),
+        "paths": [list(p) for p in system.paths],
+        "separator": sorted(system.separator),
+    }
 
 
-def _cmd_menger_solve(args):
-    inputs = {"graph": _digest(args.graph)}
-    g = _load_graph(args)
-    system = menger.menger_solve(g)
-    return _report(
-        "menger solve",
-        inputs,
-        "pass",
-        {
-            "size": len(system.paths),
-            "paths": [list(p) for p in system.paths],
-            "separator": sorted(system.separator),
-        },
-    )
+def _menger_waves(a, _):
+    enum = menger.enumerate_waves(_load(formats.graph_from_doc, a.graph), cap=a.cap)
+    details = {
+        "count": len(enum.waves),
+        "truncated": enum.truncated,
+        "waves": [[list(p) for p in w.paths] for w in enum.waves],
+    }
+    return "pass", details, max(1, len(enum.waves)), 0
 
 
-def _cmd_menger_waves(args):
-    inputs = {"graph": _digest(args.graph), "cap": args.cap}
-    g = _load_graph(args)
-    enum = menger.enumerate_waves(g, cap=args.cap)
-    return _report(
-        "menger waves",
-        inputs,
-        "pass",
-        {
-            "count": len(enum.waves),
-            "truncated": enum.truncated,
-            "waves": [[list(p) for p in w.paths] for w in enum.waves],
-        },
-        checked=max(1, len(enum.waves)),
-    )
+def _menger_max_wave(a, _):
+    wave = menger.maximal_wave(_load(formats.graph_from_doc, a.graph))
+    return "pass", {
+        "paths": [list(p) for p in wave.paths],
+        "terminals": sorted(menger.terminals(wave)),
+    }
 
 
-def _cmd_menger_max_wave(args):
-    inputs = {"graph": _digest(args.graph)}
-    g = _load_graph(args)
-    wave = menger.maximal_wave(g)
-    return _report(
-        "menger max-wave",
-        inputs,
-        "pass",
-        {
-            "paths": [list(p) for p in wave.paths],
-            "terminals": sorted(menger.terminals(wave)),
-        },
-    )
+def _menger_encode(a, _):
+    g = _load(formats.graph_from_doc, a.graph)
+    labels = menger.encode_wave(g, _load(formats.warp_from_doc, a.wave))
+    return "pass", {"labels": formats.labels_to_doc(labels)}
 
 
-def _cmd_menger_encode(args):
-    inputs = {"graph": _digest(args.graph), "wave": _digest(args.wave)}
-    g = _load_graph(args)
-    warp = formats.warp_from_doc(formats.read_json(args.wave), args.wave)
-    try:
-        labels = menger.encode_wave(g, warp)
-    except OrderlabError as exc:
-        return _report(
-            "menger encode",
-            inputs,
-            "fail",
-            {"error": type(exc).__name__, "message": str(exc)},
-            failures=1,
-        )
-    return _report(
-        "menger encode", inputs, "pass", {"labels": formats.labels_to_doc(labels)}
-    )
-
-
-def _cmd_menger_decode(args):
-    inputs = {"graph": _digest(args.graph), "seq": _digest(args.seq)}
-    g = _load_graph(args)
-    labels = formats.labels_from_doc(formats.read_json(args.seq), args.seq)
-    try:
-        wave = menger.decode_wave(g, labels)
-    except OrderlabError as exc:
-        return _report(
-            "menger decode",
-            inputs,
-            "fail",
-            {"error": type(exc).__name__, "message": str(exc)},
-            failures=1,
-        )
-    return _report(
-        "menger decode", inputs, "pass", {"paths": [list(p) for p in wave.paths]}
-    )
+def _menger_decode(a, _):
+    g = _load(formats.graph_from_doc, a.graph)
+    wave = menger.decode_wave(g, _load(formats.labels_from_doc, a.seq))
+    return "pass", {"paths": [list(p) for p in wave.paths]}
 
 
 # ---------------------------------------------------------------- oracle
 
 
-def _cmd_oracle(args):
+def _oracle(a, _):
     from . import suites
 
-    inputs = {"suite": args.suite, "seed": args.seed}
-    if args.suite == "all":
-        names = list(suites.SUITES)
-    else:
-        names = [args.suite]
-    results = [suites.SUITES[name](args.seed) for name in names]
+    names = list(suites.SUITES)
+    if a.suite != "all":
+        if a.suite not in suites.SUITES:
+            choices = ", ".join(map(repr, names + ["all"]))
+            raise UsageError(f"argument suite: invalid choice: {a.suite!r} (choose from {choices})")
+        names = [a.suite]
+    results = [suites.SUITES[name](a.seed) for name in names]
     worst = "pass"
     for r in results:
         if r.verdict == "fail":
@@ -636,92 +368,162 @@ def _cmd_oracle(args):
             for r in results
         ]
     }
-    return _report(
-        "oracle",
-        inputs,
-        worst,
-        details,
-        checked=sum(r.checked for r in results),
-        failures=sum(len(r.failures) for r in results),
-    )
+    checked = sum(r.checked for r in results)
+    return worst, details, checked, sum(len(r.failures) for r in results)
 
 
-# ---------------------------------------------------------------- wiring
+# ---------------------------------------------------------------- the table
+
+_REQUIRED = object()
+
+
+class _Arg(NamedTuple):
+    """One declared argument.  ``kind`` says how it enters the ``inputs``
+    record: "file" as a content digest, "q" as the builtin order name or a
+    digest of the poset file, "text" and "int" as given."""
+
+    flag: str  # "--poset", or a bare name for a positional argument
+    kind: str = "text"
+    default: object = _REQUIRED
+    choices: Optional[tuple] = None
+    record: bool = True
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+class _Command(NamedTuple):
+    """One row of the command table.
+
+    ``op`` takes the parsed arguments and the resolved `QuasiSpec` (None
+    for commands without ``--q``).  It returns ``(verdict, details)``, or
+    ``(verdict, details, checked, failures)`` when the counters are not
+    those of one check that failed exactly when the verdict is "fail".
+    """
+
+    path: str
+    args: tuple[_Arg, ...]
+    op: Callable
+
+
+_POSET = _Arg("--poset", "file")
+_TIE = _Arg("--tie-break", default="smallest-id", choices=lexcode.TIE_BREAKS)
+_Q = _Arg("--q", "q")
+_LEFT, _RIGHT = _Arg("--left"), _Arg("--right")
+_FRAG_ARRAY_Q = (_Arg("--frag", "file"), _Arg("--array", "file"), _Q)
+_AUT = _Arg("--aut", "file")
+_ORDER = _Arg("--order", "file")
+_GRAPH = _Arg("--graph", "file")
+
+_COMMANDS = (
+    _Command("order validate", (_POSET,), _order_validate),
+    _Command("order seq-less", (_POSET, _LEFT, _RIGHT), _order_seq_less),
+    _Command("lexcode encode", (_POSET, _TIE), _lexcode_encode),
+    _Command(
+        "lexcode decode",
+        (_POSET, _Arg("--coded"), _TIE._replace(record=False)),
+        _lexcode_decode,
+    ),
+    _Command("lexcode check-claims", (_POSET, _TIE), _lexcode_check_claims),
+    _Command("wqo higman", (_Q, _LEFT, _RIGHT), _wqo_higman),
+    _Command(
+        "wqo kruskal",
+        (_Q, _Arg("--left", "file"), _Arg("--right", "file")),
+        _wqo_kruskal,
+    ),
+    _Command("wqo bad", (_Q, _Arg("--seq")), _wqo_bad),
+    _Command(
+        "wqo min-bad", (_Q, _Arg("--bound", "int"), _Arg("--length", "int")), _wqo_min_bad
+    ),
+    _Command("wqo nw-step", (_Q, _Arg("--seqs", "file"), _Arg("--s")), _wqo_nw_step),
+    _Command("barrier check", (_Arg("--frag", "file"),), _barrier_check),
+    _Command("barrier tri", (_LEFT, _RIGHT), _barrier_tri),
+    _Command("barrier star", (_Arg("--frag", "file"),), _barrier_star),
+    _Command("barrier classify", _FRAG_ARRAY_Q, _barrier_classify),
+    _Command("barrier array-check", _FRAG_ARRAY_Q, _barrier_array_check),
+    _Command("barrier nwt-step", _FRAG_ARRAY_Q + (_Arg("--s"),), _barrier_nwt_step),
+    _Command("tree live", (_AUT,), _tree_live),
+    _Command("tree leftmost", (_AUT,), _tree_leftmost),
+    _Command("tree minimal", (_AUT, _ORDER), _tree_minimal),
+    _Command(
+        "tree challenge",
+        (
+            _AUT,
+            _ORDER,
+            _Arg("--prefix", default=""),
+            _Arg("--cycle"),
+            _Arg("--challengers", "file"),
+        ),
+        _tree_challenge,
+    ),
+    _Command("menger solve", (_GRAPH,), _menger_solve),
+    _Command("menger waves", (_GRAPH, _Arg("--cap", "int", None)), _menger_waves),
+    _Command("menger max-wave", (_GRAPH,), _menger_max_wave),
+    _Command("menger encode", (_GRAPH, _Arg("--wave", "file")), _menger_encode),
+    _Command("menger decode", (_GRAPH, _Arg("--seq", "file")), _menger_decode),
+    _Command("oracle", (_Arg("suite"), _Arg("--seed", "int", 0)), _oracle),
+)
+
+
+def _run(cmd: _Command, args) -> dict:
+    """Record the inputs, resolve ``--q``, run the op and build the report.
+
+    Malformed input (`ParseError`) propagates.  Any other domain error, or
+    a `ValueError` from a constructor, becomes a fail report naming the
+    command and its inputs, with the exception's clause when it has one.
+    """
+    inputs: dict = {}
+    try:
+        for arg in cmd.args:
+            value = getattr(args, arg.dest)
+            if arg.record:
+                inputs[arg.dest] = _digest(value) if arg.kind == "file" else value
+        spec = None
+        if any(arg.kind == "q" for arg in cmd.args):
+            spec = formats.quasi_from_spec(args.q)
+            if spec.named is not None:
+                inputs["q"] = _digest(args.q)
+        verdict, details, *counters = cmd.op(args, spec)
+    except ParseError:
+        raise
+    except (OrderlabError, ValueError) as exc:
+        verdict, counters = "fail", ()
+        details = {"error": type(exc).__name__, "message": str(exc)}
+        if getattr(exc, "clause", None) is not None:
+            details["clause"] = exc.clause
+    checked, failures = counters or (1, int(verdict == "fail"))
+    return {
+        "command": cmd.path,
+        "inputs": inputs,
+        "verdict": verdict,
+        "details": details,
+        "counters": {"checked": checked, "failures": failures},
+    }
 
 
 def build_parser() -> _Parser:
-    from . import suites
-
     parser = _Parser(prog="orderlab", description=__doc__)
     top = parser.add_subparsers(dest="group", parser_class=_Parser)
-
-    def sub(group, name, handler, **arguments):
-        p = group.add_parser(name)
-        for arg, kwargs in arguments.items():
-            p.add_argument(f"--{arg.replace('_', '-')}", **kwargs)
-        p.set_defaults(handler=handler)
-        return p
-
-    req = {"required": True}
-    order_g = top.add_parser("order").add_subparsers(dest="cmd")
-    sub(order_g, "validate", _cmd_order_validate, poset=req)
-    sub(order_g, "seq-less", _cmd_order_seq_less, poset=req, left=req, right=req)
-
-    tie = {"default": "smallest-id", "choices": list(lexcode.TIE_BREAKS)}
-    lex_g = top.add_parser("lexcode").add_subparsers(dest="cmd")
-    sub(lex_g, "encode", _cmd_lexcode_encode, poset=req, tie_break=tie)
-    sub(lex_g, "decode", _cmd_lexcode_decode, poset=req, coded=req, tie_break=tie)
-    sub(lex_g, "check-claims", _cmd_lexcode_check_claims, poset=req, tie_break=tie)
-
-    wqo_g = top.add_parser("wqo").add_subparsers(dest="cmd")
-    sub(wqo_g, "higman", _cmd_wqo_higman, q=req, left=req, right=req)
-    sub(wqo_g, "kruskal", _cmd_wqo_kruskal, q=req, left=req, right=req)
-    sub(wqo_g, "bad", _cmd_wqo_bad, q=req, seq=req)
-    sub(
-        wqo_g,
-        "min-bad",
-        _cmd_wqo_min_bad,
-        q=req,
-        bound={"required": True, "type": int},
-        length={"required": True, "type": int},
-    )
-    sub(wqo_g, "nw-step", _cmd_wqo_nw_step, q=req, seqs=req, s=req)
-
-    bar_g = top.add_parser("barrier").add_subparsers(dest="cmd")
-    sub(bar_g, "check", _cmd_barrier_check, frag=req)
-    sub(bar_g, "tri", _cmd_barrier_tri, left=req, right=req)
-    sub(bar_g, "star", _cmd_barrier_star, frag=req)
-    sub(bar_g, "classify", _cmd_barrier_classify, frag=req, array=req, q=req)
-    sub(bar_g, "array-check", _cmd_barrier_array_check, frag=req, array=req, q=req)
-    sub(bar_g, "nwt-step", _cmd_barrier_nwt_step, frag=req, array=req, q=req, s=req)
-
-    tree_g = top.add_parser("tree").add_subparsers(dest="cmd")
-    sub(tree_g, "live", _cmd_tree_live, aut=req)
-    sub(tree_g, "leftmost", _cmd_tree_leftmost, aut=req)
-    sub(tree_g, "minimal", _cmd_tree_minimal, aut=req, order=req)
-    sub(
-        tree_g,
-        "challenge",
-        _cmd_tree_challenge,
-        aut=req,
-        order=req,
-        prefix={"default": ""},
-        cycle=req,
-        challengers=req,
-    )
-
-    men_g = top.add_parser("menger").add_subparsers(dest="cmd")
-    sub(men_g, "solve", _cmd_menger_solve, graph=req)
-    sub(men_g, "waves", _cmd_menger_waves, graph=req, cap={"type": int, "default": None})
-    sub(men_g, "max-wave", _cmd_menger_max_wave, graph=req)
-    sub(men_g, "encode", _cmd_menger_encode, graph=req, wave=req)
-    sub(men_g, "decode", _cmd_menger_decode, graph=req, seq=req)
-
-    oracle_p = top.add_parser("oracle")
-    oracle_p.add_argument("suite", choices=list(suites.SUITES) + ["all"])
-    oracle_p.add_argument("--seed", type=int, default=0)
-    oracle_p.set_defaults(handler=_cmd_oracle)
-
+    groups: dict = {}
+    for cmd in _COMMANDS:
+        group, *name = cmd.path.split()
+        if not name:
+            p = top.add_parser(group)
+        else:
+            if group not in groups:
+                groups[group] = top.add_parser(group).add_subparsers(dest="cmd")
+            p = groups[group].add_parser(name[0])
+        for arg in cmd.args:
+            kwargs: dict = {"type": int} if arg.kind == "int" else {}
+            if arg.choices is not None:
+                kwargs["choices"] = arg.choices
+            if arg.default is not _REQUIRED:
+                kwargs["default"] = arg.default
+            elif arg.flag.startswith("-"):
+                kwargs["required"] = True
+            p.add_argument(arg.flag, **kwargs)
+        p.set_defaults(command=cmd)
     return parser
 
 
@@ -729,23 +531,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        cmd = getattr(args, "command", None)
+        if cmd is None:
+            print(parser.format_usage(), file=sys.stderr, end="")
+            return EXIT_USAGE
+        report = _run(cmd, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    handler = getattr(args, "handler", None)
-    if handler is None:
-        print(parser.format_usage(), file=sys.stderr, end="")
-        return EXIT_USAGE
-    try:
-        report = handler(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OrderlabError, ValueError) as exc:
-        report = _report(
-            f"{args.group}", {}, "fail",
-            {"error": type(exc).__name__, "message": str(exc)}, failures=1,
-        )
     print(formats.canonical_dumps(report))
     print(f"{report['command']}: {report['verdict']}", file=sys.stderr)
     return _EXITS[report["verdict"]]

@@ -7,7 +7,6 @@ declaration order.
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import Optional, Sequence
 
@@ -41,9 +40,21 @@ def _expect(doc: object, key: str, kind: type, where: str):
     if key not in doc:
         raise ParseError(f"{where}: missing key {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParseError(f"{where}: key {key!r} must be {kind.__name__}")
     return value
+
+
+def _size(doc: object, key: str, where: str) -> int:
+    value = _expect(doc, key, int, where)
+    if value < 0:
+        raise ParseError(f"{where}: key {key!r} must not be negative")
+    return value
+
+
+def _is_name(value: object) -> bool:
+    """Element names are strings or integers; a bool would alias 0 or 1."""
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
 
 
 def _int_list(value: object, where: str) -> list[int]:
@@ -63,7 +74,7 @@ class NamedPoset:
         self.ids = {name: i for i, name in enumerate(self.names)}
 
     def to_id(self, name, where: str = "element") -> int:
-        if name not in self.ids:
+        if not _is_name(name) or name not in self.ids:
             raise ParseError(f"{where}: {name!r} is not a declared element")
         return self.ids[name]
 
@@ -74,6 +85,8 @@ class NamedPoset:
 def raw_poset_from_doc(doc: object, where: str = "poset"):
     """Shape-check only: declared names and lt pairs as dense ids."""
     elements = _expect(doc, "elements", list, where)
+    if not all(map(_is_name, elements)):
+        raise ParseError(f"{where}: element names are strings or integers")
     if len(set(map(str, elements))) != len(elements):
         raise ParseError(f"{where}: element names must be distinct")
     ids = {name: i for i, name in enumerate(elements)}
@@ -83,7 +96,7 @@ def raw_poset_from_doc(doc: object, where: str = "poset"):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(f"{where}: each lt entry is a pair")
         for name in entry:
-            if name not in ids:
+            if not _is_name(name) or name not in ids:
                 raise ParseError(f"{where}: {name!r} is not a declared element")
         pairs.append((ids[entry[0]], ids[entry[1]]))
     return tuple(elements), pairs
@@ -96,6 +109,10 @@ def poset_from_doc(doc: object, where: str = "poset") -> NamedPoset:
     except OrderlabError as exc:
         raise ParseError(f"{where}: {exc}") from exc
     return NamedPoset(poset, elements)
+
+
+def poset_to_doc(poset: Poset) -> dict:
+    return {"elements": sorted(poset.elements), "lt": [list(p) for p in sorted(poset.lt)]}
 
 
 BUILTIN_ORDERS = ("nat-leq", "nat-eq", "divides")
@@ -165,14 +182,22 @@ def ktree_from_doc(doc: object, spec: QuasiSpec, where: str = "tree"):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def ktree_to_doc(tree) -> dict:
+    return {"parent": list(tree.parent), "labels": list(tree.labels)}
+
+
+def _uniform(doc: dict, window: int, where: str) -> BarrierFragment:
+    k = _expect(doc, "uniform", int, where)
+    try:
+        return uniform_fragment(k, window)
+    except (OrderlabError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def fragment_from_doc(doc: object, where: str = "fragment") -> BarrierFragment:
-    window = _expect(doc, "window", int, where)
-    if isinstance(doc, dict) and "uniform" in doc:
-        k = _expect(doc, "uniform", int, where)
-        try:
-            return uniform_fragment(k, window)
-        except (OrderlabError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+    window = _size(doc, "window", where)
+    if "uniform" in doc:
+        return _uniform(doc, window, where)
     blocks = _expect(doc, "blocks", list, where)
     parsed = [tuple(_int_list(b, f"{where}.blocks")) for b in blocks]
     try:
@@ -183,10 +208,9 @@ def fragment_from_doc(doc: object, where: str = "fragment") -> BarrierFragment:
 
 def raw_fragment_from_doc(doc: object, where: str = "fragment"):
     """Window and block list without invariant validation (for checking)."""
-    window = _expect(doc, "window", int, where)
-    if isinstance(doc, dict) and "uniform" in doc:
-        k = _expect(doc, "uniform", int, where)
-        return list(itertools.combinations(range(window), k)), window
+    window = _size(doc, "window", where)
+    if "uniform" in doc:
+        return _uniform(doc, window, where).sorted_blocks(), window
     blocks = _expect(doc, "blocks", list, where)
     return [tuple(_int_list(b, f"{where}.blocks")) for b in blocks], window
 
@@ -216,7 +240,7 @@ def array_from_doc(
 
 
 def automaton_from_doc(doc: object, where: str = "automaton") -> TreeAutomaton:
-    alphabet = _expect(doc, "alphabet", int, where)
+    alphabet = _size(doc, "alphabet", where)
     states = _expect(doc, "states", int, where)
     start = _expect(doc, "start", int, where)
     delta = _expect(doc, "delta", list, where)
@@ -232,8 +256,17 @@ def automaton_from_doc(doc: object, where: str = "automaton") -> TreeAutomaton:
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def automaton_to_doc(aut: TreeAutomaton) -> dict:
+    return {
+        "alphabet": aut.alphabet_size,
+        "states": aut.states,
+        "start": aut.start,
+        "delta": sorted([s, a, t] for (s, a), t in aut.delta.items()),
+    }
+
+
 def graph_from_doc(doc: object, where: str = "graph") -> MengerGraph:
-    n = _expect(doc, "vertices", int, where)
+    n = _size(doc, "vertices", where)
     edges = _expect(doc, "edges", list, where)
     pairs = []
     for entry in edges:
@@ -247,6 +280,15 @@ def graph_from_doc(doc: object, where: str = "graph") -> MengerGraph:
         return graph(n, pairs, a, b)
     except (OrderlabError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
+
+
+def graph_to_doc(g: MengerGraph) -> dict:
+    return {
+        "vertices": g.n,
+        "edges": [list(e) for e in sorted(g.edges)],
+        "A": sorted(g.A),
+        "B": sorted(g.B),
+    }
 
 
 def warp_from_doc(doc: object, where: str = "warp") -> Warp:

@@ -66,26 +66,33 @@ class PathEnumeration(NamedTuple):
     truncated: bool
 
 
-def enumerate_ab_paths(g: MengerGraph, cap: Optional[int] = None) -> PathEnumeration:
-    """All simple paths from a source to a sink, sorted by length then
-    lexicographically, optionally truncated at ``cap``."""
-    adj = adjacency(g)
-    found: list[Path] = []
+def _simple_paths(
+    adj: dict[int, tuple[int, ...]], start: int, blocked: frozenset[int] = frozenset()
+) -> list[Path]:
+    """Every simple path from ``start`` in DFS pre-order, neighbours in
+    ascending order; vertices in ``blocked`` are never entered after
+    ``start``."""
+    out: list[Path] = []
 
     def dfs(path: list[int], seen: set[int]) -> None:
-        v = path[-1]
-        if v in g.B:
-            found.append(tuple(path))
-        for w in adj[v]:
-            if w not in seen:
+        out.append(tuple(path))
+        for w in adj[path[-1]]:
+            if w not in seen and w not in blocked:
                 path.append(w)
                 seen.add(w)
                 dfs(path, seen)
                 seen.discard(w)
                 path.pop()
 
-    for a in sorted(g.A):
-        dfs([a], {a})
+    dfs([start], {start})
+    return out
+
+
+def enumerate_ab_paths(g: MengerGraph, cap: Optional[int] = None) -> PathEnumeration:
+    """All simple paths from a source to a sink, sorted by length then
+    lexicographically, optionally truncated at ``cap``."""
+    adj = adjacency(g)
+    found = [p for a in sorted(g.A) for p in _simple_paths(adj, a) if p[-1] in g.B]
     found.sort(key=lambda p: (len(p), p))
     if cap is not None and len(found) > cap:
         return PathEnumeration(tuple(found[:cap]), True)
@@ -181,28 +188,11 @@ def wave_leq(w: Warp, y: Warp) -> bool:
     return warp_vertices(w) <= warp_vertices(y) and warp_edges(w) <= warp_edges(y)
 
 
-def _source_paths(g: MengerGraph, a: int) -> list[Path]:
-    """Simple paths from ``a`` whose later vertices avoid the sources."""
-    adj = adjacency(g)
-    out: list[Path] = []
-
-    def dfs(path: list[int], seen: set[int]) -> None:
-        out.append(tuple(path))
-        for w in adj[path[-1]]:
-            if w not in seen and w not in g.A:
-                path.append(w)
-                seen.add(w)
-                dfs(path, seen)
-                seen.discard(w)
-                path.pop()
-
-    dfs([a], {a})
-    return out
-
-
 def enumerate_warps(g: MengerGraph) -> list[Warp]:
     sources = sorted(g.A)
-    choices = [_source_paths(g, a) for a in sources]
+    adj = adjacency(g)
+    # each path leaves its source and never enters another
+    choices = [_simple_paths(adj, a, g.A) for a in sources]
     out: list[Warp] = []
 
     def rec(i: int, used: set[int], acc: list[Path]) -> None:

@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from . import barrier, lexcode, menger, oracles, trees, wqo
+from . import barrier, formats, lexcode, menger, oracles, trees, wqo
 from .errors import OrderlabError, WellFounded
 from .order import finite_quasi_order, seq_less_by
 
@@ -29,28 +29,6 @@ class SuiteResult:
 def _result(name: str, checked: int, failures: list, notes: dict | None = None) -> SuiteResult:
     verdict = "pass" if not failures else "fail"
     return SuiteResult(name, verdict, checked, tuple(failures[:8]), notes or {})
-
-
-def _poset_doc(poset) -> dict:
-    return {"elements": sorted(poset.elements), "lt": sorted(poset.lt)}
-
-
-def _aut_doc(aut) -> dict:
-    return {
-        "alphabet": aut.alphabet_size,
-        "states": aut.states,
-        "start": aut.start,
-        "delta": sorted([s, a, t] for (s, a), t in aut.delta.items()),
-    }
-
-
-def _graph_doc(g) -> dict:
-    return {
-        "vertices": g.n,
-        "edges": sorted(g.edges),
-        "A": sorted(g.A),
-        "B": sorted(g.B),
-    }
 
 
 # ------------------------------------------------------------ lexcode
@@ -74,7 +52,7 @@ def claim_monotone(seed: int = 0) -> SuiteResult:
                 if not seq_less_by(code.table[x], code.table[y], int.__lt__):
                     failures.append(
                         {
-                            "poset": _poset_doc(poset),
+                            "poset": formats.poset_to_doc(poset),
                             "tie_break": tie,
                             "below": x,
                             "above": y,
@@ -96,7 +74,7 @@ def code_roundtrip(seed: int = 0) -> SuiteResult:
         nonlocal checked
         checked += 1
         if lexcode.decode_path(code, lexcode.encode_seq(code, seq)) != seq:
-            failures.append({"poset": _poset_doc(poset), "seq": list(seq)})
+            failures.append({"poset": formats.poset_to_doc(poset), "seq": list(seq)})
 
     for poset in corpus:
         if len(poset.elements) > 4:
@@ -133,6 +111,11 @@ def _automaton_corpus() -> list:
     return out
 
 
+def _expand(lasso: trees.LassoPath, n: int) -> tuple[int, ...]:
+    """The first ``n`` letters of ``lasso``."""
+    return (lasso.prefix + lasso.cycle * (n // len(lasso.cycle) + 1))[:n]
+
+
 def minimal_path_suite(seed: int = 0) -> SuiteResult:
     """The least-path reduction beats every lasso of description size ≤ 6:
     none that lies in the tree may be strictly left of the output.
@@ -140,8 +123,6 @@ def minimal_path_suite(seed: int = 0) -> SuiteResult:
     Challenger comparison re-derives sequence order by expanding both
     lassos far past any divergence bound instead of calling path_left_of.
     """
-    import numpy as np
-
     expand = 64
     cap = 2000
     checked = 0
@@ -153,11 +134,7 @@ def minimal_path_suite(seed: int = 0) -> SuiteResult:
             break
         k = aut.alphabet_size
         valid = [l for l in lassos_by_k[k] if oracles.brute_lasso_in_tree(aut, l)]
-        matrix = None
-        if valid:
-            matrix = np.array(
-                [[l.item(i) for i in range(expand)] for l in valid], dtype=np.int16
-            )
+        rows = [_expand(l, expand) for l in valid]
         for poset in posets_by_k[k]:
             if checked >= cap:
                 break
@@ -167,36 +144,43 @@ def minimal_path_suite(seed: int = 0) -> SuiteResult:
             except WellFounded:
                 if valid:
                     failures.append(
-                        {"automaton": _aut_doc(aut), "problem": "reported well-founded, lassos exist"}
+                        {
+                            "automaton": formats.automaton_to_doc(aut),
+                            "problem": "reported well-founded, lassos exist",
+                        }
                     )
                 continue
             if not valid:
                 failures.append(
-                    {"automaton": _aut_doc(aut), "problem": "path returned in a well-founded tree"}
+                    {
+                        "automaton": formats.automaton_to_doc(aut),
+                        "problem": "path returned in a well-founded tree",
+                    }
                 )
                 continue
             if not oracles.brute_lasso_in_tree(aut, out):
                 failures.append(
-                    {"automaton": _aut_doc(aut), "problem": "output lasso is not a path"}
+                    {
+                        "automaton": formats.automaton_to_doc(aut),
+                        "problem": "output lasso is not a path",
+                    }
                 )
                 continue
-            row = np.array([out.item(i) for i in range(expand)], dtype=np.int16)
-            diff = matrix != row
-            hit = diff.any(axis=1)
-            first = diff.argmax(axis=1)
+            row = _expand(out, expand)
             lt = poset.lt
-            for r in np.nonzero(hit)[0]:
-                d = int(first[r])
-                if (int(matrix[r, d]), int(row[d])) in lt:
+            for challenger, other in zip(valid, rows):
+                if other == row:
+                    continue
+                d = 0
+                while other[d] == row[d]:
+                    d += 1
+                if (other[d], row[d]) in lt:
                     failures.append(
                         {
-                            "automaton": _aut_doc(aut),
+                            "automaton": formats.automaton_to_doc(aut),
                             "order": sorted(lt),
-                            "output": {"prefix": list(out.prefix), "cycle": list(out.cycle)},
-                            "challenger": {
-                                "prefix": list(valid[r].prefix),
-                                "cycle": list(valid[r].cycle),
-                            },
+                            "output": formats.lasso_to_doc(out),
+                            "challenger": formats.lasso_to_doc(challenger),
                         }
                     )
                     break
@@ -218,7 +202,7 @@ def leftmost_exact(seed: int = 0) -> SuiteResult:
         if got != expected:
             failures.append(
                 {
-                    "automaton": _aut_doc(aut),
+                    "automaton": formats.automaton_to_doc(aut),
                     "expected": None if expected is None else list(expected),
                     "got": None if got is None else list(got),
                 }
@@ -269,8 +253,8 @@ def kruskal_agreement(seed: int = 0) -> SuiteResult:
                     failures.append(
                         {
                             "q": q.name,
-                            "s": {"parent": list(s_tree.parent), "labels": list(s_tree.labels)},
-                            "t": {"parent": list(t_tree.parent), "labels": list(t_tree.labels)},
+                            "s": formats.ktree_to_doc(s_tree),
+                            "t": formats.ktree_to_doc(t_tree),
                             "got": got,
                         }
                     )
@@ -536,7 +520,7 @@ def path_system(seed: int = 0) -> SuiteResult:
         if any(not set(p) & separator for p in oracles.brute_ab_paths(g)):
             problems.append("separator misses a path")
         if problems:
-            failures.append({"graph": _graph_doc(g), "problems": problems})
+            failures.append({"graph": formats.graph_to_doc(g), "problems": problems})
     return _result("path-system", checked, failures)
 
 
@@ -579,7 +563,7 @@ def wave_coding(seed: int = 0) -> SuiteResult:
                         f"wave order {w.paths} <= {y.paths} not reflected in codes"
                     )
         if problems:
-            failures.append({"graph": _graph_doc(g), "problems": problems[:4]})
+            failures.append({"graph": formats.graph_to_doc(g), "problems": problems[:4]})
     return _result("wave-coding", checked, failures)
 
 
@@ -595,7 +579,7 @@ def cli_determinism(seed: int = 0) -> SuiteResult:
     import os
     import tempfile
 
-    from . import cli, formats
+    from . import cli
 
     checked = 0
     failures: list = []

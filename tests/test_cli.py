@@ -4,8 +4,13 @@ import contextlib
 import io
 import json
 import re
+from pathlib import Path
+
+import pytest
 
 from orderlab import cli
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cli.json"
 
 
 def run(argv):
@@ -285,3 +290,83 @@ def test_reports_are_byte_identical(tmp_path):
     second = run(argv)
     assert first == second
     assert first[0] == 0
+
+
+def test_golden_battery_is_byte_identical(tmp_path):
+    """Every command of the benchmark's golden battery reproduces its
+    recorded stdout and exit code, with the documents written as the
+    benchmark writes them so the digests match."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    paths = {}
+    for name, doc in golden["files"].items():
+        path = tmp_path / f"{name}.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        paths[name] = str(path)
+    assert len(golden["commands"]) == 26
+    for case in golden["commands"]:
+        argv = [paths[a[1:-1]] if a.startswith("{") else a for a in case["argv"]]
+        code, out, _ = run(argv)
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_domain_error_report_names_command_and_inputs():
+    code, out, err = run(["barrier", "tri", "--left", "2,0", "--right", "1"])
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "barrier tri",
+        "inputs": {"left": "2,0", "right": "1"},
+        "verdict": "fail",
+        "details": {"error": "NotIncreasing", "message": "(2, 0) is not strictly increasing"},
+        "counters": {"checked": 1, "failures": 1},
+    }
+    assert err.strip() == "barrier tri: fail"
+
+
+def test_decode_does_not_record_tie_break(tmp_path):
+    poset = chain_poset(tmp_path)
+    argv = ["lexcode", "decode", "--poset", poset, "--coded", "0,1,1"]
+    _, out, _ = run(argv + ["--tie-break", "largest-id"])
+    assert set(json.loads(out)["inputs"]) == {"poset", "coded"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"elements": [[1], [2]], "lt": []},
+        {"elements": ["a", "b"], "lt": [[["a"], "b"]]},
+        {"elements": [1, True], "lt": [[1, True]]},
+        {"elements": [1, 2], "lt": [[1, True]]},
+    ],
+    ids=["unhashable-element", "unhashable-lt-name", "bool-element", "bool-lt-name"],
+)
+def test_poset_names_must_be_strings_or_integers(tmp_path, doc):
+    code, out, err = run(["order", "validate", "--poset", write(tmp_path, "p.json", doc)])
+    assert (code, out) == (65, "")
+    assert err.startswith("input error:")
+
+
+def test_named_items_must_be_names(tmp_path):
+    frag = write(tmp_path, "frag.json", {"uniform": 1, "window": 2})
+    arr = write(tmp_path, "arr.json", {"entries": [[[0], ["a"]], [[1], "b"]]})
+    argv = ["barrier", "classify", "--frag", frag, "--array", arr, "--q", chain_poset(tmp_path)]
+    code, out, _ = run(argv)
+    assert (code, out) == (65, "")
+
+
+@pytest.mark.parametrize(
+    "argv, name, doc",
+    [
+        (["barrier", "check"], "--frag", {"window": 3, "uniform": 0}),
+        (["barrier", "check"], "--frag", {"window": 3, "uniform": True}),
+        (["barrier", "check"], "--frag", {"window": True, "blocks": []}),
+        (["barrier", "star"], "--frag", {"window": -3, "blocks": []}),
+        (["barrier", "star"], "--frag", {"window": 3, "uniform": 0}),
+        (["menger", "solve"], "--graph", {"vertices": -1, "edges": [], "A": [], "B": []}),
+        (["tree", "live"], "--aut", {"alphabet": -1, "states": 1, "start": 0, "delta": []}),
+        (["tree", "live"], "--aut", {"alphabet": True, "states": 1, "start": 0, "delta": []}),
+    ],
+)
+def test_negative_sizes_and_bools_are_parse_errors(tmp_path, argv, name, doc):
+    code, out, _ = run(argv + [name, write(tmp_path, "doc.json", doc)])
+    assert (code, out) == (65, "")
