@@ -6,12 +6,16 @@ ids so that searches can be bounded explicitly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import CycleError, UnknownElement
 
 Pair = tuple[int, int]
+
+# Largest finite universe that QuasiOrder.compiled handles.
+COMPILE_LIMIT = 64
 
 
 def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
@@ -72,18 +76,97 @@ def validate_poset(pairs: Iterable[Pair], elements: Iterable[int]) -> Poset:
     return Poset(elems, closed)
 
 
+class CompiledOrder:
+    """Dense form of a finite quasi-order.
+
+    ``ids`` numbers the universe ``0..n-1`` in the order of ``elements``;
+    bit ``j`` of ``up[i]`` is set when element ``i`` is below element ``j``.
+    """
+
+    __slots__ = ("name", "ids", "up", "_last")
+
+    def __init__(self, name: str, ids: dict, up: tuple[int, ...]):
+        self.name = name
+        self.ids = ids
+        self.up = up
+        self._last: tuple = (None, None)
+
+    def index(self, items: Iterable[Hashable]) -> list[int]:
+        """Dense ids of ``items``; the first item outside the universe raises."""
+        ids = self.ids
+        try:
+            return [ids[x] for x in items]
+        except KeyError as exc:
+            raise UnknownElement(
+                f"{exc.args[0]!r} is outside the universe of {self.name}"
+            ) from None
+
+    def next_table(self, target: Sequence) -> Optional[list[list[int]]]:
+        """Subsequence automaton of ``target`` (Baeza-Yates 1991), or None
+        the first time in a row that ``target`` is asked for.
+
+        With ``m = len(target)``, ``rows[j][x]`` is ``1 + k`` for the least
+        ``k >= j`` with ``x <= target[k]``, or the fail mark ``m + 1``, whose
+        own row (the last) maps every id back to it.  Only the latest target
+        is kept, keyed on a tuple copy so that a list changed between calls
+        is looked at afresh.  A target met once is cheaper to scan than to
+        tabulate, so the table is built on the second request in a row.
+        """
+        key = tuple(target)
+        last_key, rows = self._last
+        if key != last_key:
+            self._last = (key, None)
+            return None
+        if rows is None:
+            t_ids = self.index(key)
+            fail = len(t_ids) + 1
+            row = [fail] * len(self.up)
+            rows = [row, row]
+            for k in range(len(t_ids) - 1, -1, -1):
+                bit = 1 << t_ids[k]
+                row = [k + 1 if mask & bit else nxt for mask, nxt in zip(self.up, row)]
+                rows.append(row)
+            rows.reverse()
+            self._last = (key, rows)
+        return rows
+
+
 @dataclass(frozen=True)
 class QuasiOrder:
     """Decidable reflexive-transitive ``leq`` over a universe of values.
 
     ``contains`` decides universe membership; ``elements`` lists the
     universe when it is finite (used by exhaustive searches and checks).
+
+    ``leq`` is the specification: the oracles read it and nothing else.
+    ``compiled`` is a faster form of the same relation for the production
+    routes only, built from ``leq`` on first use.
     """
 
     name: str
     leq: Callable[[Hashable, Hashable], bool]
     contains: Callable[[Hashable], bool]
     elements: Optional[tuple] = None
+
+    @functools.cached_property
+    def compiled(self) -> Optional[CompiledOrder]:
+        """Dense ids and up-set bitmasks, or None for an infinite universe
+        or one of more than ``COMPILE_LIMIT`` elements.
+
+        Building the form takes ``n**2`` calls of ``leq`` and each Higman
+        table ``n`` ids per target item, so a large universe keeps the
+        plain scan.
+        """
+        if self.elements is None:
+            return None
+        elems = tuple(dict.fromkeys(self.elements))
+        if len(elems) > COMPILE_LIMIT:
+            return None
+        leq = self.leq
+        up = tuple(
+            sum(1 << j for j, y in enumerate(elems) if leq(x, y)) for x in elems
+        )
+        return CompiledOrder(self.name, {x: i for i, x in enumerate(elems)}, up)
 
     def require(self, x: Hashable) -> None:
         if not self.contains(x):

@@ -20,9 +20,29 @@ def higman_leq(sigma: Sequence, tau: Sequence, q: QuasiOrder) -> bool:
     """Subsequence embedding: a strictly increasing index map with
     ``sigma[i] <= tau[f(i)]`` pointwise.
 
-    The greedy earliest-match scan is complete: any embedding can be pushed
-    left one position at a time.
+    Every item of both sequences must lie in the universe.  A greedy
+    earliest-match scan decides it, and is complete: any embedding can be
+    pushed left one position at a time.  When a compiled quasi-order is asked
+    about the same ``tau`` again, the earliest matches are read from the
+    next-occurrence table of ``tau`` instead.
     """
+    compiled = q.compiled
+    if compiled is not None:
+        try:
+            rows = compiled.next_table(tau)
+        except (UnknownElement, TypeError):
+            compiled.index(sigma)  # a bad item of sigma is reported first
+            raise
+        if rows is not None:
+            ids = compiled.ids
+            j = 0
+            try:
+                for x in sigma:
+                    j = rows[j][ids[x]]
+            except KeyError:
+                compiled.index(sigma)  # raises UnknownElement for that item
+                raise
+            return j != len(rows) - 1
     contains = q.contains
     for item in sigma:
         if not contains(item):
@@ -165,23 +185,31 @@ class KTree:
     labels: tuple[Hashable, ...]
 
     def __post_init__(self):
-        n = len(self.parent)
+        parent = self.parent
+        n = len(parent)
         if len(self.labels) != n:
             raise ValueError("labels and parent array must have equal length")
-        roots = [i for i, p in enumerate(self.parent) if p == -1]
+        roots = [i for i, p in enumerate(parent) if p == -1]
         if len(roots) != 1:
             raise ValueError("a tree has exactly one root")
-        for i, p in enumerate(self.parent):
-            if p != -1 and not 0 <= p < n:
+        children: list[list[int]] = [[] for _ in range(n)]
+        for i, p in enumerate(parent):
+            if p == -1:
+                continue
+            if not 0 <= p < n:
                 raise InvalidNode(f"parent of node {i} is out of range")
-        for i in range(n):
-            seen = set()
-            v = i
-            while v != -1:
-                if v in seen:
-                    raise ValueError("parent array contains a cycle")
-                seen.add(v)
-                v = self.parent[v]
+            children[p].append(i)
+        # Every node has one parent and only the root has none, so the nodes
+        # the root does not reach are exactly those on or above a cycle.
+        reached, stack = 1, [roots[0]]
+        while stack:
+            below = children[stack.pop()]
+            reached += len(below)
+            stack.extend(below)
+        if reached != n:
+            raise ValueError("parent array contains a cycle")
+        object.__setattr__(self, "_root", roots[0])
+        object.__setattr__(self, "_children", tuple(map(tuple, children)))
 
     @property
     def size(self) -> int:
@@ -189,11 +217,12 @@ class KTree:
 
     @property
     def root(self) -> int:
-        return self.parent.index(-1)
+        return self._root
 
     def children(self, v: int) -> tuple[int, ...]:
+        """Children of ``v`` in ascending id order."""
         self.require(v)
-        return tuple(i for i, p in enumerate(self.parent) if p == v)
+        return self._children[v]
 
     def require(self, v: int) -> None:
         if not 0 <= v < len(self.parent):
@@ -221,45 +250,68 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     Such a map sends the source root to some node ``v`` with a dominating
     label and the root's child subtrees into distinct child subtrees of
     ``v``; the search recurses on that shape with memoisation, using
-    augmenting-path matching for the child assignment.
+    augmenting-path matching for the child assignment.  Labels are compared
+    through the up-set bitmasks when ``q`` is compiled.
     """
-    for lab in s_tree.labels:
-        q.require(lab)
-    for lab in t_tree.labels:
-        q.require(lab)
-    s_children = {v: s_tree.children(v) for v in range(s_tree.size)}
-    t_children = {v: t_tree.children(v) for v in range(t_tree.size)}
-    memo: dict[tuple[int, int], bool] = {}
+    compiled = q.compiled
+    if compiled is not None:
+        up = compiled.up
+        s_up = [up[i] for i in compiled.index(s_tree.labels)]
+        t_ids = compiled.index(t_tree.labels)
+
+        def dominated(sv: int, tv: int) -> bool:
+            return s_up[sv] >> t_ids[tv] & 1
+
+    else:
+        for lab in s_tree.labels:
+            q.require(lab)
+        for lab in t_tree.labels:
+            q.require(lab)
+        leq, s_labels, t_labels = q.leq, s_tree.labels, t_tree.labels
+
+        def dominated(sv: int, tv: int) -> bool:
+            return leq(s_labels[sv], t_labels[tv])
+
+    s_children = s_tree._children
+    t_children = t_tree._children
+    m = len(t_children)
+    memo: dict[int, bool] = {}
 
     def embed(sv: int, tv: int) -> bool:
-        key = (sv, tv)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = rooted(sv, tv) or any(embed(sv, tc) for tc in t_children[tv])
-        memo[key] = result
+        key = sv * m + tv
+        result = memo.get(key)
+        if result is None:
+            result = rooted(sv, tv)
+            if not result:
+                for tc in t_children[tv]:
+                    if embed(sv, tc):
+                        result = True
+                        break
+            memo[key] = result
         return result
 
     def rooted(sv: int, tv: int) -> bool:
-        if not q.leq(s_tree.labels[sv], t_tree.labels[tv]):
+        if not dominated(sv, tv):
             return False
         left = s_children[sv]
         right = t_children[tv]
         if len(left) > len(right):
             return False
         assign: dict[int, int] = {}
+        for l in left:
+            if not augment(l, right, assign, set()):
+                return False
+        return True
 
-        def augment(l: int, seen: set[int]) -> bool:
-            for r in right:
-                if r in seen or not embed(l, r):
-                    continue
-                seen.add(r)
-                if r not in assign or augment(assign[r], seen):
-                    assign[r] = l
-                    return True
-            return False
-
-        return all(augment(l, set()) for l in left)
+    def augment(l: int, right: tuple[int, ...], assign: dict[int, int], seen: set[int]) -> bool:
+        for r in right:
+            if r in seen or not embed(l, r):
+                continue
+            seen.add(r)
+            if r not in assign or augment(assign[r], right, assign, seen):
+                assign[r] = l
+                return True
+        return False
 
     return embed(s_tree.root, t_tree.root)
 
@@ -267,20 +319,25 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
 def decompose_ktree(tree: KTree) -> tuple[Hashable, tuple[KTree, ...]]:
     """Root label and the child subtrees in ascending node-id order."""
     r = tree.root
-    return tree.labels[r], tuple(subtree(tree, c) for c in tree.children(r))
+    return tree.labels[r], tuple(subtree(tree, c) for c in tree._children[r])
+
+
+def _preorder(tree: KTree, v: int) -> list[int]:
+    """Nodes of the subtree at ``v`` in preorder, children by ascending id."""
+    children = tree._children
+    order: list[int] = []
+    stack = [v]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(reversed(children[node]))
+    return order
 
 
 def subtree(tree: KTree, v: int) -> KTree:
     """Subtree rooted at ``v``, renumbered in preorder (children by id)."""
     tree.require(v)
-    order: list[int] = []
-
-    def visit(node: int) -> None:
-        order.append(node)
-        for c in tree.children(node):
-            visit(c)
-
-    visit(v)
+    order = _preorder(tree, v)
     index = {old: new for new, old in enumerate(order)}
     parent = tuple(
         -1 if old == v else index[tree.parent[old]] for old in order
@@ -301,12 +358,16 @@ def compose_ktree(label: Hashable, subtrees: Sequence[KTree]) -> KTree:
 
 
 def ktree_key(tree: KTree):
-    """Canonical structure key; equal keys mean isomorphic labelled trees."""
+    """Canonical structure key; equal keys mean isomorphic labelled trees.
 
-    def key(v: int):
-        return (repr(tree.labels[v]), tuple(sorted(key(c) for c in tree.children(v))))
-
-    return key(tree.root)
+    The key of a node is its label's repr with the sorted keys of its
+    children; reversed preorder builds every child's key before its parent's.
+    """
+    children, labels = tree._children, tree.labels
+    keys: dict[int, tuple] = {}
+    for v in reversed(_preorder(tree, tree.root)):
+        keys[v] = (repr(labels[v]), tuple(sorted(keys[c] for c in children[v])))
+    return keys[tree.root]
 
 
 def ramsey_pairs_homogeneous(

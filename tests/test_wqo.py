@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from orderlab import oracles
-from orderlab.errors import InvalidNode, PreconditionViolation
+from orderlab.errors import InvalidNode, PreconditionViolation, UnknownElement
 from orderlab.order import (
+    COMPILE_LIMIT,
     divisibility,
     finite_quasi_order,
     natural_equality,
@@ -163,3 +164,147 @@ def test_ramsey_pairs_homogeneous():
 def test_higman_matches_injection_search(sigma, tau):
     leq = natural_order()
     assert higman_leq(sigma, tau, leq) == oracles.brute_higman(sigma, tau, leq)
+
+
+QUASI_ORDERS = oracles.quasi_orders_upto(3)
+
+
+@seed(20260)
+@settings(max_examples=150, database=None)
+@given(st.data())
+def test_compiled_higman_matches_injection_search(data):
+    q = data.draw(st.sampled_from(QUASI_ORDERS))
+    items = st.sampled_from(q.elements)
+    tau = data.draw(st.lists(items, max_size=5))
+    sigmas = data.draw(st.lists(st.lists(items, max_size=4), min_size=1, max_size=6))
+    # Repeated queries against one target go through its next-occurrence table.
+    for target in (tuple(tau), tau):
+        for sigma in sigmas:
+            expected = oracles.brute_higman(sigma, tau, q)
+            assert higman_leq(sigma, target, q) == expected
+            assert higman_leq(tuple(sigma), target, q) == expected
+
+
+def test_compiled_higman_sees_a_mutated_list_target():
+    q = chain2()
+    tau = [0, 0]
+    for _ in range(3):
+        assert not higman_leq((1,), tau, q)
+    tau[1] = 1
+    assert higman_leq((1,), tau, q)
+    assert not higman_leq((1, 1), tau, q)
+    tau.append(1)
+    assert higman_leq((1, 1), tau, q)
+    assert higman_leq((0, 1, 1), tau, q)
+
+
+def test_compiled_higman_same_target_under_two_orders():
+    tau = (1, 1)
+    for _ in range(3):
+        assert higman_leq((0, 1), tau, chain2())
+        assert not higman_leq((0, 1), tau, anti2())
+    chain, anti = chain2(), anti2()
+    for _ in range(3):
+        assert higman_leq((0, 0), tau, chain)
+        assert not higman_leq((0, 0), tau, anti)
+
+
+def test_compiled_higman_checks_every_item():
+    q = anti2()
+    message = "7 is outside the universe of anti2"
+    for _ in range(3):
+        # the prefix (1,) already fails to embed into (0,)
+        with pytest.raises(UnknownElement, match=message):
+            higman_leq((1, 7), (0,), q)
+        with pytest.raises(UnknownElement, match=message):
+            higman_leq((1,), (0, 7), q)
+    assert not higman_leq((1,), (0, 0), q)  # warm the table for (0, 0)
+    assert not higman_leq((1,), (0, 0), q)
+    with pytest.raises(UnknownElement, match=message):
+        higman_leq((1, 7), (0, 0), q)
+    # an unknown item of sigma is reported before one of tau
+    for _ in range(2):
+        with pytest.raises(UnknownElement, match="8 is outside"):
+            higman_leq((1, 8), (0, 7), q)
+
+
+def test_compiled_form_matches_leq():
+    for q in QUASI_ORDERS:
+        compiled = q.compiled
+        assert compiled is q.compiled
+        for x in q.elements:
+            for y in q.elements:
+                bit = compiled.up[compiled.ids[x]] >> compiled.ids[y] & 1
+                assert bool(bit) == q.leq(x, y)
+    for q in (natural_order(), natural_equality(), divisibility()):
+        assert q.compiled is None
+        assert higman_lift(q).compiled is None
+
+
+def test_large_finite_order_keeps_the_scan():
+    n = COMPILE_LIMIT + 1
+    q = finite_quasi_order(range(n), [(x, x) for x in range(n)], "anti")
+    assert q.compiled is None
+    assert higman_leq((3, 5), (1, 3, 4, 5), q)
+    assert not higman_leq((5, 3), (1, 3, 4, 5), q)
+    with pytest.raises(UnknownElement):
+        higman_leq((n,), (1,), q)
+
+
+def test_ktree_leq_checks_labels():
+    tree = KTree((-1, 0), (0, 1))
+    bad = KTree((-1, 0), (0, 5))
+    with pytest.raises(UnknownElement, match="5 is outside the universe of chain2"):
+        ktree_leq(bad, tree, chain2())
+    with pytest.raises(UnknownElement, match="5 is outside the universe of chain2"):
+        ktree_leq(tree, bad, chain2())
+
+
+def _scan_children(tree, v):
+    return tuple(i for i, p in enumerate(tree.parent) if p == v)
+
+
+def test_large_ktrees_construct():
+    n = 5000
+    path = KTree((-1,) + tuple(range(n - 1)), (0,) * n)
+    star = KTree((-1,) + (0,) * (n - 1), tuple(range(n)))
+    for tree in (path, star):
+        assert tree.root == 0
+        for v in (0, 1, n // 2, n - 1):
+            assert tree.children(v) == _scan_children(tree, v)
+    assert star.children(0) == tuple(range(1, n))
+    with pytest.raises(InvalidNode):
+        star.children(n)
+
+
+def test_subtree_and_key_on_a_long_path():
+    n = 5000
+    path = KTree((-1,) + tuple(range(n - 1)), tuple(i % 3 for i in range(n)))
+    sub = subtree(path, 1000)
+    assert sub.parent == (-1,) + tuple(range(n - 1001))
+    assert sub.labels == path.labels[1000:]
+    key = ktree_key(path)
+    for label in path.labels:
+        assert key[0] == repr(label)
+        assert len(key[1]) <= 1
+        key = key[1][0] if key[1] else None
+    assert key is None
+
+
+@pytest.mark.parametrize(
+    "parent, labels, exc, message",
+    [
+        ((-1, 0), (0,), ValueError, "labels and parent array must have equal length"),
+        ((-1, -1), (0, 0), ValueError, "a tree has exactly one root"),
+        ((0, 1), (0, 0), ValueError, "a tree has exactly one root"),
+        ((-1, 5, 0), (0, 0, 0), InvalidNode, "parent of node 1 is out of range"),
+        ((-1, 0, -2), (0, 0, 0), InvalidNode, "parent of node 2 is out of range"),
+        ((-1, 2, 1), (0, 0, 0), ValueError, "parent array contains a cycle"),
+        ((-1, 0, 3, 3), (0, 0, 0, 0), ValueError, "parent array contains a cycle"),
+    ],
+)
+def test_ktree_rejects_malformed_parent_arrays(parent, labels, exc, message):
+    with pytest.raises(exc) as err:
+        KTree(parent, labels)
+    assert type(err.value) is exc
+    assert str(err.value) == message
