@@ -14,8 +14,11 @@ from .errors import CycleError, UnknownElement
 
 Pair = tuple[int, int]
 
-# Largest finite universe that QuasiOrder.compiled handles.
-COMPILE_LIMIT = 64
+# Largest finite universe that QuasiOrder.compiled handles.  Compiling takes
+# n**2 calls of leq, which a one-shot CLI call on a poset file pays in full:
+# at most 7 ms at 128 elements against a 95-140 ms call, 9-28 ms at 256 and
+# 44-136 ms at 512 (BENCH_3.json, "compile_limit").
+COMPILE_LIMIT = 128
 
 
 def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
@@ -83,51 +86,48 @@ class CompiledOrder:
     bit ``j`` of ``up[i]`` is set when element ``i`` is below element ``j``.
     """
 
-    __slots__ = ("name", "ids", "up", "_last")
+    __slots__ = ("ids", "up", "scans_before_table", "_last")
 
-    def __init__(self, name: str, ids: dict, up: tuple[int, ...]):
-        self.name = name
+    def __init__(self, ids: dict, up: tuple[int, ...]):
         self.ids = ids
         self.up = up
-        self._last: tuple = (None, None)
-
-    def index(self, items: Iterable[Hashable]) -> list[int]:
-        """Dense ids of ``items``; the first item outside the universe raises."""
-        ids = self.ids
-        try:
-            return [ids[x] for x in items]
-        except KeyError as exc:
-            raise UnknownElement(
-                f"{exc.args[0]!r} is outside the universe of {self.name}"
-            ) from None
+        # A table costs about 4 + n/4 scans to build (measured at 3 to 256
+        # elements, BENCH_3.json "table_policy").  Scanning that many times
+        # first keeps a run of queries against one target within twice the
+        # cost of its cheaper plan; building on the second query did not.
+        self.scans_before_table = 4 + len(up) // 4
+        self._last: tuple = (None, 0, None)
 
     def next_table(self, target: Sequence) -> Optional[list[list[int]]]:
         """Subsequence automaton of ``target`` (Baeza-Yates 1991), or None
-        the first time in a row that ``target`` is asked for.
+        while ``target`` has been asked for at most ``scans_before_table``
+        times in a row.
 
         With ``m = len(target)``, ``rows[j][x]`` is ``1 + k`` for the least
         ``k >= j`` with ``x <= target[k]``, or the fail mark ``m + 1``, whose
         own row (the last) maps every id back to it.  Only the latest target
         is kept, keyed on a tuple copy so that a list changed between calls
-        is looked at afresh.  A target met once is cheaper to scan than to
-        tabulate, so the table is built on the second request in a row.
+        is looked at afresh.  An item outside the universe raises KeyError.
         """
         key = tuple(target)
-        last_key, rows = self._last
+        last_key, asked, rows = self._last
         if key != last_key:
-            self._last = (key, None)
+            self._last = (key, 1, None)
             return None
         if rows is None:
-            t_ids = self.index(key)
-            fail = len(t_ids) + 1
+            if asked < self.scans_before_table:
+                self._last = (key, asked + 1, None)
+                return None
+            ids = self.ids
+            fail = len(key) + 1
             row = [fail] * len(self.up)
             rows = [row, row]
-            for k in range(len(t_ids) - 1, -1, -1):
-                bit = 1 << t_ids[k]
+            for k in range(len(key) - 1, -1, -1):
+                bit = 1 << ids[key[k]]
                 row = [k + 1 if mask & bit else nxt for mask, nxt in zip(self.up, row)]
                 rows.append(row)
             rows.reverse()
-            self._last = (key, rows)
+            self._last = (key, asked, rows)
         return rows
 
 
@@ -153,9 +153,8 @@ class QuasiOrder:
         """Dense ids and up-set bitmasks, or None for an infinite universe
         or one of more than ``COMPILE_LIMIT`` elements.
 
-        Building the form takes ``n**2`` calls of ``leq`` and each Higman
-        table ``n`` ids per target item, so a large universe keeps the
-        plain scan.
+        Building the form takes ``n**2`` calls of ``leq``, so a large
+        universe keeps the plain scan.
         """
         if self.elements is None:
             return None
@@ -166,7 +165,7 @@ class QuasiOrder:
         up = tuple(
             sum(1 << j for j, y in enumerate(elems) if leq(x, y)) for x in elems
         )
-        return CompiledOrder(self.name, {x: i for i, x in enumerate(elems)}, up)
+        return CompiledOrder({x: i for i, x in enumerate(elems)}, up)
 
     def require(self, x: Hashable) -> None:
         if not self.contains(x):

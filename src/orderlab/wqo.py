@@ -23,26 +23,21 @@ def higman_leq(sigma: Sequence, tau: Sequence, q: QuasiOrder) -> bool:
     Every item of both sequences must lie in the universe.  A greedy
     earliest-match scan decides it, and is complete: any embedding can be
     pushed left one position at a time.  When a compiled quasi-order is asked
-    about the same ``tau`` again, the earliest matches are read from the
-    next-occurrence table of ``tau`` instead.
+    about the same ``tau`` many times in a row, the earliest matches are read
+    from the next-occurrence table of ``tau`` instead.
     """
     compiled = q.compiled
     if compiled is not None:
         try:
             rows = compiled.next_table(tau)
-        except (UnknownElement, TypeError):
-            compiled.index(sigma)  # a bad item of sigma is reported first
-            raise
-        if rows is not None:
-            ids = compiled.ids
-            j = 0
-            try:
+            if rows is not None:
+                ids = compiled.ids
+                j = 0
                 for x in sigma:
                     j = rows[j][ids[x]]
-            except KeyError:
-                compiled.index(sigma)  # raises UnknownElement for that item
-                raise
-            return j != len(rows) - 1
+                return j != len(rows) - 1
+        except (KeyError, TypeError):
+            pass  # the scan below reports the first item outside the universe
     contains = q.contains
     for item in sigma:
         if not contains(item):
@@ -255,9 +250,13 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     """
     compiled = q.compiled
     if compiled is not None:
-        up = compiled.up
-        s_up = [up[i] for i in compiled.index(s_tree.labels)]
-        t_ids = compiled.index(t_tree.labels)
+        ids, up = compiled.ids, compiled.up
+        try:
+            s_up = [up[ids[lab]] for lab in s_tree.labels]
+            t_ids = [ids[lab] for lab in t_tree.labels]
+        except (KeyError, TypeError):
+            compiled = None  # the checks below report the first bad label
+    if compiled is not None:
 
         def dominated(sv: int, tv: int) -> bool:
             return s_up[sv] >> t_ids[tv] & 1

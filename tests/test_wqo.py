@@ -169,6 +169,11 @@ def test_higman_matches_injection_search(sigma, tau):
 QUASI_ORDERS = oracles.quasi_orders_upto(3)
 
 
+def _warm(q):
+    """Queries in a row against one target after which its table is read."""
+    return q.compiled.scans_before_table + 1
+
+
 @seed(20260)
 @settings(max_examples=150, database=None)
 @given(st.data())
@@ -178,7 +183,7 @@ def test_compiled_higman_matches_injection_search(data):
     tau = data.draw(st.lists(items, max_size=5))
     sigmas = data.draw(st.lists(st.lists(items, max_size=4), min_size=1, max_size=6))
     # Repeated queries against one target go through its next-occurrence table.
-    for target in (tuple(tau), tau):
+    for target in [tuple(tau)] * _warm(q) + [tau]:
         for sigma in sigmas:
             expected = oracles.brute_higman(sigma, tau, q)
             assert higman_leq(sigma, target, q) == expected
@@ -188,7 +193,7 @@ def test_compiled_higman_matches_injection_search(data):
 def test_compiled_higman_sees_a_mutated_list_target():
     q = chain2()
     tau = [0, 0]
-    for _ in range(3):
+    for _ in range(_warm(q)):
         assert not higman_leq((1,), tau, q)
     tau[1] = 1
     assert higman_leq((1,), tau, q)
@@ -204,7 +209,7 @@ def test_compiled_higman_same_target_under_two_orders():
         assert higman_leq((0, 1), tau, chain2())
         assert not higman_leq((0, 1), tau, anti2())
     chain, anti = chain2(), anti2()
-    for _ in range(3):
+    for _ in range(_warm(chain)):
         assert higman_leq((0, 0), tau, chain)
         assert not higman_leq((0, 0), tau, anti)
 
@@ -212,20 +217,34 @@ def test_compiled_higman_same_target_under_two_orders():
 def test_compiled_higman_checks_every_item():
     q = anti2()
     message = "7 is outside the universe of anti2"
-    for _ in range(3):
+    for _ in range(_warm(q)):
         # the prefix (1,) already fails to embed into (0,)
         with pytest.raises(UnknownElement, match=message):
             higman_leq((1, 7), (0,), q)
         with pytest.raises(UnknownElement, match=message):
             higman_leq((1,), (0, 7), q)
-    assert not higman_leq((1,), (0, 0), q)  # warm the table for (0, 0)
-    assert not higman_leq((1,), (0, 0), q)
+    for _ in range(_warm(q)):  # the table for (0, 0) is in use
+        assert not higman_leq((1,), (0, 0), q)
     with pytest.raises(UnknownElement, match=message):
         higman_leq((1, 7), (0, 0), q)
     # an unknown item of sigma is reported before one of tau
-    for _ in range(2):
+    for _ in range(_warm(q)):
         with pytest.raises(UnknownElement, match="8 is outside"):
             higman_leq((1, 8), (0, 7), q)
+
+
+def test_higman_table_after_the_scans():
+    q = finite_quasi_order(range(9), [(x, y) for x in range(9) for y in range(x, 9)], "c9")
+    compiled = q.compiled
+    assert compiled.scans_before_table == 6
+    tau = (2, 5, 5, 8)
+    for _ in range(compiled.scans_before_table):
+        assert compiled.next_table(tau) is None
+    rows = compiled.next_table(tau)
+    assert rows is compiled.next_table(list(tau))
+    assert rows[0] == [1, 1, 1, 2, 2, 2, 4, 4, 4]
+    assert rows[-1] == [5] * 9
+    assert compiled.next_table((2, 5)) is None
 
 
 def test_compiled_form_matches_leq():
