@@ -45,16 +45,30 @@ class BarrierFragment:
         return tuple(sorted(self.blocks))
 
 
+def _fragment_problems(blocks: Iterable[Block], window: int):
+    """Yield ``(error type, message)`` for each broken fragment rule, lazily:
+    each block that is not strictly increasing or leaves the window, in the
+    order given, then each block range contained in another's."""
+    inside: set[Block] = set()
+    for block in blocks:
+        if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
+            yield NotIncreasing, f"block {block} is not strictly increasing"
+        elif block and (block[0] < 0 or block[-1] >= window):
+            yield ValueError, f"block {block} leaves the window {window}"
+        else:
+            inside.add(block)
+    for b, c in itertools.permutations(inside, 2):
+        # distinct increasing blocks of equal length have distinct ranges
+        if len(b) < len(c) and set(b) <= set(c):
+            yield ValueError, f"range of {b} is contained in range of {c}"
+
+
 def fragment(blocks: Iterable[Sequence[int]], window: int) -> BarrierFragment:
     """Validated fragment: increasing blocks inside the window, and no
-    block's range contained in another's."""
-    checked = {_require_block(b) for b in blocks}
-    for b in checked:
-        if b and b[-1] >= window:
-            raise ValueError(f"block {b} exceeds the window {window}")
-    for b, c in itertools.permutations(checked, 2):
-        if set(b) <= set(c):
-            raise ValueError(f"range of {b} is contained in range of {c}")
+    block's range contained in another's.  Raises on the first problem."""
+    checked = {tuple(b) for b in blocks}
+    for error, message in _fragment_problems(checked, window):
+        raise error(message)
     return BarrierFragment(window, frozenset(checked))
 
 
@@ -146,22 +160,10 @@ def check_fragment(blocks: Iterable[Sequence[int]], window: int) -> FragmentChec
     from the base must reach a block prefix before running out of window;
     sequences forced out of the window leave the verdict inconclusive.
     """
-    problems: list[str] = []
-    checked: list[Block] = []
-    for b in blocks:
-        block = tuple(b)
-        if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
-            problems.append(f"block {block} is not strictly increasing")
-            continue
-        if block and (block[0] < 0 or block[-1] >= window):
-            problems.append(f"block {block} leaves the window {window}")
-            continue
-        checked.append(block)
-    for b, c in itertools.permutations(set(checked), 2):
-        if set(b) <= set(c):
-            problems.append(f"range of {b} is contained in range of {c}")
+    checked = [tuple(b) for b in blocks]
+    problems = sorted(message for _, message in _fragment_problems(checked, window))
     if problems:
-        return FragmentCheck("fail", tuple(sorted(problems)), ())
+        return FragmentCheck("fail", tuple(problems), ())
 
     blockset = set(checked)
     base = sorted({x for b in blockset for x in b})

@@ -86,8 +86,8 @@ def _order_validate(a, _):
 
 def _order_seq_less(a, _):
     named = _load(formats.poset_from_doc, a.poset)
-    left = tuple(named.to_id(tok, "left") for tok in _csv(a.left))
-    right = tuple(named.to_id(tok, "right") for tok in _csv(a.right))
+    left = tuple(named.text_to_id(tok, "left") for tok in _csv(a.left))
+    right = tuple(named.text_to_id(tok, "right") for tok in _csv(a.right))
     less = seq_less(left, right, named.poset)
     return _holds(less), {"less": less}
 

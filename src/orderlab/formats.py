@@ -57,6 +57,15 @@ def _is_name(value: object) -> bool:
     return isinstance(value, (str, int)) and not isinstance(value, bool)
 
 
+def _built(make, where: str, *args):
+    """``make(*args)``, where a domain error from the constructor means the
+    document at ``where`` is malformed."""
+    try:
+        return make(*args)
+    except (OrderlabError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def _int_list(value: object, where: str) -> list[int]:
     if not isinstance(value, list) or any(
         not isinstance(x, int) or isinstance(x, bool) for x in value
@@ -72,11 +81,20 @@ class NamedPoset:
         self.poset = poset
         self.names = tuple(names)
         self.ids = {name: i for i, name in enumerate(self.names)}
+        self.text_ids = {str(name): i for i, name in enumerate(self.names)}
 
     def to_id(self, name, where: str = "element") -> int:
         if not _is_name(name) or name not in self.ids:
             raise ParseError(f"{where}: {name!r} is not a declared element")
         return self.ids[name]
+
+    def text_to_id(self, token: str, where: str = "element") -> int:
+        """The id of the element written ``token`` on the command line, which
+        names ``0`` as ``"0"``; `raw_poset_from_doc` keeps names distinct as
+        text."""
+        if token not in self.text_ids:
+            raise ParseError(f"{where}: {token!r} is not a declared element")
+        return self.text_ids[token]
 
     def to_name(self, i: int):
         return self.names[i]
@@ -104,11 +122,7 @@ def raw_poset_from_doc(doc: object, where: str = "poset"):
 
 def poset_from_doc(doc: object, where: str = "poset") -> NamedPoset:
     elements, pairs = raw_poset_from_doc(doc, where)
-    try:
-        poset = validate_poset(pairs, range(len(elements)))
-    except OrderlabError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-    return NamedPoset(poset, elements)
+    return NamedPoset(_built(validate_poset, where, pairs, range(len(elements))), elements)
 
 
 def poset_to_doc(poset: Poset) -> dict:
@@ -131,7 +145,7 @@ class QuasiSpec:
 
     def parse_item(self, token: str, where: str = "item"):
         if self.named is not None:
-            return self.named.to_id(token, where)
+            return self.named.text_to_id(token, where)
         try:
             value = int(token)
         except ValueError:
@@ -173,46 +187,36 @@ def ktree_from_doc(doc: object, spec: QuasiSpec, where: str = "tree"):
     labels = _expect(doc, "labels", list, where)
     if not parent or parent[0] != -1:
         raise ParseError(f"{where}: the root is index 0, marked with -1")
-    if len(labels) != len(parent):
-        raise ParseError(f"{where}: labels and parent must have equal length")
     interned = tuple(spec.parse_json_item(lab, f"{where}.labels") for lab in labels)
-    try:
-        return KTree(tuple(parent), interned)
-    except (OrderlabError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return _built(KTree, where, tuple(parent), interned)
 
 
 def ktree_to_doc(tree) -> dict:
     return {"parent": list(tree.parent), "labels": list(tree.labels)}
 
 
-def _uniform(doc: dict, window: int, where: str) -> BarrierFragment:
-    k = _expect(doc, "uniform", int, where)
-    try:
-        return uniform_fragment(k, window)
-    except (OrderlabError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+def raw_fragment_from_doc(doc: object, where: str = "fragment"):
+    """The blocks and the window of a fragment document.
+
+    Listed blocks come back as written, unvalidated, so that
+    `barrier.check_fragment` can report every problem.  The ``uniform``
+    shorthand comes back as the frozenset `uniform_fragment` builds, valid
+    by construction.
+    """
+    window = _size(doc, "window", where)
+    if "uniform" in doc:
+        k = _expect(doc, "uniform", int, where)
+        return _built(uniform_fragment, where, k, window).blocks, window
+    blocks = _expect(doc, "blocks", list, where)
+    return [tuple(_int_list(b, f"{where}.blocks")) for b in blocks], window
 
 
 def fragment_from_doc(doc: object, where: str = "fragment") -> BarrierFragment:
-    window = _size(doc, "window", where)
-    if "uniform" in doc:
-        return _uniform(doc, window, where)
-    blocks = _expect(doc, "blocks", list, where)
-    parsed = [tuple(_int_list(b, f"{where}.blocks")) for b in blocks]
-    try:
-        return fragment(parsed, window)
-    except (OrderlabError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-
-
-def raw_fragment_from_doc(doc: object, where: str = "fragment"):
-    """Window and block list without invariant validation (for checking)."""
-    window = _size(doc, "window", where)
-    if "uniform" in doc:
-        return _uniform(doc, window, where).sorted_blocks(), window
-    blocks = _expect(doc, "blocks", list, where)
-    return [tuple(_int_list(b, f"{where}.blocks")) for b in blocks], window
+    blocks, window = raw_fragment_from_doc(doc, where)
+    if isinstance(blocks, frozenset):
+        # a uniform fragment is never validated again: containment is quadratic
+        return BarrierFragment(window, blocks)
+    return _built(fragment, where, blocks, window)
 
 
 def array_from_doc(
@@ -233,10 +237,7 @@ def array_from_doc(
         else:
             value = spec.parse_json_item(entry[1], f"{where}.value")
         parsed.append((block, value))
-    try:
-        return array_of(parsed)
-    except (OrderlabError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return _built(array_of, where, parsed)
 
 
 def automaton_from_doc(doc: object, where: str = "automaton") -> TreeAutomaton:
@@ -250,10 +251,7 @@ def automaton_from_doc(doc: object, where: str = "automaton") -> TreeAutomaton:
         if len(trip) != 3:
             raise ParseError(f"{where}: each delta entry is [state, letter, state]")
         triples.append(tuple(trip))
-    try:
-        return automaton(alphabet, states, start, triples)
-    except (OrderlabError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return _built(automaton, where, alphabet, states, start, triples)
 
 
 def automaton_to_doc(aut: TreeAutomaton) -> dict:
@@ -276,10 +274,7 @@ def graph_from_doc(doc: object, where: str = "graph") -> MengerGraph:
         pairs.append(tuple(pair))
     a = _int_list(_expect(doc, "A", list, where), f"{where}.A")
     b = _int_list(_expect(doc, "B", list, where), f"{where}.B")
-    try:
-        return graph(n, pairs, a, b)
-    except (OrderlabError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return _built(graph, where, n, pairs, a, b)
 
 
 def graph_to_doc(g: MengerGraph) -> dict:
@@ -344,9 +339,7 @@ def lassos_from_doc(doc: object, where: str = "challengers") -> list[LassoPath]:
     for i, entry in enumerate(entries):
         prefix = _int_list(_expect(entry, "prefix", list, f"{where}[{i}]"), where)
         cycle = _int_list(_expect(entry, "cycle", list, f"{where}[{i}]"), where)
-        if not cycle:
-            raise ParseError(f"{where}[{i}]: cycle must be non-empty")
-        out.append(LassoPath(tuple(prefix), tuple(cycle)))
+        out.append(_built(LassoPath, f"{where}[{i}]", tuple(prefix), tuple(cycle)))
     return out
 
 

@@ -144,27 +144,35 @@ def warp_edges(w: Warp) -> frozenset[tuple[int, int]]:
     )
 
 
+def _path_problem(g: MengerGraph, p: Path) -> Optional[str]:
+    """The first rule ``p`` breaks as a path of a warp of ``g``, or None:
+    warp paths are non-empty simple paths along edges of ``g`` that start
+    at a source and never meet the source set again."""
+    if not p:
+        return "warp paths are non-empty"
+    if p[0] not in g.A:
+        return f"path {p} does not start at a source"
+    if min(p) < 0 or max(p) >= g.n:
+        return f"path {p} leaves the vertex set"
+    if not g.A.isdisjoint(p[1:]):
+        return f"path {p} revisits the source set"
+    for u, v in zip(p, p[1:]):
+        e = (u, v) if u < v else (v, u)
+        if e not in g.edges:
+            return f"path {p} uses the missing edge {e}"
+    if len(set(p)) != len(p):
+        return f"path {p} repeats a vertex"
+    return None
+
+
 def validate_warp(g: MengerGraph, w: Warp) -> None:
     """Raise `InvalidWarp` unless ``w`` is a warp of ``g``."""
     starts = []
     seen_all: set[int] = set()
     for p in w.paths:
-        if not p:
-            raise InvalidWarp("warp paths are non-empty")
-        if p[0] not in g.A:
-            raise InvalidWarp(f"path {p} does not start at a source")
-        for v in p:
-            if not 0 <= v < g.n:
-                raise InvalidWarp(f"path {p} leaves the vertex set")
-        for v in p[1:]:
-            if v in g.A:
-                raise InvalidWarp(f"path {p} revisits the source set")
-        for i in range(len(p) - 1):
-            e = (min(p[i], p[i + 1]), max(p[i], p[i + 1]))
-            if e not in g.edges:
-                raise InvalidWarp(f"path {p} uses the missing edge {e}")
-        if len(set(p)) != len(p):
-            raise InvalidWarp(f"path {p} repeats a vertex")
+        problem = _path_problem(g, p)
+        if problem is not None:
+            raise InvalidWarp(problem)
         if seen_all & set(p):
             raise InvalidWarp("warp paths must be vertex-disjoint")
         seen_all |= set(p)
@@ -407,15 +415,7 @@ def label_less(d: Label, e: Label) -> bool:
 
 
 def _check_path_label(g: MengerGraph, q: Path, end: int) -> bool:
-    if not q or q[-1] != end or len(set(q)) != len(q):
-        return False
-    if q[0] not in g.A or any(v in g.A for v in q[1:]):
-        return False
-    if any(not 0 <= v < g.n for v in q):
-        return False
-    return all(
-        (min(q[i], q[i + 1]), max(q[i], q[i + 1])) in g.edges for i in range(len(q) - 1)
-    )
+    return bool(q) and q[-1] == end and _path_problem(g, q) is None
 
 
 def wave_seq_valid(

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orderlab.barrier import (
     BarrierFragment,
@@ -22,6 +23,7 @@ from orderlab.errors import (
     EmptyBlock,
     NotIncreasing,
     NotTriRelated,
+    OrderlabError,
     PreconditionViolation,
 )
 from orderlab.order import natural_equality, natural_order
@@ -63,6 +65,24 @@ def test_fragment_validation():
         fragment([(0, 5)], 3)
     with pytest.raises(NotIncreasing):
         fragment([(2, 1)], 3)
+    with pytest.raises(ValueError, match="leaves the window"):
+        fragment([(-1,)], 3)
+
+
+@settings(derandomize=True, max_examples=600, database=None)
+@given(
+    st.lists(st.lists(st.integers(-1, 3), max_size=3).map(tuple), max_size=5),
+    st.integers(0, 3),
+)
+def test_fragment_raises_exactly_when_the_check_fails(blocks, window):
+    report = check_fragment(blocks, window)
+    try:
+        fragment(blocks, window)
+    except (OrderlabError, ValueError) as exc:
+        assert report.verdict == "fail"
+        assert str(exc) in report.problems
+    else:
+        assert report.verdict != "fail"
 
 
 def test_base_and_restrict():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orderlab import cli
+from orderlab import cli, formats
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cli.json"
 
@@ -292,10 +292,10 @@ def test_reports_are_byte_identical(tmp_path):
     assert first[0] == 0
 
 
-def test_golden_battery_is_byte_identical(tmp_path):
-    """Every command of the benchmark's golden battery reproduces its
-    recorded stdout and exit code, with the documents written as the
-    benchmark writes them so the digests match."""
+def golden_battery(tmp_path):
+    """The benchmark's golden record, and a function that fills its argv
+    templates with paths to its documents, written as the benchmark writes
+    them so the digests match, and to its unreadable file (a directory)."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     paths = {}
     for name, doc in golden["files"].items():
@@ -303,11 +303,90 @@ def test_golden_battery_is_byte_identical(tmp_path):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         paths[name] = str(path)
+    unreadable = tmp_path / golden["unreadable"]
+    unreadable.mkdir()
+    paths[golden["unreadable"]] = str(unreadable)
+    return golden, lambda argv: [paths[a[1:-1]] if a.startswith("{") else a for a in argv]
+
+
+def test_golden_battery_is_byte_identical(tmp_path):
+    """Every command of the benchmark's golden battery reproduces its
+    recorded stdout and exit code."""
+    golden, fill = golden_battery(tmp_path)
     assert len(golden["commands"]) == 26
     for case in golden["commands"]:
-        argv = [paths[a[1:-1]] if a.startswith("{") else a for a in case["argv"]]
-        code, out, _ = run(argv)
+        code, out, _ = run(fill(case["argv"]))
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_golden_malformed_documents_keep_the_exit_contract(tmp_path):
+    """The battery's malformed documents and its unreadable file end in a
+    contract exit code, with one canonical report whenever the exit code
+    carries one; each of them is a parse error."""
+    golden, fill = golden_battery(tmp_path)
+    assert len(golden["malformed"]) == 6
+    for argv in golden["malformed"]:
+        code, out, _ = run(fill(argv))
+        assert code in (0, 1, 2, 64, 65), argv
+        if code in (0, 1, 2):
+            assert out == formats.canonical_dumps(json.loads(out)) + "\n", argv
+        assert (code, out) == (65, ""), argv
+
+
+@pytest.mark.parametrize(
+    "argv, docs, stdout",
+    [
+        (
+            ["barrier", "check", "--frag", "{frag}"],
+            {"frag": {"window": 3, "blocks": [[0], [0, 1], [2, 1], [5]]}},
+            '{"command":"barrier check","counters":{"checked":1,"failures":3},'
+            '"details":{"problems":["block (2, 1) is not strictly increasing",'
+            '"block (5,) leaves the window 3",'
+            '"range of (0,) is contained in range of (0, 1)"],"uncovered":[]},'
+            '"inputs":{"frag":"075de7b9f6d962b0"},"verdict":"fail"}\n',
+        ),
+        (
+            ["barrier", "check", "--frag", "{frag}"],
+            {"frag": {"window": 3, "blocks": [[-1]]}},
+            '{"command":"barrier check","counters":{"checked":1,"failures":1},'
+            '"details":{"problems":["block (-1,) leaves the window 3"],"uncovered":[]},'
+            '"inputs":{"frag":"08e6b540176a3e2d"},"verdict":"fail"}\n',
+        ),
+        (
+            ["menger", "encode", "--graph", "{graph}", "--wave", "{wave}"],
+            {
+                "graph": {"vertices": 3, "edges": [[0, 1], [1, 2]], "A": [0], "B": [2]},
+                "wave": {"paths": [[0, 2]]},
+            },
+            '{"command":"menger encode","counters":{"checked":1,"failures":1},'
+            '"details":{"error":"InvalidWarp",'
+            '"message":"path (0, 2) uses the missing edge (0, 2)"},'
+            '"inputs":{"graph":"6af9db3d5b693164","wave":"5fa176d5573cc5fc"},'
+            '"verdict":"fail"}\n',
+        ),
+    ],
+    ids=["fragment-problems", "fragment-negative-entry", "warp-missing-edge"],
+)
+def test_fail_reports_are_pinned(tmp_path, argv, docs, stdout):
+    paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+    argv = [paths[a[1:-1]] if a.startswith("{") else a for a in argv]
+    assert run(argv)[:2] == (1, stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, code, details",
+    [
+        (["order", "seq-less", "--poset", "{p}", "--left", "0", "--right", "1"], 0, {"less": True}),
+        (["wqo", "higman", "--q", "{p}", "--left", "0", "--right", "2,1"], 0, {"embeds": True}),
+        (["wqo", "bad", "--q", "{p}", "--seq", "2,0,1"], 1,
+         {"bad": False, "good_pair": [1, 2], "items": [0, 1]}),
+    ],
+    ids=["order-seq-less", "wqo-higman", "wqo-bad"],
+)
+def test_integer_names_are_given_by_their_text(tmp_path, argv, code, details):
+    poset = write(tmp_path, "p.json", {"elements": [0, 1, 2], "lt": [[0, 1]]})
+    result, out, _ = run([poset if a == "{p}" else a for a in argv])
+    assert (result, json.loads(out)["details"]) == (code, details)
 
 
 def test_domain_error_report_names_command_and_inputs():

@@ -1,11 +1,14 @@
 """Path systems, separators, waves, and the wave coding."""
 
+import itertools
+
 import pytest
 
 from orderlab.errors import InvalidSequence, InvalidWarp, MalformedLabel, NotAWave
 from orderlab.menger import (
     MengerSystem,
     Warp,
+    _check_path_label,
     decode_wave,
     encode_wave,
     enumerate_ab_paths,
@@ -108,6 +111,22 @@ def test_validate_warp_errors():
     touchy = graph(2, [(0, 1)], [0, 1], [1])
     with pytest.raises(InvalidWarp):
         validate_warp(touchy, warp_of([(0, 1), (1,)]))
+
+
+@pytest.mark.parametrize("make", [path3, bowtie])
+def test_warp_paths_and_cover_labels_agree(make):
+    """A one-path warp passes every per-path rule of `validate_warp` (on a
+    graph with two sources it still misses one) exactly when a cover label
+    for the path at its last vertex passes the wave-coding path check."""
+    g = make()
+    for length in range(5):
+        for p in itertools.product(range(-1, g.n + 1), repeat=length):
+            try:
+                validate_warp(g, warp_of([p]))
+                accepted = True
+            except InvalidWarp as exc:
+                accepted = str(exc) == "warp paths must cover each source exactly once"
+            assert accepted == (bool(p) and _check_path_label(g, p, p[-1])), p
 
 
 def test_waves_and_order():
