@@ -94,37 +94,36 @@ def tail(block: Sequence[int]) -> Block:
     return b[1:]
 
 
-def block_tri(b: Sequence[int], c: Sequence[int]) -> bool:
-    """Whether some increasing ``d`` extends ``b`` while its tail extends ``c``.
+def _tri_union(b: Block, c: Block) -> Optional[Block]:
+    """The union of the ranges of two valid blocks when ``b`` ◁ ``c``, else
+    None.
 
-    Such a ``d`` is pinned on all positions except possibly the first:
-    position ``i`` must carry ``b[i]`` and position ``i+1`` must carry
-    ``c[i]``, so the relation reduces to an overlap-and-merge check.
+    ``b`` ◁ ``c`` when some increasing ``d`` extends ``b`` while its tail
+    extends ``c``.  Such a ``d`` is pinned on all positions except possibly
+    the first: position ``i`` carries ``b[i]`` and position ``i+1`` carries
+    ``c[i]``.  So the two must agree where they overlap, and whatever ``c``
+    adds past ``b`` must lie above ``b``'s last entry; with ``b`` empty the
+    first position only needs a natural below ``c[0]``.
     """
-    b = _require_block(b)
-    c = _require_block(c)
-    length = max(len(b), len(c) + 1)
-    slots: list[Optional[int]] = [None] * length
-    for i, v in enumerate(b):
-        slots[i] = v
-    for i, v in enumerate(c):
-        if slots[i + 1] is not None and slots[i + 1] != v:
-            return False
-        slots[i + 1] = v
-    if slots[0] is None:
-        # only possible when b is empty; any natural below slot 1 works
-        if length > 1 and slots[1] == 0:
-            return False
-        slots[0] = -1 if length > 1 else 0
-    filled = [v for v in slots if v is not None]
-    return all(filled[i] < filled[i + 1] for i in range(len(filled) - 1))
+    if not b:
+        return c if not c or c[0] > 0 else None
+    k = len(b) - 1
+    if b[1 : 1 + len(c)] == c[:k] and (len(c) <= k or b[-1] < c[k]):
+        return b + c[k:]
+    return None
+
+
+def block_tri(b: Sequence[int], c: Sequence[int]) -> bool:
+    """Whether some increasing ``d`` extends ``b`` while its tail extends ``c``."""
+    return _tri_union(_require_block(b), _require_block(c)) is not None
 
 
 def union_block(b: Sequence[int], c: Sequence[int]) -> Block:
     """Sorted union of the ranges of two tri-related blocks."""
-    if not block_tri(b, c):
+    union = _tri_union(_require_block(b), _require_block(c))
+    if union is None:
         raise NotTriRelated(f"{tuple(b)} and {tuple(c)} are not tri-related")
-    return tuple(sorted(set(b) | set(c)))
+    return union
 
 
 def restrict(frag: BarrierFragment, subset: Iterable[int]) -> BarrierFragment:
@@ -137,13 +136,8 @@ def restrict(frag: BarrierFragment, subset: Iterable[int]) -> BarrierFragment:
 
 def star_fragment(frag: BarrierFragment) -> BarrierFragment:
     """Unions of all tri-related block pairs, over the same window."""
-    blocks = {
-        union_block(b, c)
-        for b in frag.blocks
-        for c in frag.blocks
-        if block_tri(b, c)
-    }
-    return fragment(blocks, frag.window)
+    unions = (_tri_union(b, c) for b in frag.blocks for c in frag.blocks)
+    return fragment({u for u in unions if u is not None}, frag.window)
 
 
 @dataclass(frozen=True)
@@ -203,7 +197,7 @@ def _tri_pairs(arr: PartialArray):
     entries = arr.entries
     for i, (b, v) in enumerate(entries):
         for j, (c, w) in enumerate(entries):
-            if i != j and block_tri(b, c):
+            if i != j and _tri_union(b, c) is not None:
                 yield i, j, v, w
 
 
@@ -287,7 +281,7 @@ def barrier_pair_homogeneous(
             coloring(b, c)
             for b in blocks
             for c in blocks
-            if block_tri(b, c)
+            if _tri_union(b, c) is not None
         }
         if len(colors) <= 1:
             return subset

@@ -45,6 +45,17 @@ def _digest(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _size(text: str) -> int:
+    """A count or bound from the command line: an integer, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
 def _csv(text: str) -> list[str]:
     text = text.strip()
     if not text:
@@ -375,12 +386,14 @@ def _oracle(a, _):
 # ---------------------------------------------------------------- the table
 
 _REQUIRED = object()
+_TYPES = {"int": int, "size": _size}
 
 
 class _Arg(NamedTuple):
     """One declared argument.  ``kind`` says how it enters the ``inputs``
     record: "file" as a content digest, "q" as the builtin order name or a
-    digest of the poset file, "text" and "int" as given."""
+    digest of the poset file, "text", "int" and "size" (an integer of at
+    least 0) as given."""
 
     flag: str  # "--poset", or a bare name for a positional argument
     kind: str = "text"
@@ -434,7 +447,7 @@ _COMMANDS = (
     ),
     _Command("wqo bad", (_Q, _Arg("--seq")), _wqo_bad),
     _Command(
-        "wqo min-bad", (_Q, _Arg("--bound", "int"), _Arg("--length", "int")), _wqo_min_bad
+        "wqo min-bad", (_Q, _Arg("--bound", "size"), _Arg("--length", "size")), _wqo_min_bad
     ),
     _Command("wqo nw-step", (_Q, _Arg("--seqs", "file"), _Arg("--s")), _wqo_nw_step),
     _Command("barrier check", (_Arg("--frag", "file"),), _barrier_check),
@@ -458,7 +471,7 @@ _COMMANDS = (
         _tree_challenge,
     ),
     _Command("menger solve", (_GRAPH,), _menger_solve),
-    _Command("menger waves", (_GRAPH, _Arg("--cap", "int", None)), _menger_waves),
+    _Command("menger waves", (_GRAPH, _Arg("--cap", "size", None)), _menger_waves),
     _Command("menger max-wave", (_GRAPH,), _menger_max_wave),
     _Command("menger encode", (_GRAPH, _Arg("--wave", "file")), _menger_encode),
     _Command("menger decode", (_GRAPH, _Arg("--seq", "file")), _menger_decode),
@@ -515,7 +528,7 @@ def build_parser() -> _Parser:
                 groups[group] = top.add_parser(group).add_subparsers(dest="cmd")
             p = groups[group].add_parser(name[0])
         for arg in cmd.args:
-            kwargs: dict = {"type": int} if arg.kind == "int" else {}
+            kwargs: dict = {"type": _TYPES[arg.kind]} if arg.kind in _TYPES else {}
             if arg.choices is not None:
                 kwargs["choices"] = arg.choices
             if arg.default is not _REQUIRED:

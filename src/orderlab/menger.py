@@ -8,6 +8,7 @@ is a warp whose terminals separate the sources from the sinks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -33,6 +34,15 @@ class MengerGraph:
     A: frozenset[int]
     B: frozenset[int]
 
+    @functools.cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's neighbours in ascending order, built on first use."""
+        adj: dict[int, list[int]] = {v: [] for v in range(self.n)}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return {v: tuple(sorted(ws)) for v, ws in adj.items()}
+
 
 def graph(
     n: int, edges: Iterable[Sequence[int]], a: Iterable[int], b: Iterable[int]
@@ -51,19 +61,6 @@ def graph(
             if not 0 <= v < n:
                 raise ValueError(f"{name} contains {v}, outside the vertex set")
     return MengerGraph(n, frozenset(norm), aset, bset)
-
-
-def adjacency(g: MengerGraph) -> dict[int, tuple[int, ...]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return {v: tuple(sorted(ws)) for v, ws in adj.items()}
-
-
-class PathEnumeration(NamedTuple):
-    paths: tuple[Path, ...]
-    truncated: bool
 
 
 def _simple_paths(
@@ -88,15 +85,12 @@ def _simple_paths(
     return out
 
 
-def enumerate_ab_paths(g: MengerGraph, cap: Optional[int] = None) -> PathEnumeration:
+def enumerate_ab_paths(g: MengerGraph) -> tuple[Path, ...]:
     """All simple paths from a source to a sink, sorted by length then
-    lexicographically, optionally truncated at ``cap``."""
-    adj = adjacency(g)
-    found = [p for a in sorted(g.A) for p in _simple_paths(adj, a) if p[-1] in g.B]
+    lexicographically."""
+    found = [p for a in sorted(g.A) for p in _simple_paths(g.adjacency, a) if p[-1] in g.B]
     found.sort(key=lambda p: (len(p), p))
-    if cap is not None and len(found) > cap:
-        return PathEnumeration(tuple(found[:cap]), True)
-    return PathEnumeration(tuple(found), False)
+    return tuple(found)
 
 
 def is_separator(g: MengerGraph, c: Iterable[int]) -> bool:
@@ -106,7 +100,7 @@ def is_separator(g: MengerGraph, c: Iterable[int]) -> bool:
     ``c`` are removed.
     """
     blocked = set(c)
-    adj = adjacency(g)
+    adj = g.adjacency
     queue = deque(v for v in sorted(g.A) if v not in blocked)
     seen = set(queue)
     while queue:
@@ -198,9 +192,8 @@ def wave_leq(w: Warp, y: Warp) -> bool:
 
 def enumerate_warps(g: MengerGraph) -> list[Warp]:
     sources = sorted(g.A)
-    adj = adjacency(g)
     # each path leaves its source and never enters another
-    choices = [_simple_paths(adj, a, g.A) for a in sources]
+    choices = [_simple_paths(g.adjacency, a, g.A) for a in sources]
     out: list[Warp] = []
 
     def rec(i: int, used: set[int], acc: list[Path]) -> None:
@@ -371,7 +364,7 @@ def encode_wave(
     shorter enumeration are filled with ``(0, 0)``.
     """
     if paths is None:
-        paths = enumerate_ab_paths(g).paths
+        paths = enumerate_ab_paths(g)
     if not is_wave(g, wave):
         raise NotAWave("only waves are encoded")
     covered = warp_vertices(wave)
@@ -418,6 +411,47 @@ def _check_path_label(g: MengerGraph, q: Path, end: int) -> bool:
     return bool(q) and q[-1] == end and _path_problem(g, q) is None
 
 
+def _read_coding(
+    g: MengerGraph, seq: Sequence[Label], paths: Sequence[Path]
+) -> Optional[tuple[dict[int, Path], dict[int, frozenset[int]]]]:
+    """The cover labels of ``seq`` by vertex and its meet labels by path
+    index, or None when a label does not fit its slot.
+
+    Even slot ``2v`` holds a blank or a warp-path prefix ending at ``v``.
+    Odd slot ``2i+1`` holds a blank past the path enumeration, and before
+    it a non-empty subset of path ``i`` labelled ``i + 2``.  Labels are
+    read left to right, so a malformed one is reported only if every slot
+    before it fits.
+    """
+    covers: dict[int, Path] = {}
+    meets: dict[int, frozenset[int]] = {}
+    for k, label in enumerate(seq):
+        shape = _label_shape(label)
+        i = k // 2
+        if shape == "blank":
+            if k % 2 and i < len(paths):
+                return None
+        elif k % 2 == 0:
+            if shape != "cover" or i >= g.n or not _check_path_label(g, label[1], i):
+                return None
+            covers[i] = label[1]
+        else:
+            if i >= len(paths) or shape != "meet" or label[0] != i + 2:
+                return None
+            chosen = frozenset(label[1])
+            if not chosen or not chosen <= set(paths[i]):
+                return None
+            meets[i] = chosen
+    return covers, meets
+
+
+def _maximal_covers(covers: dict[int, Path]) -> dict[int, Path]:
+    """The covers that no other cover extends, by end vertex: the paths of
+    the wave a complete coding describes."""
+    inner = {q[:i] for q in covers.values() for i in range(1, len(q))}
+    return {v: q for v, q in covers.items() if q not in inner}
+
+
 def wave_seq_valid(
     g: MengerGraph, seq: Sequence[Label], paths: Optional[Sequence[Path]] = None
 ) -> bool:
@@ -428,68 +462,27 @@ def wave_seq_valid(
     sequences only.
     """
     if paths is None:
-        paths = enumerate_ab_paths(g).paths
-    m = len(paths)
-    top = max(g.n, m)
+        paths = enumerate_ab_paths(g)
+    top = max(g.n, len(paths))
     if len(seq) > 2 * top:
         return False
-    covers: dict[int, Path] = {}
-    meets: dict[int, frozenset[int]] = {}
-    for k, label in enumerate(seq):
-        shape = _label_shape(label)
-        if k % 2 == 0:
-            i = k // 2
-            if shape == "blank":
-                continue
-            if shape != "cover" or i >= g.n:
-                return False
-            if not _check_path_label(g, label[1], i):
-                return False
-            covers[i] = label[1]
-        else:
-            i = k // 2
-            if i >= m:
-                if shape != "blank":
-                    return False
-                continue
-            if shape != "meet" or label[0] != i + 2:
-                return False
-            chosen = frozenset(label[1])
-            if not chosen or not chosen <= set(paths[i]):
-                return False
-            meets[i] = chosen
+    read = _read_coding(g, seq, paths)
+    if read is None:
+        return False
+    covers, meets = read
     # pairwise coherence of the covering paths
     for i, j in itertools.combinations(sorted(covers), 2):
         qi, qj = covers[i], covers[j]
         if set(qi) & set(qj):
             if qi != qj[: len(qi)] and qj != qi[: len(qj)]:
                 return False
-    defined = len(seq)
-    for i, q in covers.items():
-        for v in q:
-            fellow = 2 * v
-            if fellow < defined and seq[fellow] == (0, 0):
-                return False
-    for v in sorted(g.A):
-        if 2 * v < defined and v < g.n and seq[2 * v] == (0, 0):
-            return False
-    for i, chosen in meets.items():
-        for v in chosen:
-            fellow = 2 * v
-            if fellow < defined and seq[fellow] == (0, 0):
-                return False
+    # the sources and every vertex a label names are covered, where present
+    named = set(g.A).union(*covers.values(), *meets.values())
+    if any(2 * v < len(seq) and seq[2 * v] == (0, 0) for v in named):
+        return False
     if len(seq) == 2 * top:
-        for i, chosen in meets.items():
-            if not any(
-                v in covers
-                and not any(
-                    len(covers[j]) > len(covers[v])
-                    and covers[j][: len(covers[v])] == covers[v]
-                    for j in covers
-                )
-                for v in chosen
-            ):
-                return False
+        ends = _maximal_covers(covers)
+        return all(not chosen.isdisjoint(ends) for chosen in meets.values())
     return True
 
 
@@ -498,17 +491,12 @@ def decode_wave(
 ) -> Warp:
     """Rebuild the wave from a complete valid coding sequence."""
     if paths is None:
-        paths = enumerate_ab_paths(g).paths
+        paths = enumerate_ab_paths(g)
     top = max(g.n, len(paths))
     if len(seq) != 2 * top or not wave_seq_valid(g, seq, paths):
         raise InvalidSequence("not a complete valid wave coding")
-    covers = {k // 2: label[1] for k, label in enumerate(seq) if k % 2 == 0 and label != (0, 0)}
-    maximal = [
-        q
-        for v, q in covers.items()
-        if not any(len(r) > len(q) and r[: len(q)] == q for r in covers.values())
-    ]
-    wave = warp_of(set(maximal))
+    covers, _ = _read_coding(g, seq, paths)
+    wave = warp_of(_maximal_covers(covers).values())
     if not is_wave(g, wave):
         raise InvalidSequence("decoded warp is not a wave")
     return wave

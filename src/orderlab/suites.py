@@ -538,7 +538,7 @@ def wave_coding(seed: int = 0) -> SuiteResult:
             for a, b in assignments:
                 instances.append(menger.graph(n, edges, a, b))
     for g in instances:
-        paths = menger.enumerate_ab_paths(g).paths
+        paths = menger.enumerate_ab_paths(g)
         waves = menger.enumerate_waves(g).waves
         coded = []
         seen: dict = {}

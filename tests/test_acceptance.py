@@ -2,7 +2,9 @@
 
 One test per advertised guarantee, in order.  Each runs the matching oracle
 suite at its full documented scale and prints a single verdict line; the
-three bulk suites also assert their wall-clock budgets.
+three bulk suites also assert their wall-clock budgets.  Every suite must
+also make exactly the number of checks the README's suite table gives for
+seed 0, so a change that keeps the verdicts but drops cases shows up.
 """
 
 import time
@@ -10,6 +12,24 @@ import time
 from orderlab import suites
 
 SEED = 0
+
+# seed-0 ``checked`` counts, as in the README's suite table
+CHECKED = {
+    "claim-monotone": 7_386,
+    "code-roundtrip": 8_880,
+    "minimal-path": 2_000,
+    "leftmost-exact": 276,
+    "higman-agreement": 34_709_386,
+    "kruskal-agreement": 163_592,
+    "refine-step": 200,
+    "array-step": 100,
+    "singleton-bridge": 32_178,
+    "star-law": 21,
+    "tri-agreement": 40_229,
+    "path-system": 4_356,
+    "wave-coding": 21_955,
+    "cli-determinism": 26,
+}
 
 
 def _run(number, names, budget=None):
@@ -22,6 +42,7 @@ def _run(number, names, budget=None):
     print(f"criterion {number} ({label}): {verdict} [{checked} checks, {elapsed:.1f}s]")
     for r in results:
         assert r.verdict == "pass", (r.name, r.failures[:2])
+        assert r.checked == CHECKED[r.name], (r.name, r.checked)
     if budget is not None:
         assert elapsed < budget, f"criterion {number} took {elapsed:.1f}s"
 

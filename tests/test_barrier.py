@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +47,9 @@ def test_block_tri_examples():
     assert not block_tri((0, 2), (3, 5))
     assert not block_tri((4,), (2, 7))  # merged slots must stay increasing
     assert block_tri((0, 1, 4), (1, 4))
+    # with b empty, d's first entry must fit below c's
+    assert block_tri((), ()) and block_tri((), (1, 3))
+    assert not block_tri((), (0, 3))
     with pytest.raises(NotIncreasing):
         block_tri((2, 2), (3,))
 
@@ -91,6 +96,36 @@ def test_base_and_restrict():
     assert restrict(frag, {0, 2}).blocks == frozenset({(0, 2)})
     assert restrict(frag, base_of(frag)) == frag
     assert restrict(frag, ()).blocks == frozenset()
+
+
+def test_union_block_is_the_range_union_exactly_on_tri_pairs():
+    blocks = [b for r in range(5) for b in itertools.combinations(range(6), r)]
+    for b, c in itertools.product(blocks, repeat=2):
+        if block_tri(b, c):
+            assert union_block(b, c) == tuple(sorted(set(b) | set(c))), (b, c)
+        else:
+            with pytest.raises(NotTriRelated):
+                union_block(b, c)
+
+
+@pytest.mark.parametrize(
+    "blocks, window, starred",
+    [
+        (
+            [(0,), (1, 2), (1, 3), (1, 4), (2, 3, 4)],
+            5,
+            [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3, 4), (1, 2, 3, 4)],
+        ),
+        (
+            [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)],
+            5,
+            [(0, 1, 3), (0, 2, 3), (1, 3, 4), (2, 3, 4)],
+        ),
+        ([(1,), (2, 3), (0, 3)], 4, [(1, 2, 3)]),
+    ],
+)
+def test_star_fragment_non_uniform(blocks, window, starred):
+    assert star_fragment(fragment(blocks, window)) == fragment(starred, window)
 
 
 def test_star_fragment_uniform_law():

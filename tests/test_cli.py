@@ -74,6 +74,27 @@ def test_usage_errors():
     assert run(["oracle", "nonsense"])[0] == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["menger", "waves", "--graph", "GRAPH", "--cap", "N"],
+        ["wqo", "min-bad", "--q", "nat-eq", "--bound", "N", "--length", "3"],
+        ["wqo", "min-bad", "--q", "nat-eq", "--bound", "5", "--length", "N"],
+    ],
+    ids=["cap", "bound", "length"],
+)
+def test_negative_counts_are_usage_errors(tmp_path, argv):
+    g = write(tmp_path, "graph.json", {"vertices": 2, "edges": [[0, 1]], "A": [0], "B": [1]})
+
+    def with_count(n):
+        return [{"GRAPH": g, "N": n}.get(tok, tok) for tok in argv]
+
+    code, out, err = run(with_count("-2"))
+    assert (code, out) == (64, "")
+    assert "'-2' is not a non-negative integer" in err
+    assert run(with_count("0"))[0] in (0, 1)
+
+
 def test_malformed_json_exit(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
