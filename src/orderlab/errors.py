@@ -9,6 +9,10 @@ class ParseError(OrderlabError):
     """Input document is not valid JSON or does not match its schema."""
 
 
+class NegativeCount(OrderlabError):
+    """A count, cap or bound that must be at least 0 is negative."""
+
+
 class UnknownElement(OrderlabError):
     """An element outside the declared universe was used."""
 

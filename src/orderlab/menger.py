@@ -18,6 +18,7 @@ from .errors import (
     InvalidSequence,
     InvalidWarp,
     MalformedLabel,
+    NegativeCount,
     NotAWave,
 )
 
@@ -217,7 +218,12 @@ class WaveEnumeration(NamedTuple):
 
 
 def enumerate_waves(g: MengerGraph, cap: Optional[int] = None) -> WaveEnumeration:
-    """All waves in canonical order, optionally truncated at ``cap``."""
+    """All waves in canonical order, optionally truncated at ``cap``.
+
+    Raises `NegativeCount` when ``cap`` is negative.
+    """
+    if cap is not None and cap < 0:
+        raise NegativeCount(f"cap must be at least 0, got {cap}")
     waves = [w for w in enumerate_warps(g) if is_separator(g, terminals(w))]
     waves.sort(key=lambda w: w.paths)
     if cap is not None and len(waves) > cap:

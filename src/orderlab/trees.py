@@ -75,20 +75,23 @@ def live_states(aut: TreeAutomaton) -> frozenset[int]:
     """States from which some infinite run exists.
 
     Greatest fixpoint of "has a successor inside the set"; a state survives
-    iff the subtree rooted at it is ill-founded.
+    iff the subtree rooted at it is ill-founded.  Computed as in linear-time
+    Horn satisfiability (Dowling & Gallier 1984): each state counts its
+    transitions, and a dying state takes one count off each predecessor, so
+    a state dies when its count reaches 0.  O(states + transitions).
     """
-    succ: dict[int, list[int]] = {s: [] for s in range(aut.states)}
+    count = [0] * aut.states
+    preds: list[list[int]] = [[] for _ in range(aut.states)]
     for (s, _), t in aut.delta.items():
-        succ[s].append(t)
-    live = set(range(aut.states))
-    changed = True
-    while changed:
-        changed = False
-        for s in list(live):
-            if not any(t in live for t in succ[s]):
-                live.discard(s)
-                changed = True
-    return frozenset(live)
+        count[s] += 1
+        preds[t].append(s)
+    dead = [s for s, c in enumerate(count) if not c]
+    for t in dead:  # grows while read; a state enters once, when it dies
+        for s in preds[t]:
+            count[s] -= 1
+            if not count[s]:
+                dead.append(s)
+    return frozenset(range(aut.states)).difference(dead)
 
 
 @dataclass(frozen=True)

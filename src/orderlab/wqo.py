@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .errors import InvalidNode, PreconditionViolation, UnknownElement
+from .errors import InvalidNode, NegativeCount, PreconditionViolation, UnknownElement
 from .order import QuasiOrder, seq_less_by
 
 
@@ -90,8 +90,12 @@ def min_bad_sequence(
     Depth-first search in ascending item order finds an initial bad
     sequence; repeated searches for a strictly smaller one (pruned at the
     first divergence from the incumbent) converge because the sequence
-    order is well founded on a finite space.
+    order is well founded on a finite space.  Raises `NegativeCount` when
+    ``universe_bound`` or ``length`` is negative.
     """
+    for name, count in (("universe_bound", universe_bound), ("length", length)):
+        if count < 0:
+            raise NegativeCount(f"{name} must be at least 0, got {count}")
     universe = [x for x in range(universe_bound) if q.contains(x)]
     leq = q.leq
 

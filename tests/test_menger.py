@@ -6,7 +6,13 @@ import itertools
 import pytest
 
 from orderlab import oracles
-from orderlab.errors import InvalidSequence, InvalidWarp, MalformedLabel, NotAWave
+from orderlab.errors import (
+    InvalidSequence,
+    InvalidWarp,
+    MalformedLabel,
+    NegativeCount,
+    NotAWave,
+)
 from orderlab.menger import (
     MengerSystem,
     Warp,
@@ -140,6 +146,14 @@ def test_waves_and_order():
     assert not wave_leq(full, mid) and not wave_leq(mid, tiny)
     assert enumerate_waves(g).waves == (tiny, mid, full)
     assert maximal_wave(g) == full
+
+
+def test_enumerate_waves_cap():
+    g = path3()
+    assert enumerate_waves(g, cap=0) == ((), True)
+    assert enumerate_waves(g, cap=3) == enumerate_waves(g)
+    with pytest.raises(NegativeCount):
+        enumerate_waves(g, cap=-1)
 
 
 def test_warp_need_not_be_wave():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +36,53 @@ def test_validate_poset_closes_and_rejects():
         validate_poset([(0, 1), (1, 0)], [0, 1])
     with pytest.raises(UnknownElement):
         validate_poset([(0, 5)], [0, 1])
+
+
+def naive_closure(pairs):
+    """Reference closure: add the composites (x, z) of (x, y) and (y, z)
+    until none is new."""
+    rel = set(pairs)
+    while True:
+        new = {(x, z) for x, y in rel for w, z in rel if y == w} - rel
+        if not new:
+            return frozenset(rel)
+        rel |= new
+
+
+def test_closure_matches_reference_on_every_small_relation():
+    # every relation over 1 to 4 elements: 2 + 2**4 + 2**9 + 2**16 of them
+    relations = 0
+    for n in range(1, 5):
+        grid = list(itertools.product(range(n), repeat=2))
+        for mask in range(1 << len(grid)):
+            pairs = [p for i, p in enumerate(grid) if mask >> i & 1]
+            want = naive_closure(pairs)
+            assert transitive_closure(pairs) == want, pairs
+            cyclic = [x for x in range(n) if (x, x) in want]
+            if cyclic:
+                with pytest.raises(CycleError, match=f"cycle through {min(cyclic)}$"):
+                    validate_poset(pairs, range(n))
+            else:
+                assert validate_poset(pairs, range(n)).lt == want
+            relations += 1
+    assert relations == 2 + 2**4 + 2**9 + 2**16
+
+
+def test_cycle_report_names_the_least_element_on_a_cycle():
+    # two disjoint cycles, 33 -> 20 -> 33 and 9 -> 17 -> 12 -> 9, with 1
+    # below one; a frozenset of these ids lists 33 before 9
+    pairs = [(33, 20), (20, 33), (9, 17), (17, 12), (12, 9), (1, 9)]
+    for order in (pairs, pairs[::-1], pairs[2:] + pairs[:2]):
+        with pytest.raises(CycleError) as info:
+            validate_poset(order, [1, 9, 12, 17, 20, 33])
+        assert str(info.value) == "relation has a cycle through 9"
+
+
+def test_closure_of_a_long_chain():
+    n = 2000
+    closed = transitive_closure((i + 1, i) for i in range(n - 1))
+    assert len(closed) == n * (n - 1) // 2 == 1_999_000
+    assert (n - 1, 0) in closed and (0, n - 1) not in closed
 
 
 def test_seq_less_divergence_and_prefix():

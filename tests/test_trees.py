@@ -1,9 +1,13 @@
+import itertools
+import time
+
 import pytest
 
 from orderlab.errors import BadLetter, InvalidWitness, WellFounded
 from orderlab.order import validate_poset
 from orderlab.trees import (
     LassoPath,
+    TreeAutomaton,
     automaton,
     canonical_lasso,
     challenger_check,
@@ -47,6 +51,45 @@ def test_live_states_fixpoint():
     assert live_states(alive) == frozenset({0, 1, 2})
     mixed = automaton(2, 2, 0, [(0, 0, 0), (0, 1, 1)])
     assert live_states(mixed) == frozenset({0})
+
+
+def gfp_live(aut):
+    """Reference liveness: drop states with no successor in the set until
+    nothing changes."""
+    live = set(range(aut.states))
+    while True:
+        keep = {s for s in live if any(t in live for (r, _), t in aut.delta.items() if r == s)}
+        if keep == live:
+            return frozenset(live)
+        live = keep
+
+
+def test_live_states_matches_reference_on_every_small_automaton():
+    # every transition table over 1 to 3 states and 1 or 2 letters; target
+    # ``states`` stands for "no transition"
+    tables = 0
+    for states in range(1, 4):
+        for letters in (1, 2):
+            slots = list(itertools.product(range(states), range(letters)))
+            for targets in itertools.product(range(states + 1), repeat=len(slots)):
+                delta = {slot: t for slot, t in zip(slots, targets) if t < states}
+                aut = TreeAutomaton(letters, states, 0, delta)
+                assert live_states(aut) == gfp_live(aut), delta
+                tables += 1
+    assert tables == 2 + 4 + 9 + 81 + 64 + 4096
+
+
+def test_live_states_on_a_long_dead_end_chain():
+    # a live loop at the start state, then 10**4 states that all die, last
+    # first: a fixpoint that drops one state per pass is quadratic here
+    n = 10_000
+    delta = {(0, 0): 0, **{(i, 1): i + 1 for i in range(n - 1)}}
+    aut = TreeAutomaton(2, n, 0, delta)
+    start = time.perf_counter()
+    live = live_states(aut)
+    elapsed = time.perf_counter() - start
+    assert live == frozenset({0})
+    assert elapsed < 0.1, elapsed
 
 
 def test_lasso_validation_and_expansion():

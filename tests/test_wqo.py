@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from orderlab import oracles
-from orderlab.errors import InvalidNode, PreconditionViolation, UnknownElement
+from orderlab.errors import InvalidNode, NegativeCount, PreconditionViolation, UnknownElement
 from orderlab.order import (
     COMPILE_LIMIT,
     divisibility,
@@ -55,6 +55,12 @@ def test_min_bad_sequence_frozen():
     assert min_bad_sequence(natural_equality(), int.__lt__, 5, 3) == (0, 1, 2)
     assert min_bad_sequence(natural_order(), int.__lt__, 5, 3) == (2, 1, 0)
     assert min_bad_sequence(natural_order(), int.__lt__, 5, 6) is None
+
+
+@pytest.mark.parametrize("universe_bound, length", [(-1, 3), (5, -1)])
+def test_min_bad_sequence_rejects_negative_counts(universe_bound, length):
+    with pytest.raises(NegativeCount):
+        min_bad_sequence(natural_equality(), int.__lt__, universe_bound, length)
 
 
 def test_nash_williams_step_frozen():
