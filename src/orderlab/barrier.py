@@ -260,12 +260,6 @@ def bad_array_violations(
     return tuple(violations)
 
 
-def check_bad_partial_array(
-    arr: PartialArray, frag: BarrierFragment, q: QuasiOrder
-) -> bool:
-    return not bad_array_violations(arr, frag, q)
-
-
 def barrier_pair_homogeneous(
     frag: BarrierFragment, coloring: Callable[[Block, Block], int], target: int
 ) -> Optional[tuple[int, ...]]:

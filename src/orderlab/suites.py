@@ -1,13 +1,22 @@
 """Named oracle suites: each compares a production route against an
 independent reference at a documented scale.
 
-Suites are deterministic given ``seed``.  Results report the number of
-instances checked and up to eight concrete counterexamples; the registry at
-the bottom is what the command line exposes.
+A suite is written as a generator function of ``seed`` that yields one item
+per check: ``None`` when the check passes, or a failure record (a dict
+naming the counterexample) when it fails.  `_suite` registers it in
+`SUITES` and binds its name to a function ``seed -> SuiteResult``; that
+function hands the generator to one runner, which counts the checks, keeps
+the failure records and stops at the eighth failure, closing the generator.
+``checked`` is then the number of checks made.
+
+Suites are deterministic given ``seed``.  The registry `SUITES`, in
+definition order, is what the command line exposes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -26,9 +35,39 @@ class SuiteResult:
     notes: dict = field(default_factory=dict)
 
 
-def _result(name: str, checked: int, failures: list, notes: dict | None = None) -> SuiteResult:
-    verdict = "pass" if not failures else "fail"
-    return SuiteResult(name, verdict, checked, tuple(failures[:8]), notes or {})
+MAX_FAILURES = 8
+
+SUITES: dict = {}
+
+
+def _run(name: str, checks, notes: dict) -> SuiteResult:
+    """Run the generator ``checks`` until it ends or yields its
+    `MAX_FAILURES`-th failure record, then close it."""
+    checked = 0
+    failures: list = []
+    with contextlib.closing(checks):
+        for checked, record in enumerate(checks, 1):
+            if record is not None:
+                failures.append(record)
+                if len(failures) == MAX_FAILURES:
+                    break
+    verdict = "fail" if failures else "pass"
+    return SuiteResult(name, verdict, checked, tuple(failures), dict(notes))
+
+
+def _suite(name: str, **notes):
+    """Register a generator function of checks as the suite ``name``, with
+    the fixed ``notes`` every result carries."""
+
+    def register(checks):
+        @functools.wraps(checks)
+        def suite(seed: int = 0) -> SuiteResult:
+            return _run(name, checks(seed), notes)
+
+        SUITES[name] = suite
+        return suite
+
+    return register
 
 
 # ------------------------------------------------------------ lexcode
@@ -38,44 +77,32 @@ def _poset_corpus(rng: random.Random) -> list:
     return oracles.all_posets(4) + [oracles.random_poset(rng, 8) for _ in range(500)]
 
 
-def claim_monotone(seed: int = 0) -> SuiteResult:
+@_suite("claim-monotone")
+def claim_monotone(seed):
     """Strict pairs must map to lexicographically increasing stem codes,
     under both tie-break policies, over the full poset corpus."""
     rng = random.Random(seed)
-    checked = 0
-    failures: list = []
     for poset in _poset_corpus(rng):
         for tie in lexcode.TIE_BREAKS:
             code = lexcode.encode_order(poset, tie)
             for x, y in poset.lt:
-                checked += 1
-                if not seq_less_by(code.table[x], code.table[y], int.__lt__):
-                    failures.append(
-                        {
-                            "poset": formats.poset_to_doc(poset),
-                            "tie_break": tie,
-                            "below": x,
-                            "above": y,
-                            "codes": [list(code.table[x]), list(code.table[y])],
-                        }
-                    )
-    return _result("claim-monotone", checked, failures)
+                if seq_less_by(code.table[x], code.table[y], int.__lt__):
+                    yield None
+                else:
+                    yield {
+                        "poset": formats.poset_to_doc(poset),
+                        "tie_break": tie,
+                        "below": x,
+                        "above": y,
+                        "codes": [list(code.table[x]), list(code.table[y])],
+                    }
 
 
-def code_roundtrip(seed: int = 0) -> SuiteResult:
-    """decode_path inverts encode_seq: all short sequences over the small
-    posets, plus 1000 randomised longer instances over the full corpus."""
-    rng = random.Random(seed)
+def _roundtrip_cases(rng: random.Random):
+    """``(poset, code, seq)``: every sequence of length ≤ 2 over each poset
+    of ≤ 4 elements, then 1000 random draws of length ≤ 6 over the corpus
+    (a draw of the empty poset is skipped)."""
     corpus = _poset_corpus(rng)
-    checked = 0
-    failures: list = []
-
-    def check(poset, code, seq) -> None:
-        nonlocal checked
-        checked += 1
-        if lexcode.decode_path(code, lexcode.encode_seq(code, seq)) != seq:
-            failures.append({"poset": formats.poset_to_doc(poset), "seq": list(seq)})
-
     for poset in corpus:
         if len(poset.elements) > 4:
             continue
@@ -83,7 +110,7 @@ def code_roundtrip(seed: int = 0) -> SuiteResult:
         items = poset.sorted_elements()
         for r in range(3):
             for seq in itertools.product(items, repeat=r):
-                check(poset, code, seq)
+                yield poset, code, seq
     for i in range(1000):
         poset = rng.choice(corpus)
         if not poset.elements:
@@ -91,9 +118,18 @@ def code_roundtrip(seed: int = 0) -> SuiteResult:
         tie = lexcode.TIE_BREAKS[i % 2]
         code = lexcode.encode_order(poset, tie)
         items = poset.sorted_elements()
-        seq = tuple(rng.choice(items) for _ in range(rng.randint(0, 6)))
-        check(poset, code, seq)
-    return _result("code-roundtrip", checked, failures)
+        yield poset, code, tuple(rng.choice(items) for _ in range(rng.randint(0, 6)))
+
+
+@_suite("code-roundtrip")
+def code_roundtrip(seed):
+    """decode_path inverts encode_seq: all short sequences over the small
+    posets, plus 1000 randomised longer instances over the full corpus."""
+    for poset, code, seq in _roundtrip_cases(random.Random(seed)):
+        if lexcode.decode_path(code, lexcode.encode_seq(code, seq)) == seq:
+            yield None
+        else:
+            yield {"poset": formats.poset_to_doc(poset), "seq": list(seq)}
 
 
 # ------------------------------------------------------------ automata
@@ -116,55 +152,41 @@ def _expand(lasso: trees.LassoPath, n: int) -> tuple[int, ...]:
     return (lasso.prefix + lasso.cycle * (n // len(lasso.cycle) + 1))[:n]
 
 
-def minimal_path_suite(seed: int = 0) -> SuiteResult:
-    """The least-path reduction beats every lasso of description size ≤ 6:
-    none that lies in the tree may be strictly left of the output.
+MINIMAL_PATH_CAP = 2000
 
-    Challenger comparison re-derives sequence order by expanding both
-    lassos far past any divergence bound instead of calling path_left_of.
-    """
+
+def _minimal_path_checks():
+    """One check per (automaton, order) pair, automata in corpus order."""
     expand = 64
-    cap = 2000
-    checked = 0
-    failures: list = []
     posets_by_k = {k: oracles.posets_on(k) for k in (1, 2, 3)}
     lassos_by_k = {k: oracles.all_lassos(k, 6) for k in (1, 2, 3)}
     for aut in _automaton_corpus():
-        if checked >= cap:
-            break
         k = aut.alphabet_size
         valid = [l for l in lassos_by_k[k] if oracles.brute_lasso_in_tree(aut, l)]
         rows = [_expand(l, expand) for l in valid]
         for poset in posets_by_k[k]:
-            if checked >= cap:
-                break
-            checked += 1
             try:
                 out = trees.minimal_path(aut, poset)
             except WellFounded:
                 if valid:
-                    failures.append(
-                        {
-                            "automaton": formats.automaton_to_doc(aut),
-                            "problem": "reported well-founded, lassos exist",
-                        }
-                    )
+                    yield {
+                        "automaton": formats.automaton_to_doc(aut),
+                        "problem": "reported well-founded, lassos exist",
+                    }
+                else:
+                    yield None
                 continue
             if not valid:
-                failures.append(
-                    {
-                        "automaton": formats.automaton_to_doc(aut),
-                        "problem": "path returned in a well-founded tree",
-                    }
-                )
+                yield {
+                    "automaton": formats.automaton_to_doc(aut),
+                    "problem": "path returned in a well-founded tree",
+                }
                 continue
             if not oracles.brute_lasso_in_tree(aut, out):
-                failures.append(
-                    {
-                        "automaton": formats.automaton_to_doc(aut),
-                        "problem": "output lasso is not a path",
-                    }
-                )
+                yield {
+                    "automaton": formats.automaton_to_doc(aut),
+                    "problem": "output lasso is not a path",
+                }
                 continue
             row = _expand(out, expand)
             lt = poset.lt
@@ -175,49 +197,56 @@ def minimal_path_suite(seed: int = 0) -> SuiteResult:
                 while other[d] == row[d]:
                     d += 1
                 if (other[d], row[d]) in lt:
-                    failures.append(
-                        {
-                            "automaton": formats.automaton_to_doc(aut),
-                            "order": sorted(lt),
-                            "output": formats.lasso_to_doc(out),
-                            "challenger": formats.lasso_to_doc(challenger),
-                        }
-                    )
+                    yield {
+                        "automaton": formats.automaton_to_doc(aut),
+                        "order": sorted(lt),
+                        "output": formats.lasso_to_doc(out),
+                        "challenger": formats.lasso_to_doc(challenger),
+                    }
                     break
-    return _result("minimal-path", checked, failures, {"cap": cap})
+            else:
+                yield None
 
 
-def leftmost_exact(seed: int = 0) -> SuiteResult:
+@_suite("minimal-path", cap=MINIMAL_PATH_CAP)
+def minimal_path_suite(seed):
+    """The least-path reduction beats every lasso of description size ≤ 6:
+    none that lies in the tree may be strictly left of the output.  The
+    first `MINIMAL_PATH_CAP` checks are made.
+
+    Challenger comparison re-derives sequence order by expanding both
+    lassos far past any divergence bound instead of calling path_left_of.
+    """
+    yield from itertools.islice(_minimal_path_checks(), MINIMAL_PATH_CAP)
+
+
+@_suite("leftmost-exact")
+def leftmost_exact(seed):
     """leftmost_path agrees exactly with a depth-bounded search for the
     least defined word of length 20 extendable by one letter per state."""
-    checked = 0
-    failures: list = []
     for aut in _automaton_corpus():
-        checked += 1
         expected = oracles.brute_leftmost_word(aut, 20, aut.states)
         try:
             got = trees.leftmost_path(aut).take(20)
         except WellFounded:
             got = None
-        if got != expected:
-            failures.append(
-                {
-                    "automaton": formats.automaton_to_doc(aut),
-                    "expected": None if expected is None else list(expected),
-                    "got": None if got is None else list(got),
-                }
-            )
-    return _result("leftmost-exact", checked, failures)
+        if got == expected:
+            yield None
+        else:
+            yield {
+                "automaton": formats.automaton_to_doc(aut),
+                "expected": None if expected is None else list(expected),
+                "got": None if got is None else list(got),
+            }
 
 
 # ------------------------------------------------------------ embeddings
 
 
-def higman_agreement(seed: int = 0) -> SuiteResult:
+@_suite("higman-agreement")
+def higman_agreement(seed):
     """higman_leq equals the injection-search oracle on every sequence pair
     of length ≤ 6 over every quasi-order with ≤ 3 elements."""
-    checked = 0
-    failures: list = []
     for q in oracles.quasi_orders_upto(3):
         items = sorted(q.elements)
         seqs = oracles.all_seqs(items, 6)
@@ -225,68 +254,55 @@ def higman_agreement(seed: int = 0) -> SuiteResult:
         for tau in seqs:
             down = oracles.higman_down_set(tau, q, items)
             for sigma in seqs:
-                checked += 1
-                if impl(sigma, tau, q) != (sigma in down):
-                    failures.append(
-                        {"q": q.name, "sigma": list(sigma), "tau": list(tau)}
-                    )
-        if len(failures) >= 8:
-            break
-    return _result("higman-agreement", checked, failures)
+                if impl(sigma, tau, q) == (sigma in down):
+                    yield None
+                else:
+                    yield {"q": q.name, "sigma": list(sigma), "tau": list(tau)}
 
 
-def kruskal_agreement(seed: int = 0) -> SuiteResult:
-    """ktree_leq equals the injective-map search on all tree pairs with
-    ≤ 5 nodes (up to isomorphism) over the 2-element chain and antichain."""
+@_suite("kruskal-agreement", trees=286)
+def kruskal_agreement(seed):
+    """ktree_leq equals the injective-map search on all pairs of the 286
+    trees with ≤ 5 nodes (up to isomorphism) over the 2-element chain and
+    antichain."""
     chain = finite_quasi_order((0, 1), [(0, 0), (1, 1), (0, 1)], "chain2")
     anti = finite_quasi_order((0, 1), [(0, 0), (1, 1)], "anti2")
     corpus = oracles.all_ktrees(5, (0, 1))
-    checked = 0
-    failures: list = []
     for q in (chain, anti):
         for s_tree in corpus:
             for t_tree in corpus:
-                checked += 1
                 got = wqo.ktree_leq(s_tree, t_tree, q)
-                expected = oracles.brute_ktree_leq(s_tree, t_tree, q)
-                if got != expected:
-                    failures.append(
-                        {
-                            "q": q.name,
-                            "s": formats.ktree_to_doc(s_tree),
-                            "t": formats.ktree_to_doc(t_tree),
-                            "got": got,
-                        }
-                    )
-        if len(failures) >= 8:
-            break
-    return _result(
-        "kruskal-agreement", checked, failures, {"trees": len(corpus)}
-    )
+                if got == oracles.brute_ktree_leq(s_tree, t_tree, q):
+                    yield None
+                else:
+                    yield {
+                        "q": q.name,
+                        "s": formats.ktree_to_doc(s_tree),
+                        "t": formats.ktree_to_doc(t_tree),
+                        "got": got,
+                    }
 
 
 # ------------------------------------------------------------ proof steps
 
 
-def refine_step(seed: int = 0) -> SuiteResult:
+@_suite("refine-step")
+def refine_step(seed):
     """nash_williams_step output is bad again (checked by injection search)
     and strictly below its input in the length order, on 200 generated
     valid instances."""
     rng = random.Random(seed)
     pool = oracles.quasi_orders_upto(3)
-    checked = 0
-    failures: list = []
     for _ in range(200):
         q = rng.choice(pool)
         items = list(q.elements)
         seqs = oracles.planted_bad_seqs(rng, q, items)
         s = sorted(rng.sample(range(len(seqs)), rng.randint(1, len(seqs))))
-        checked += 1
         witness = {"q": q.name, "seqs": [list(v) for v in seqs], "s": s}
         try:
             out = wqo.nash_williams_step(seqs, s, q)
         except OrderlabError as exc:
-            failures.append({**witness, "problem": f"rejected: {exc}"})
+            yield {**witness, "problem": f"rejected: {exc}"}
             continue
         problems = []
         if len(out) != min(s) + len(s):
@@ -297,12 +313,11 @@ def refine_step(seed: int = 0) -> SuiteResult:
                 break
         if not seq_less_by(out, tuple(seqs), lambda a, b: len(a) < len(b)):
             problems.append("output is not strictly below in the length order")
-        if problems:
-            failures.append({**witness, "problems": problems})
-    return _result("refine-step", checked, failures)
+        yield {**witness, "problems": problems} if problems else None
 
 
-def array_step(seed: int = 0) -> SuiteResult:
+@_suite("array-step")
+def array_step(seed):
     """nwt_improvement_step output is a bad partial array again (checked
     from the definitions) and strictly below its input, on 100 generated
     singleton and 2-subset fragment instances.
@@ -314,8 +329,6 @@ def array_step(seed: int = 0) -> SuiteResult:
     """
     rng = random.Random(seed)
     pool = oracles.quasi_orders_upto(3)
-    checked = 0
-    failures: list = []
     for round_ in range(100):
         k = 1 + round_ % 2
         window = rng.randint(k + 1, 5)
@@ -331,7 +344,6 @@ def array_step(seed: int = 0) -> SuiteResult:
         else:
             s = set(entries[-1][0])
         arr = barrier.array_of(entries)
-        checked += 1
         witness = {
             "q": q.name,
             "window": window,
@@ -342,7 +354,7 @@ def array_step(seed: int = 0) -> SuiteResult:
         try:
             out = barrier.nwt_improvement_step(arr, s, frag, q)
         except OrderlabError as exc:
-            failures.append({**witness, "problem": f"rejected: {exc}"})
+            yield {**witness, "problem": f"rejected: {exc}"}
             continue
         problems = oracles.brute_bad_array_violations(
             out.entries, window, frag.blocks, q
@@ -356,26 +368,22 @@ def array_step(seed: int = 0) -> SuiteResult:
             or out.entries[n][1] != entries[n][1][:-1]
         ):
             problems.append("first divergence does not truncate in place")
-        if problems:
-            failures.append({**witness, "problems": problems})
-    return _result("array-step", checked, failures)
+        yield {**witness, "problems": problems} if problems else None
 
 
 # ------------------------------------------------------------ barriers
 
 
-def singleton_bridge(seed: int = 0) -> SuiteResult:
+@_suite("singleton-bridge")
+def singleton_bridge(seed):
     """Over singleton fragments, classify_array must reproduce the plain
     good/bad/perfect verdicts of the value sequence, exhaustively."""
-    checked = 0
-    failures: list = []
     for q in oracles.quasi_orders_upto(3):
         items = sorted(q.elements)
         leq = q.leq
         for window in range(1, 7):
             frag = barrier.uniform_fragment(1, window)
             for seq in itertools.product(items, repeat=window):
-                checked += 1
                 arr = barrier.array_of(((i,), seq[i]) for i in range(window))
                 labels = barrier.classify_array(arr, frag, q)
                 pairs = list(itertools.combinations(range(window), 2))
@@ -388,46 +396,41 @@ def singleton_bridge(seed: int = 0) -> SuiteResult:
                     expected = {"bad"}
                 else:
                     expected = {"good", "mixed"}
-                if set(labels) != expected:
-                    failures.append(
-                        {
-                            "q": q.name,
-                            "seq": list(seq),
-                            "labels": sorted(labels),
-                            "expected": sorted(expected),
-                        }
-                    )
-    return _result("singleton-bridge", checked, failures)
+                if set(labels) == expected:
+                    yield None
+                else:
+                    yield {
+                        "q": q.name,
+                        "seq": list(seq),
+                        "labels": sorted(labels),
+                        "expected": sorted(expected),
+                    }
 
 
-def star_law(seed: int = 0) -> SuiteResult:
+@_suite("star-law")
+def star_law(seed):
     """star_fragment of the uniform k-subset fragment is exactly the
     uniform (k+1)-subset fragment, for k ≤ 3 and windows ≤ 8."""
-    checked = 0
-    failures: list = []
     for window in range(1, 9):
         for k in range(1, min(3, window) + 1):
-            checked += 1
             starred = barrier.star_fragment(barrier.uniform_fragment(k, window))
             expected = frozenset(itertools.combinations(range(window), k + 1))
-            if starred.blocks != expected or starred.window != window:
-                failures.append(
-                    {
-                        "window": window,
-                        "k": k,
-                        "extra": sorted(map(list, starred.blocks - expected)),
-                        "missing": sorted(map(list, expected - starred.blocks)),
-                    }
-                )
-    return _result("star-law", checked, failures)
+            if starred.blocks == expected and starred.window == window:
+                yield None
+            else:
+                yield {
+                    "window": window,
+                    "k": k,
+                    "extra": sorted(map(list, starred.blocks - expected)),
+                    "missing": sorted(map(list, expected - starred.blocks)),
+                }
 
 
-def tri_agreement(seed: int = 0) -> SuiteResult:
+@_suite("tri-agreement")
+def tri_agreement(seed):
     """block_tri equals brute-force extension search: exhaustively for all
     block pairs in windows ≤ 5, and for all pairs of length ≤ 4 in
     windows 6 to 8, searching extensions with entries below 2×window."""
-    checked = 0
-    failures: list = []
 
     def blocks_of(window: int, max_len: int) -> list[tuple[int, ...]]:
         return [
@@ -436,17 +439,14 @@ def tri_agreement(seed: int = 0) -> SuiteResult:
             for b in itertools.combinations(range(window), r)
         ]
 
-    def mismatch(b, c, bound) -> bool:
-        nonlocal checked
-        checked += 1
-        return barrier.block_tri(b, c) != oracles.brute_block_tri(b, c, bound)
-
     for window in range(1, 6):
         blocks = blocks_of(window, window)
         for b in blocks:
             for c in blocks:
-                if mismatch(b, c, 2 * window):
-                    failures.append({"window": window, "b": list(b), "c": list(c)})
+                if barrier.block_tri(b, c) == oracles.brute_block_tri(b, c, 2 * window):
+                    yield None
+                else:
+                    yield {"window": window, "b": list(b), "c": list(c)}
     for window in range(6, 9):
         blocks = blocks_of(window, 4)
         # Bucket candidate extensions by their first entries so each pair
@@ -459,15 +459,15 @@ def tri_agreement(seed: int = 0) -> SuiteResult:
                     by_prefix.setdefault((length, cand[:cut]), []).append(cand)
         for b in blocks:
             for c in blocks:
-                checked += 1
                 length = max(len(b), len(c) + 1)
                 found = any(
                     cand[1 : len(c) + 1] == c
                     for cand in by_prefix.get((length, b), ())
                 )
-                if barrier.block_tri(b, c) != found:
-                    failures.append({"window": window, "b": list(b), "c": list(c)})
-    return _result("tri-agreement", checked, failures)
+                if barrier.block_tri(b, c) == found:
+                    yield None
+                else:
+                    yield {"window": window, "b": list(b), "c": list(c)}
 
 
 # ------------------------------------------------------------ graphs
@@ -482,16 +482,14 @@ def _exhaustive_graphs() -> list:
     return out
 
 
-def path_system(seed: int = 0) -> SuiteResult:
+@_suite("path-system")
+def path_system(seed):
     """menger_solve matches the subset-search separator size and the
     mask-search disjoint-path count, the separator separates, and each
     path meets it exactly once; exhaustive small graphs plus 500 random."""
     rng = random.Random(seed)
     instances = _exhaustive_graphs() + [oracles.random_graph(rng, 8) for _ in range(500)]
-    checked = 0
-    failures: list = []
     for g in instances:
-        checked += 1
         system = menger.menger_solve(g)
         problems = []
         flow = len(system.paths)
@@ -519,16 +517,14 @@ def path_system(seed: int = 0) -> SuiteResult:
                 problems.append(f"path {p} meets the separator more than once or not at all")
         if any(not set(p) & separator for p in oracles.brute_ab_paths(g)):
             problems.append("separator misses a path")
-        if problems:
-            failures.append({"graph": formats.graph_to_doc(g), "problems": problems})
-    return _result("path-system", checked, failures)
+        yield {"graph": formats.graph_to_doc(g), "problems": problems} if problems else None
 
 
-def wave_coding(seed: int = 0) -> SuiteResult:
+@_suite("wave-coding")
+def wave_coding(seed):
     """Wave coding is injective and invertible, and larger waves get
-    sequence-smaller codes, over all waves of the small connected graphs."""
-    checked = 0
-    failures: list = []
+    sequence-smaller codes, over all waves of the small connected graphs.
+    One check per wave and one per ordered pair of comparable waves."""
     instances = []
     for n in range(1, 6):
         for edges in oracles.connected_edge_sets(n):
@@ -542,38 +538,37 @@ def wave_coding(seed: int = 0) -> SuiteResult:
         waves = menger.enumerate_waves(g).waves
         coded = []
         seen: dict = {}
-        problems = []
         for w in waves:
-            checked += 1
             seq = menger.encode_wave(g, w, paths)
+            problems = []
             if not menger.wave_seq_valid(g, seq, paths):
                 problems.append(f"encoding of {w.paths} is not valid")
-                continue
-            if seq in seen:
-                problems.append(f"collision between {seen[seq].paths} and {w.paths}")
-            seen[seq] = w
-            if menger.decode_wave(g, seq, paths) != w:
-                problems.append(f"decode does not invert encode on {w.paths}")
-            coded.append((w, seq))
+            else:
+                if seq in seen:
+                    problems.append(f"collision between {seen[seq].paths} and {w.paths}")
+                seen[seq] = w
+                if menger.decode_wave(g, seq, paths) != w:
+                    problems.append(f"decode does not invert encode on {w.paths}")
+                coded.append((w, seq))
+            yield {"graph": formats.graph_to_doc(g), "problems": problems} if problems else None
         for (w, sw), (y, sy) in itertools.permutations(coded, 2):
             if menger.wave_leq(w, y):
-                checked += 1
-                if sw != sy and not seq_less_by(sy, sw, menger.label_less):
-                    problems.append(
-                        f"wave order {w.paths} <= {y.paths} not reflected in codes"
-                    )
-        if problems:
-            failures.append({"graph": formats.graph_to_doc(g), "problems": problems[:4]})
-    return _result("wave-coding", checked, failures)
+                if sw == sy or seq_less_by(sy, sw, menger.label_less):
+                    yield None
+                else:
+                    yield {
+                        "graph": formats.graph_to_doc(g),
+                        "problems": [f"wave order {w.paths} <= {y.paths} not reflected in codes"],
+                    }
 
 
 # ------------------------------------------------------------ CLI
 
 
-def cli_determinism(seed: int = 0) -> SuiteResult:
+@_suite("cli-determinism")
+def cli_determinism(seed):
     """Every subcommand, run twice with identical inputs and seeds, must
     produce byte-identical stdout and the same exit code."""
-    import contextlib
     import io
     import json
     import os
@@ -581,8 +576,6 @@ def cli_determinism(seed: int = 0) -> SuiteResult:
 
     from . import cli
 
-    checked = 0
-    failures: list = []
     with tempfile.TemporaryDirectory() as tmp:
 
         def write(name: str, doc) -> str:
@@ -657,29 +650,11 @@ def cli_determinism(seed: int = 0) -> SuiteResult:
             return code, out.getvalue()
 
         for argv in battery:
-            checked += 1
             first = run(argv)
             second = run(argv)
             if first != second:
-                failures.append({"argv": argv, "first": first[1], "second": second[1]})
+                yield {"argv": argv, "first": first[1], "second": second[1]}
             elif first[0] not in (0, 1, 2):
-                failures.append({"argv": argv, "exit": first[0], "stdout": first[1]})
-    return _result("cli-determinism", checked, failures)
-
-
-SUITES = {
-    "claim-monotone": claim_monotone,
-    "code-roundtrip": code_roundtrip,
-    "minimal-path": minimal_path_suite,
-    "leftmost-exact": leftmost_exact,
-    "higman-agreement": higman_agreement,
-    "kruskal-agreement": kruskal_agreement,
-    "refine-step": refine_step,
-    "array-step": array_step,
-    "singleton-bridge": singleton_bridge,
-    "star-law": star_law,
-    "tri-agreement": tri_agreement,
-    "path-system": path_system,
-    "wave-coding": wave_coding,
-    "cli-determinism": cli_determinism,
-}
+                yield {"argv": argv, "exit": first[0], "stdout": first[1]}
+            else:
+                yield None

@@ -66,11 +66,6 @@ def automaton(
     return TreeAutomaton(alphabet_size, states, start, delta)
 
 
-def node_in_tree(aut: TreeAutomaton, word: Sequence[int]) -> bool:
-    """Whether ``word`` is a node of the tree (a defined run)."""
-    return aut.run(word) is not None
-
-
 def live_states(aut: TreeAutomaton) -> frozenset[int]:
     """States from which some infinite run exists.
 

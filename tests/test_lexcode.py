@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from orderlab import lexcode
 from orderlab.errors import MalformedCode
 from orderlab.order import seq_less_by, validate_poset
-from orderlab.trees import automaton, node_in_tree
+from orderlab.trees import automaton
 
 
 def antichain3():
@@ -121,12 +121,12 @@ def test_lift_tree_accepts_coded_nodes():
     aut = automaton(3, 2, 0, [(0, 0, 1), (0, 1, 0), (1, 2, 1)])
     lifted = lexcode.lift_tree(code, aut)
     for word in [(), (0,), (1,), (0, 2), (1, 0), (1, 1, 0, 2)]:
-        if node_in_tree(aut, word):
-            assert node_in_tree(lifted, lexcode.encode_seq(code, word))
+        if aut.run(word) is not None:
+            assert lifted.run(lexcode.encode_seq(code, word)) is not None
     # prefixes of coded nodes are nodes of the lift
     coded = lexcode.encode_seq(code, (0, 2))
     for i in range(len(coded) + 1):
-        assert node_in_tree(lifted, coded[:i])
+        assert lifted.run(coded[:i]) is not None
 
 
 def test_lift_tree_unary_loop():
@@ -134,9 +134,9 @@ def test_lift_tree_unary_loop():
     code = lexcode.encode_order(po)
     lifted = lexcode.lift_tree(code, automaton(1, 1, 0, [(0, 0, 0)]))
     assert lifted.alphabet_size == 2
-    assert node_in_tree(lifted, (1, 0, 1, 0))
-    assert node_in_tree(lifted, (1, 0, 1))
-    assert not node_in_tree(lifted, (0,))
+    assert lifted.run((1, 0, 1, 0)) is not None
+    assert lifted.run((1, 0, 1)) is not None
+    assert lifted.run((0,)) is None
 
 
 def test_lift_tree_rejects_mismatched_alphabet():

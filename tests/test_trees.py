@@ -15,7 +15,6 @@ from orderlab.trees import (
     leftmost_path,
     live_states,
     minimal_path,
-    node_in_tree,
     path_left_of,
 )
 
@@ -39,9 +38,9 @@ def test_automaton_validation():
 
 def test_node_membership():
     aut = loop_and_branch()
-    assert node_in_tree(aut, ())
-    assert node_in_tree(aut, (1, 1, 0, 1))
-    assert not node_in_tree(aut, (0, 0))
+    assert aut.run(()) is not None
+    assert aut.run((1, 1, 0, 1)) is not None
+    assert aut.run((0, 0)) is None
 
 
 def test_live_states_fixpoint():
