@@ -28,7 +28,6 @@ from .errors import (
 from .order import (
     Poset,
     QuasiOrder,
-    descending_chain_search,
     divisibility,
     finite_quasi_order,
     natural_equality,
@@ -63,8 +62,6 @@ from .trees import (
 )
 from .wqo import (
     KTree,
-    compose_ktree,
-    decompose_ktree,
     higman_leq,
     higman_lift,
     is_bad,
@@ -72,9 +69,7 @@ from .wqo import (
     ktree_leq,
     min_bad_sequence,
     nash_williams_step,
-    ramsey_pairs_homogeneous,
     subtree,
-    tree_meet,
 )
 from .barrier import (
     BarrierFragment,
@@ -91,7 +86,6 @@ from .barrier import (
     nwt_improvement_step,
     restrict,
     star_fragment,
-    tail,
     uniform_fragment,
     union_block,
 )

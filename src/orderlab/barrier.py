@@ -15,6 +15,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import (
     EmptyBlock,
+    NegativeCount,
     NotIncreasing,
     NotTriRelated,
     PreconditionViolation,
@@ -84,14 +85,6 @@ def uniform_fragment(k: int, window: int) -> BarrierFragment:
 def base_of(frag: BarrierFragment) -> frozenset[int]:
     """Union of the block ranges."""
     return frozenset(x for b in frag.blocks for x in b)
-
-
-def tail(block: Sequence[int]) -> Block:
-    """The block with its first entry dropped."""
-    b = _require_block(block)
-    if not b:
-        raise EmptyBlock("the empty block has no tail")
-    return b[1:]
 
 
 def _tri_union(b: Block, c: Block) -> Optional[Block]:
@@ -264,7 +257,11 @@ def barrier_pair_homogeneous(
     frag: BarrierFragment, coloring: Callable[[Block, Block], int], target: int
 ) -> Optional[tuple[int, ...]]:
     """First ``target``-subset of the base (lexicographically) on which the
-    colouring of tri-related block pairs inside the subset is constant."""
+    colouring of tri-related block pairs inside the subset is constant: the
+    finite pair case of the Nash-Williams partition theorem for barriers.
+    Raises `NegativeCount` when ``target`` is negative."""
+    if target < 0:
+        raise NegativeCount(f"target must be at least 0, got {target}")
     base = sorted(base_of(frag))
     if target > len(base):
         return None

@@ -38,7 +38,7 @@ class PreconditionViolation(OrderlabError):
 
 
 class EmptyBlock(OrderlabError):
-    """The empty block has no tail."""
+    """A block that must be non-empty is empty."""
 
 
 class NotIncreasing(OrderlabError):

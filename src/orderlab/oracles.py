@@ -310,6 +310,15 @@ def brute_block_tri(b: Sequence[int], c: Sequence[int], entry_bound: int) -> boo
     return False
 
 
+def first_monochromatic_triple(n: int, red: set) -> Optional[tuple[int, int, int]]:
+    """First triple ``i < j < k`` below ``n``, in lexicographic order, whose
+    three pairs ``(i, j)``, ``(i, k)``, ``(j, k)`` are all red or all not."""
+    for i, j, k in itertools.combinations(range(n), 3):
+        if ((i, j) in red) == ((i, k) in red) == ((j, k) in red):
+            return i, j, k
+    return None
+
+
 def brute_bad_array_violations(
     entries: Sequence[tuple[tuple[int, ...], Sequence]],
     window: int,

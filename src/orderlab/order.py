@@ -188,9 +188,6 @@ class QuasiOrder:
         if not self.contains(x):
             raise UnknownElement(f"{x!r} is outside the universe of {self.name}")
 
-    def strictly_less(self, x: Hashable, y: Hashable) -> bool:
-        return self.leq(x, y) and not self.leq(y, x)
-
 
 def _is_natural(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
@@ -266,38 +263,3 @@ def seq_less(a: Sequence[int], b: Sequence[int], order: Poset) -> bool:
         for x in seq:
             order.require(x)
     return seq_less_by(a, b, order.less)
-
-
-def descending_chain_search(
-    order: QuasiOrder, start: Iterable[int], max_len: int, universe_bound: int
-) -> Optional[tuple[int, ...]]:
-    """Depth-first search for a strictly descending chain of length ``max_len``.
-
-    Start points are tried in ascending id order; successors in descending
-    order, so the first chain found is reproducible.  Only ids below
-    ``universe_bound`` that lie in the universe are explored.  Absence of a
-    chain is a valid answer, not an error.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    universe = [x for x in range(universe_bound) if order.contains(x)]
-
-    def extend(chain: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if len(chain) == max_len:
-            return chain
-        head = chain[-1]
-        for nxt in sorted(
-            (x for x in universe if order.strictly_less(x, head)), reverse=True
-        ):
-            found = extend(chain + (nxt,))
-            if found is not None:
-                return found
-        return None
-
-    for s in sorted(set(start)):
-        if not order.contains(s) or not 0 <= s < universe_bound:
-            continue
-        found = extend((s,))
-        if found is not None:
-            return found
-    return None

@@ -132,6 +132,29 @@ def code_roundtrip(seed):
             yield {"poset": formats.poset_to_doc(poset), "seq": list(seq)}
 
 
+@_suite("prefix-free")
+def prefix_free(seed):
+    """No element's prefix-free code word is a prefix of another's, under
+    both tie-break policies, over the full poset corpus; one check per
+    ordered pair of distinct elements."""
+    rng = random.Random(seed)
+    for poset in _poset_corpus(rng):
+        for tie in lexcode.TIE_BREAKS:
+            code = lexcode.encode_order(poset, tie)
+            words = [(x, lexcode.encode_element(code, x)) for x in poset.sorted_elements()]
+            for (x, u), (y, w) in itertools.permutations(words, 2):
+                if w[: len(u)] != u:
+                    yield None
+                else:
+                    yield {
+                        "poset": formats.poset_to_doc(poset),
+                        "tie_break": tie,
+                        "prefix": x,
+                        "of": y,
+                        "words": [list(u), list(w)],
+                    }
+
+
 # ------------------------------------------------------------ automata
 
 
@@ -468,6 +491,26 @@ def tri_agreement(seed):
                     yield None
                 else:
                     yield {"window": window, "b": list(b), "c": list(c)}
+
+
+@_suite("pair-homogeneous")
+def pair_homogeneous(seed):
+    """barrier_pair_homogeneous on the singleton fragment finds the first
+    monochromatic triple of every red/blue colouring of K5 and K6, and finds
+    none exactly on the K5 colourings whose red pairs form a 5-cycle (every
+    vertex on two red pairs), since R(3,3) = 6."""
+    for n in (5, 6):
+        frag = barrier.uniform_fragment(1, n)
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            red = {p for k, p in enumerate(pairs) if mask >> k & 1}
+            got = barrier.barrier_pair_homogeneous(frag, lambda b, c: (b[0], c[0]) in red, 3)
+            expected = oracles.first_monochromatic_triple(n, red)
+            pentagon = n == 5 and all(sum(v in p for p in red) == 2 for v in range(n))
+            if got == expected and (got is None) == pentagon:
+                yield None
+            else:
+                yield {"n": n, "red": sorted(map(list, red)), "got": got, "expected": expected}
 
 
 # ------------------------------------------------------------ graphs

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import InvalidNode, NegativeCount, PreconditionViolation, UnknownElement
-from .order import QuasiOrder, seq_less_by
+from .order import QuasiOrder
 
 
 def higman_leq(sigma: Sequence, tau: Sequence, q: QuasiOrder) -> bool:
@@ -228,21 +228,6 @@ class KTree:
             raise InvalidNode(f"node {v} is outside the tree")
 
 
-def tree_meet(tree: KTree, t: int, u: int) -> int:
-    """Deepest common ancestor of ``t`` and ``u``."""
-    tree.require(t)
-    tree.require(u)
-    chain = set()
-    v = t
-    while v != -1:
-        chain.add(v)
-        v = tree.parent[v]
-    v = u
-    while v not in chain:
-        v = tree.parent[v]
-    return v
-
-
 def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     """Tree embedding: an injective meet-preserving map with dominated labels.
 
@@ -319,12 +304,6 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     return embed(s_tree.root, t_tree.root)
 
 
-def decompose_ktree(tree: KTree) -> tuple[Hashable, tuple[KTree, ...]]:
-    """Root label and the child subtrees in ascending node-id order."""
-    r = tree.root
-    return tree.labels[r], tuple(subtree(tree, c) for c in tree._children[r])
-
-
 def _preorder(tree: KTree, v: int) -> list[int]:
     """Nodes of the subtree at ``v`` in preorder, children by ascending id."""
     children = tree._children
@@ -348,18 +327,6 @@ def subtree(tree: KTree, v: int) -> KTree:
     return KTree(parent, tuple(tree.labels[old] for old in order))
 
 
-def compose_ktree(label: Hashable, subtrees: Sequence[KTree]) -> KTree:
-    """Rebuild a tree from a root label and child subtrees."""
-    parent: list[int] = [-1]
-    labels: list[Hashable] = [label]
-    for st in subtrees:
-        offset = len(parent)
-        for i, p in enumerate(st.parent):
-            parent.append(0 if p == -1 else offset + p)
-            labels.append(st.labels[i])
-    return KTree(tuple(parent), tuple(labels))
-
-
 def ktree_key(tree: KTree):
     """Canonical structure key; equal keys mean isomorphic labelled trees.
 
@@ -371,17 +338,3 @@ def ktree_key(tree: KTree):
     for v in reversed(_preorder(tree, tree.root)):
         keys[v] = (repr(labels[v]), tuple(sorted(keys[c] for c in children[v])))
     return keys[tree.root]
-
-
-def ramsey_pairs_homogeneous(
-    n: int, coloring: Callable[[int, int], int], target: int
-) -> Optional[tuple[tuple[int, ...], Optional[int]]]:
-    """First ``target``-subset of ``range(n)`` (in lexicographic order) on
-    which the pair colouring is constant, with its colour."""
-    if target > n:
-        return None
-    for subset in itertools.combinations(range(n), target):
-        colors = {coloring(i, j) for i, j in itertools.combinations(subset, 2)}
-        if len(colors) <= 1:
-            return subset, colors.pop() if colors else None
-    return None

@@ -17,6 +17,7 @@ SEED = 0
 CHECKED = {
     "claim-monotone": 7_386,
     "code-roundtrip": 8_880,
+    "prefix-free": 30_348,
     "minimal-path": 2_000,
     "leftmost-exact": 276,
     "higman-agreement": 34_709_386,
@@ -26,6 +27,7 @@ CHECKED = {
     "singleton-bridge": 32_178,
     "star-law": 21,
     "tri-agreement": 40_229,
+    "pair-homogeneous": 33_792,
     "path-system": 4_356,
     "wave-coding": 21_955,
     "cli-determinism": 26,
@@ -97,3 +99,11 @@ def test_criterion_12_wave_coding_faithful():
 
 def test_criterion_13_cli_deterministic():
     _run(13, ["cli-determinism"])
+
+
+def test_criterion_14_element_codes_prefix_free():
+    _run(14, ["prefix-free"])
+
+
+def test_criterion_15_pair_homogeneity_matches_ramsey():
+    _run(15, ["pair-homogeneous"])

@@ -16,27 +16,18 @@ from orderlab.barrier import (
     nwt_improvement_step,
     restrict,
     star_fragment,
-    tail,
     uniform_fragment,
     union_block,
 )
 from orderlab.errors import (
     EmptyBlock,
+    NegativeCount,
     NotIncreasing,
     NotTriRelated,
     OrderlabError,
     PreconditionViolation,
 )
 from orderlab.order import natural_equality, natural_order
-
-
-def test_tail():
-    assert tail((1, 2, 3)) == (2, 3)
-    assert tail((7,)) == ()
-    with pytest.raises(EmptyBlock):
-        tail(())
-    with pytest.raises(NotIncreasing):
-        tail((3, 1))
 
 
 def test_block_tri_examples():
@@ -181,6 +172,8 @@ def test_bad_array_clauses():
     )
     with pytest.raises(ValueError):
         bad_array_violations(array_of([((0, 2), 1)]), singles, leq)
+    with pytest.raises(EmptyBlock):
+        bad_array_violations(array_of([((), 1)]), singles, leq)
 
 
 def test_barrier_pair_homogeneous():
@@ -189,6 +182,9 @@ def test_barrier_pair_homogeneous():
     assert barrier_pair_homogeneous(singles, lambda b, c: 0, 5) is None
     gap_parity = lambda b, c: (c[0] - b[0]) % 2
     assert barrier_pair_homogeneous(uniform_fragment(1, 5), gap_parity, 3) == (0, 2, 4)
+    assert barrier_pair_homogeneous(singles, lambda b, c: 0, 0) == ()
+    with pytest.raises(NegativeCount):
+        barrier_pair_homogeneous(singles, lambda b, c: 0, -1)
 
 
 def test_nwt_improvement_step_frozen():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from orderlab.errors import CycleError, UnknownElement
 from orderlab.order import (
     divisibility,
-    descending_chain_search,
     finite_quasi_order,
     natural_equality,
     natural_order,
@@ -119,7 +118,6 @@ def test_builtin_quasi_orders():
 def test_finite_quasi_order_enforces_axioms():
     q = finite_quasi_order((0, 1), [(0, 0), (1, 1), (0, 1)], "chain2")
     assert q.leq(0, 1) and not q.leq(1, 0)
-    assert q.strictly_less(0, 1)
     with pytest.raises(ValueError):
         finite_quasi_order((0, 1), [(0, 0)], "broken")
     with pytest.raises(ValueError):
@@ -136,16 +134,6 @@ def test_quasi_from_poset_is_reflexive():
     assert q.leq(2, 0)
     assert not q.leq(0, 2)
     assert q.elements == (0, 1, 2)
-
-
-def test_descending_chain_search():
-    div = divisibility()
-    chain = descending_chain_search(div, range(1, 13), 3, 13)
-    assert chain is not None and len(chain) == 3
-    assert all(div.strictly_less(chain[i + 1], chain[i]) for i in range(2))
-    assert descending_chain_search(natural_equality(), range(5), 2, 5) is None
-    with pytest.raises(ValueError):
-        descending_chain_search(div, range(3), 0, 3)
 
 
 @settings(derandomize=True, max_examples=60)

@@ -12,8 +12,6 @@ from orderlab.order import (
 )
 from orderlab.wqo import (
     KTree,
-    compose_ktree,
-    decompose_ktree,
     higman_leq,
     higman_lift,
     is_bad,
@@ -21,9 +19,7 @@ from orderlab.wqo import (
     ktree_leq,
     min_bad_sequence,
     nash_williams_step,
-    ramsey_pairs_homogeneous,
     subtree,
-    tree_meet,
 )
 
 
@@ -108,14 +104,6 @@ def test_ktree_validation():
     assert t.children(0) == (1, 2)
 
 
-def test_tree_meet():
-    star = KTree((-1, 0, 0), (0, 0, 0))
-    assert tree_meet(star, 1, 2) == 0
-    assert tree_meet(star, 1, 1) == 1
-    chain = KTree((-1, 0, 1), (0, 0, 0))
-    assert tree_meet(chain, 2, 1) == 1
-
-
 def test_ktree_leq_directions():
     single = KTree((-1,), (0,))
     pair = KTree((-1, 0), (0, 1))
@@ -138,12 +126,8 @@ def test_ktree_leq_needs_meet_preservation():
     assert ktree_leq(chain3, chain3, q)
 
 
-def test_decompose_compose_subtree():
+def test_subtree_renumbers_in_preorder():
     t = KTree((-1, 0, 0, 2), (3, 1, 4, 1))
-    label, subs = decompose_ktree(t)
-    assert label == 3 and len(subs) == 2
-    rebuilt = compose_ktree(label, subs)
-    assert ktree_key(rebuilt) == ktree_key(t)
     assert subtree(t, 2).labels == (4, 1)
 
 
@@ -152,14 +136,6 @@ def test_ktree_key_is_isomorphism_invariant():
     b = KTree((-1, 0, 0), (0, 2, 1))
     assert ktree_key(a) == ktree_key(b)
     assert ktree_key(a) != ktree_key(KTree((-1, 0, 1), (0, 1, 2)))
-
-
-def test_ramsey_pairs_homogeneous():
-    parity = lambda i, j: (i + j) % 2
-    assert ramsey_pairs_homogeneous(6, parity, 3) == ((0, 2, 4), 0)
-    assert ramsey_pairs_homogeneous(2, parity, 3) is None
-    subset, color = ramsey_pairs_homogeneous(4, lambda i, j: 7, 2)
-    assert subset == (0, 1) and color == 7
 
 
 @settings(derandomize=True, max_examples=40)
