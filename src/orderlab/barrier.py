@@ -259,22 +259,24 @@ def barrier_pair_homogeneous(
     """First ``target``-subset of the base (lexicographically) on which the
     colouring of tri-related block pairs inside the subset is constant: the
     finite pair case of the Nash-Williams partition theorem for barriers.
-    Raises `NegativeCount` when ``target`` is negative."""
+    A subset is dropped at the second colour it shows.  Raises
+    `NegativeCount` when ``target`` is negative."""
     if target < 0:
         raise NegativeCount(f"target must be at least 0, got {target}")
     base = sorted(base_of(frag))
     if target > len(base):
         return None
+    blocks = frag.sorted_blocks()
     for subset in itertools.combinations(base, target):
-        sub = restrict(frag, subset)
-        blocks = sub.sorted_blocks()
-        colors = {
-            coloring(b, c)
-            for b in blocks
-            for c in blocks
-            if _tri_union(b, c) is not None
-        }
-        if len(colors) <= 1:
+        keep = set(subset)
+        inside = [b for b in blocks if keep.issuperset(b)]
+        tri = ((b, c) for b in inside for c in inside if _tri_union(b, c) is not None)
+        colors = set()
+        for b, c in tri:
+            colors.add(coloring(b, c))
+            if len(colors) > 1:
+                break
+        else:
             return subset
     return None
 

@@ -25,6 +25,18 @@ class MalformedCode(OrderlabError):
     """A coded sequence does not decompose into valid code blocks."""
 
 
+class UnknownTieBreak(OrderlabError):
+    """A tie-break rule is not one of the documented names."""
+
+
+class AlphabetMismatch(OrderlabError):
+    """A tree's alphabet differs from the elements of the order coding it."""
+
+
+class InvalidGraph(OrderlabError):
+    """An edge is a loop, or an edge or a side leaves the vertex set."""
+
+
 class InvalidNode(OrderlabError):
     """A node id is outside the tree."""
 

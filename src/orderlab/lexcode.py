@@ -1,8 +1,10 @@
 """Embedding a finite strict order into integer sequences.
 
 Each element receives a code word (even digits, then a single odd digit)
-whose lexicographic order refines the element order; appending the element
-id makes the code table prefix free, so coded sequences decode uniquely.
+whose lexicographic order refines the element order.  The words alone are
+prefix free: only a word's last digit is odd, and no word is assigned
+twice.  Appending the element id to each word is what lets a decoder name
+the element of each block.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import MalformedCode
+from .errors import AlphabetMismatch, MalformedCode, UnknownTieBreak
 from .order import Poset
 from .trees import TreeAutomaton
 
@@ -34,34 +36,33 @@ def encode_order(order: Poset, tie_break: str = "smallest-id") -> LexCode:
     """Assign code words so that ``x < y`` in the order forces a
     lexicographically smaller word.
 
-    Elements are processed in ascending id order.  An element below some
-    already-processed element anchors on the one with the least assigned
-    word; decrementing that word's final digit then stays below every
-    other candidate's word, which is what the order-embedding argument
-    needs.  The least-word candidate is automatically minimal among the
-    candidates, and since words are never reused, the id tie-break is a
-    formal secondary key only.  Fresh words take the smallest unused odd
-    final digit.
+    Elements are processed in ascending id order.  One pass over the order
+    pairs lists, for each element, the smaller-id elements above it; the
+    element anchors on the least word among them.  Decrementing that word's
+    final digit then stays below every other candidate's word, which is
+    what the order-embedding argument needs.  Words are never reused, so the
+    least word is unique and ``tie_break`` is validated but never decides.
+    Each word stem hands out odd final digits 1, 3, 5, ... in turn, so a
+    fresh word takes the smallest unused one.
     """
     if tie_break not in TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    sign = 1 if tie_break == "smallest-id" else -1
+        raise UnknownTieBreak(f"tie_break must be one of {TIE_BREAKS}")
     elems = order.sorted_elements()
+    anchors: dict[int, list[int]] = {y: [] for y in elems}
+    for y, x in order.lt:
+        if x < y:
+            anchors[y].append(x)
     table: dict[int, tuple[int, ...]] = {}
-    used: set[tuple[int, ...]] = set()
+    issued: dict[tuple[int, ...], int] = {}
     for y in elems:
-        anchors = [x for x in elems if x < y and order.less(y, x)]
-        if anchors:
-            word = table[min(anchors, key=lambda x: (table[x], sign * x))]
+        if anchors[y]:
+            word = min(map(table.__getitem__, anchors[y]))
             stem = word[:-1] + (word[-1] - 1,)
         else:
             stem = ()
-        digit = 1
-        while stem + (digit,) in used:
-            digit += 2
-        code = stem + (digit,)
-        used.add(code)
-        table[y] = code
+        count = issued.get(stem, 0)
+        issued[stem] = count + 1
+        table[y] = stem + (2 * count + 1,)
     return LexCode(order, table, elems)
 
 
@@ -73,10 +74,7 @@ def encode_element(code: LexCode, x: int) -> tuple[int, ...]:
 
 def encode_seq(code: LexCode, seq: Sequence[int]) -> tuple[int, ...]:
     """Concatenation of the prefix-free element codes along ``seq``."""
-    out: tuple[int, ...] = ()
-    for x in seq:
-        out += encode_element(code, x)
-    return out
+    return tuple(d for x in seq for d in encode_element(code, x))
 
 
 def decode_path(code: LexCode, coded: Sequence[int]) -> tuple[int, ...]:
@@ -113,25 +111,19 @@ def lift_tree(code: LexCode, aut: TreeAutomaton) -> TreeAutomaton:
     covers every digit that occurs in a prefix-free code.
     """
     if frozenset(range(aut.alphabet_size)) != code.order.elements:
-        raise ValueError("tree alphabet must equal the coded order's elements")
+        raise AlphabetMismatch("tree alphabet must equal the coded order's elements")
     words = {a: code.table[a] + (a,) for a in range(aut.alphabet_size)}
     alphabet = max((d for w in words.values() for d in w), default=-1) + 1
     delta: dict[tuple[int, int], int] = {}
     fresh = aut.states
-    for s in range(aut.states):
-        for a in range(aut.alphabet_size):
-            target = aut.delta.get((s, a))
-            if target is None:
-                continue
-            cur = s
-            word = words[a]
-            for d in word[:-1]:
-                nxt = delta.get((cur, d))
-                if nxt is None:
-                    nxt = fresh
-                    fresh += 1
-                    delta[(cur, d)] = nxt
-                cur = nxt
-            # codes are prefix free, so the final digit slot is never shared
-            delta[(cur, word[-1])] = target
+    # in (state, letter) order, which fixes the numbering of fresh states
+    for (s, a), target in sorted(aut.delta.items()):
+        cur = s
+        word = words[a]
+        for d in word[:-1]:
+            cur = delta.setdefault((cur, d), fresh)
+            if cur == fresh:
+                fresh += 1
+        # codes are prefix free, so the final digit slot is never shared
+        delta[(cur, word[-1])] = target
     return TreeAutomaton(alphabet, fresh, aut.start, delta)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
+    InvalidGraph,
     InvalidSequence,
     InvalidWarp,
     MalformedLabel,
@@ -52,15 +52,15 @@ def graph(
     norm = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) leaves the vertex set")
+            raise InvalidGraph(f"edge ({u},{v}) leaves the vertex set")
         if u == v:
-            raise ValueError(f"loop at {u} is not allowed")
+            raise InvalidGraph(f"loop at {u} is not allowed")
         norm.add((min(u, v), max(u, v)))
     aset, bset = frozenset(a), frozenset(b)
     for side, name in ((aset, "A"), (bset, "B")):
         for v in side:
             if not 0 <= v < n:
-                raise ValueError(f"{name} contains {v}, outside the vertex set")
+                raise InvalidGraph(f"{name} contains {v}, outside the vertex set")
     return MengerGraph(n, frozenset(norm), aset, bset)
 
 
@@ -102,10 +102,9 @@ def is_separator(g: MengerGraph, c: Iterable[int]) -> bool:
     """
     blocked = set(c)
     adj = g.adjacency
-    queue = deque(v for v in sorted(g.A) if v not in blocked)
+    queue = [v for v in sorted(g.A) if v not in blocked]
     seen = set(queue)
-    while queue:
-        v = queue.popleft()
+    for v in queue:
         if v in g.B:
             return False
         for w in adj[v]:
@@ -258,94 +257,81 @@ class MengerSystem:
 def menger_solve(g: MengerGraph) -> MengerSystem:
     """Maximum vertex-disjoint path system and matching minimum separator.
 
-    Vertex-splitting max-flow; the separator is read off the residual
-    reachability cut, which is the unique minimum cut closest to the
-    sources.
+    Vertex-splitting max-flow by shortest augmenting paths (Edmonds & Karp
+    1972).  Arc ``k`` and its reverse ``k ^ 1`` share one residual list, and
+    each node lists its ``(head, arc)`` pairs by ascending head.  The
+    separator is read off the residual reachability cut, which is the
+    unique minimum cut closest to the sources.
     """
     inf = g.n + 1
     source, sink = 2 * g.n, 2 * g.n + 1
-    cap: dict[tuple[int, int], int] = {}
+    head: list[int] = []
+    residual: list[int] = []
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(sink + 1)]
 
     def arc(u: int, v: int, c: int) -> None:
-        cap[(u, v)] = cap.get((u, v), 0) + c
-        cap.setdefault((v, u), 0)
+        pairs[u].append((v, len(head)))
+        pairs[v].append((u, len(head) + 1))
+        head.extend((v, u))
+        residual.extend((c, 0))
 
     for v in range(g.n):
         arc(2 * v, 2 * v + 1, 1)
-    for u, v in sorted(g.edges):
+    for u, v in g.edges:
         arc(2 * u + 1, 2 * v, inf)
         arc(2 * v + 1, 2 * u, inf)
-    for a in sorted(g.A):
+    for a in g.A:
         arc(source, 2 * a, inf)
-    for b in sorted(g.B):
+    for b in g.B:
         arc(2 * b + 1, sink, inf)
-    neighbours: dict[int, list[int]] = {}
-    for u, v in cap:
-        neighbours.setdefault(u, []).append(v)
-    for vs in neighbours.values():
-        vs.sort()
-    flow: dict[tuple[int, int], int] = {k: 0 for k in cap}
+    arcs = [sorted(p) for p in pairs]
 
-    def bfs_augment() -> int:
-        prev: dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            if u == sink:
-                break
-            for v in neighbours.get(u, ()):
-                if v not in prev and cap[(u, v)] - flow[(u, v)] > 0:
-                    prev[v] = u
+    def search() -> list[Optional[int]]:
+        """The arc that first reaches each node in a breadth-first search
+        of the residual graph, which stops once it reaches the sink."""
+        prev: list[Optional[int]] = [None] * (sink + 1)
+        prev[source] = -1
+        queue = [source]
+        for u in queue:
+            for v, k in arcs[u]:
+                if prev[v] is None and residual[k]:
+                    prev[v] = k
+                    if v == sink:
+                        return prev
                     queue.append(v)
-        if sink not in prev:
-            return 0
-        path = [sink]
-        while path[-1] != source:
-            path.append(prev[path[-1]])
-        path.reverse()
-        bottleneck = min(
-            cap[(path[i], path[i + 1])] - flow[(path[i], path[i + 1])]
-            for i in range(len(path) - 1)
-        )
-        for i in range(len(path) - 1):
-            flow[(path[i], path[i + 1])] += bottleneck
-            flow[(path[i + 1], path[i])] -= bottleneck
-        return bottleneck
+        return prev
 
-    while bfs_augment():
-        pass
+    while True:
+        prev = search()
+        if prev[sink] is None:
+            break
+        path = []
+        v = sink
+        while v != source:
+            path.append(prev[v])
+            v = head[prev[v] ^ 1]
+        push = min(residual[k] for k in path)
+        for k in path:
+            residual[k] -= push
+            residual[k ^ 1] += push
 
-    reachable = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in neighbours.get(u, ()):
-            if v not in reachable and cap[(u, v)] - flow[(u, v)] > 0:
-                reachable.add(v)
-                queue.append(v)
+    # the last search reached every node the residual graph reaches
     separator = frozenset(
-        v for v in range(g.n) if 2 * v in reachable and 2 * v + 1 not in reachable
+        v for v in range(g.n) if prev[2 * v] is not None and prev[2 * v + 1] is None
     )
 
+    # The flow on a forward (even) arc is the residual of its reverse.  A
+    # vertex passes at most one unit, so one forward arc out of it has flow.
     paths: list[Path] = []
-    for a in sorted(g.A):
-        if flow[(source, 2 * a)] <= 0:
+    for first, k in arcs[source]:
+        if not residual[k ^ 1]:
             continue
-        walk = [a]
-        v = a
+        walk = [first // 2]
         while True:
-            out = 2 * v + 1
-            if flow.get((out, sink), 0) > 0:
-                flow[(out, sink)] -= 1
+            w = next(w for w, k in arcs[2 * walk[-1] + 1] if not k & 1 and residual[k ^ 1])
+            if w == sink:
                 break
-            for w in neighbours.get(out, ()):
-                if w != sink and w % 2 == 0 and flow[(out, w)] > 0:
-                    flow[(out, w)] -= 1
-                    v = w // 2
-                    walk.append(v)
-                    break
-            else:
-                raise AssertionError("flow decomposition lost a unit")
+            walk.append(w // 2)
         paths.append(tuple(walk))
     paths.sort()
     return MengerSystem(tuple(paths), separator)

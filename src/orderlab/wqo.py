@@ -233,9 +233,10 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
 
     Such a map sends the source root to some node ``v`` with a dominating
     label and the root's child subtrees into distinct child subtrees of
-    ``v``; the search recurses on that shape with memoisation, using
-    augmenting-path matching for the child assignment.  Labels are compared
-    through the up-set bitmasks when ``q`` is compiled.
+    ``v``; the search recurses on that shape with memoisation.  Each source
+    child takes the first free target child it embeds into, and only a
+    child with none left starts an augmenting-path search (Kuhn 1955).
+    Labels are compared through the up-set bitmasks when ``q`` is compiled.
     """
     compiled = q.compiled
     if compiled is not None:
@@ -287,8 +288,14 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
             return False
         assign: dict[int, int] = {}
         for l in left:
-            if not augment(l, right, assign, set()):
-                return False
+            for r in right:
+                if r not in assign and embed(l, r):
+                    assign[r] = l
+                    break
+            else:
+                # with no target child taken, the sweep has tried them all
+                if not assign or not augment(l, right, assign, set()):
+                    return False
         return True
 
     def augment(l: int, right: tuple[int, ...], assign: dict[int, int], seen: set[int]) -> bool:

@@ -1,12 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlab import lexcode
-from orderlab.errors import MalformedCode
-from orderlab.order import seq_less_by, validate_poset
-from orderlab.trees import automaton
+from orderlab import lexcode, oracles, suites
+from orderlab.errors import AlphabetMismatch, MalformedCode, UnknownTieBreak
+from orderlab.order import Poset, seq_less_by, validate_poset
+from orderlab.trees import TreeAutomaton, automaton
 
 
 def antichain3():
@@ -51,7 +52,7 @@ def test_anchor_must_be_least_word():
 
 
 def test_tie_break_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownTieBreak):
         lexcode.encode_order(antichain3(), "middle-id")
 
 
@@ -141,7 +142,7 @@ def test_lift_tree_unary_loop():
 
 def test_lift_tree_rejects_mismatched_alphabet():
     code = lexcode.encode_order(validate_poset([], [0, 1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(AlphabetMismatch):
         lexcode.lift_tree(code, automaton(3, 1, 0, []))
 
 
@@ -150,3 +151,112 @@ def test_lift_tree_rejects_mismatched_alphabet():
 def test_roundtrip_random_sequences(seq, tie):
     code = lexcode.encode_order(chain3(), tie)
     assert lexcode.decode_path(code, lexcode.encode_seq(code, seq)) == tuple(seq)
+
+
+# Reference copies of the quadratic-anchor `encode_order` and the
+# states-by-alphabet `lift_tree` that the current routines replaced; the
+# current ones must give the same tables and the same lifted automata.
+
+
+def _reference_encode_order(order, tie_break="smallest-id"):
+    sign = 1 if tie_break == "smallest-id" else -1
+    elems = order.sorted_elements()
+    table = {}
+    used = set()
+    for y in elems:
+        anchors = [x for x in elems if x < y and order.less(y, x)]
+        if anchors:
+            word = table[min(anchors, key=lambda x: (table[x], sign * x))]
+            stem = word[:-1] + (word[-1] - 1,)
+        else:
+            stem = ()
+        digit = 1
+        while stem + (digit,) in used:
+            digit += 2
+        code = stem + (digit,)
+        used.add(code)
+        table[y] = code
+    return table
+
+
+def _reference_lift_tree(code, aut):
+    words = {a: code.table[a] + (a,) for a in range(aut.alphabet_size)}
+    alphabet = max((d for w in words.values() for d in w), default=-1) + 1
+    delta = {}
+    fresh = aut.states
+    for s in range(aut.states):
+        for a in range(aut.alphabet_size):
+            target = aut.delta.get((s, a))
+            if target is None:
+                continue
+            cur = s
+            word = words[a]
+            for d in word[:-1]:
+                nxt = delta.get((cur, d))
+                if nxt is None:
+                    nxt = fresh
+                    fresh += 1
+                    delta[(cur, d)] = nxt
+                cur = nxt
+            delta[(cur, word[-1])] = target
+    return TreeAutomaton(alphabet, fresh, aut.start, delta)
+
+
+def _random_automaton(rng, letters):
+    states = rng.randint(1, 5)
+    delta = {
+        (s, a): rng.randrange(states)
+        for s in range(states)
+        for a in range(letters)
+        if rng.random() < 0.6
+    }
+    return TreeAutomaton(letters, states, rng.randrange(states), delta)
+
+
+def _assert_same_as_reference(poset, rng):
+    for tie in lexcode.TIE_BREAKS:
+        code = lexcode.encode_order(poset, tie)
+        assert code.table == _reference_encode_order(poset, tie), (poset, tie)
+        assert code.processing_order == poset.sorted_elements()
+    n = len(poset.elements)
+    for aut in (_random_automaton(rng, n), _random_automaton(rng, n)):
+        assert lexcode.lift_tree(code, aut) == _reference_lift_tree(code, aut)
+
+
+def test_encode_and_lift_match_reference_on_all_small_orders():
+    rng = random.Random("lexcode-reference")
+    posets = oracles.all_posets(4)
+    assert len(posets) == 243
+    for poset in posets:
+        _assert_same_as_reference(poset, rng)
+
+
+def test_encode_and_lift_match_reference_on_random_orders():
+    rng = random.Random("lexcode-random-reference")
+    for _ in range(300):
+        poset = oracles.random_poset(rng, 12)
+        _assert_same_as_reference(poset, rng)
+        # the same order on ids spread over 0..39
+        ids = rng.sample(range(40), len(poset.elements))
+        spread = Poset(frozenset(ids), frozenset((ids[x], ids[y]) for x, y in poset.lt))
+        for tie in lexcode.TIE_BREAKS:
+            assert lexcode.encode_order(spread, tie).table == _reference_encode_order(spread, tie)
+
+
+def test_tie_break_never_decides_on_the_suite_corpus():
+    """The least anchor word is unique because no word is assigned twice,
+    so the id tie-break never decides: both rules give the same table."""
+    for seed in range(8):
+        for poset in suites._poset_corpus(random.Random(seed)):
+            smallest = _reference_encode_order(poset, "smallest-id")
+            assert _reference_encode_order(poset, "largest-id") == smallest
+            for tie in lexcode.TIE_BREAKS:
+                assert lexcode.encode_order(poset, tie).table == smallest
+
+
+def test_long_descending_chain_gets_zero_runs():
+    n = 1000
+    ids = list(range(n - 1, -1, -1))  # 999 < 998 < ... < 0
+    lt = frozenset((ids[i], ids[j]) for i in range(n) for j in range(i + 1, n))
+    table = lexcode.encode_order(Poset(frozenset(ids), lt)).table
+    assert table == {k: (0,) * k + (1,) for k in range(n)}

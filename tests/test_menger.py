@@ -2,11 +2,14 @@
 
 import hashlib
 import itertools
+import random
+from collections import deque
 
 import pytest
 
 from orderlab import oracles
 from orderlab.errors import (
+    InvalidGraph,
     InvalidSequence,
     InvalidWarp,
     MalformedLabel,
@@ -14,6 +17,7 @@ from orderlab.errors import (
     NotAWave,
 )
 from orderlab.menger import (
+    MengerGraph,
     MengerSystem,
     Warp,
     _check_path_label,
@@ -49,11 +53,11 @@ def diamond():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidGraph):
         graph(2, [(0, 2)], [0], [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidGraph):
         graph(2, [(1, 1)], [0], [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidGraph):
         graph(2, [(0, 1)], [0], [5])
     g = graph(3, [(2, 1), (1, 2)], [0], [2])
     assert g.edges == frozenset({(1, 2)})
@@ -100,6 +104,140 @@ def test_menger_solve_two_disjoint():
     assert is_separator(g, system.separator)
     for p in system.paths:
         assert len(system.separator & set(p)) == 1
+
+
+def _reference_menger_solve(g: MengerGraph) -> MengerSystem:
+    """The dict-keyed Edmonds-Karp solver that `menger_solve` replaced: the
+    current one must find the same paths and the same separator."""
+    inf = g.n + 1
+    source, sink = 2 * g.n, 2 * g.n + 1
+    cap = {}
+
+    def arc(u, v, c):
+        cap[(u, v)] = cap.get((u, v), 0) + c
+        cap.setdefault((v, u), 0)
+
+    for v in range(g.n):
+        arc(2 * v, 2 * v + 1, 1)
+    for u, v in sorted(g.edges):
+        arc(2 * u + 1, 2 * v, inf)
+        arc(2 * v + 1, 2 * u, inf)
+    for a in sorted(g.A):
+        arc(source, 2 * a, inf)
+    for b in sorted(g.B):
+        arc(2 * b + 1, sink, inf)
+    neighbours = {}
+    for u, v in cap:
+        neighbours.setdefault(u, []).append(v)
+    for vs in neighbours.values():
+        vs.sort()
+    flow = {k: 0 for k in cap}
+
+    def bfs_augment():
+        prev = {source: source}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            if u == sink:
+                break
+            for v in neighbours.get(u, ()):
+                if v not in prev and cap[(u, v)] - flow[(u, v)] > 0:
+                    prev[v] = u
+                    queue.append(v)
+        if sink not in prev:
+            return 0
+        path = [sink]
+        while path[-1] != source:
+            path.append(prev[path[-1]])
+        path.reverse()
+        bottleneck = min(
+            cap[(path[i], path[i + 1])] - flow[(path[i], path[i + 1])]
+            for i in range(len(path) - 1)
+        )
+        for i in range(len(path) - 1):
+            flow[(path[i], path[i + 1])] += bottleneck
+            flow[(path[i + 1], path[i])] -= bottleneck
+        return bottleneck
+
+    while bfs_augment():
+        pass
+
+    reachable = {source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in neighbours.get(u, ()):
+            if v not in reachable and cap[(u, v)] - flow[(u, v)] > 0:
+                reachable.add(v)
+                queue.append(v)
+    separator = frozenset(
+        v for v in range(g.n) if 2 * v in reachable and 2 * v + 1 not in reachable
+    )
+
+    paths = []
+    for a in sorted(g.A):
+        if flow[(source, 2 * a)] <= 0:
+            continue
+        walk = [a]
+        v = a
+        while True:
+            out = 2 * v + 1
+            if flow.get((out, sink), 0) > 0:
+                flow[(out, sink)] -= 1
+                break
+            for w in neighbours.get(out, ()):
+                if w != sink and w % 2 == 0 and flow[(out, w)] > 0:
+                    flow[(out, w)] -= 1
+                    v = w // 2
+                    walk.append(v)
+                    break
+            else:
+                raise AssertionError("flow decomposition lost a unit")
+        paths.append(tuple(walk))
+    paths.sort()
+    return MengerSystem(tuple(paths), separator)
+
+
+def test_menger_solve_matches_reference_on_all_small_graphs():
+    """Every graph on at most 4 vertices with every source and sink set:
+    16,384 of the cases have 4 vertices."""
+    cases = 0
+    for n in range(5):
+        sides = [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+        slots = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(slots)):
+            edges = [e for k, e in enumerate(slots) if bits >> k & 1]
+            for a, b in itertools.product(sides, repeat=2):
+                g = graph(n, edges, a, b)
+                assert menger_solve(g) == _reference_menger_solve(g), g
+                cases += 1
+    assert cases == 1 + 4 + 32 + 512 + 16384
+
+
+def test_menger_solve_matches_reference_on_random_graphs():
+    rng = random.Random("menger-reference")
+    for _ in range(400):
+        n = rng.randint(5, 12)
+        density = rng.uniform(0.1, 0.7)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        a = rng.sample(range(n), rng.randint(0, n))
+        b = rng.sample(range(n), rng.randint(0, n))
+        g = graph(n, edges, a, b)
+        assert menger_solve(g) == _reference_menger_solve(g), g
+
+
+def test_menger_solve_large_grid():
+    """On a 60 x 60 grid from the left column to the right one, the rows are
+    the only shortest paths, and the cut closest to the sources is the
+    left column."""
+    r = 60
+    edges = [(i * r + j, i * r + j + 1) for i in range(r) for j in range(r - 1)]
+    edges += [(i * r + j, (i + 1) * r + j) for i in range(r - 1) for j in range(r)]
+    left = [i * r for i in range(r)]
+    g = graph(r * r, edges, left, [i * r + r - 1 for i in range(r)])
+    system = menger_solve(g)
+    assert system.paths == tuple(tuple(range(i * r, (i + 1) * r)) for i in range(r))
+    assert system.separator == frozenset(left)
 
 
 def test_validate_warp_errors():

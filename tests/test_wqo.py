@@ -126,6 +126,20 @@ def test_ktree_leq_needs_meet_preservation():
     assert ktree_leq(chain3, chain3, q)
 
 
+def test_ktree_leq_reassigns_a_greedy_child():
+    # child label 1 takes the first free target child (label 2); child
+    # label 2 then fits only there, so the search moves label 1 to label 1
+    source = KTree((-1, 0, 0), (0, 1, 2))
+    assert ktree_leq(source, KTree((-1, 0, 0), (0, 2, 1)), natural_order())
+    assert not ktree_leq(source, KTree((-1, 0, 0), (0, 2, 0)), natural_order())
+
+
+def test_ktree_leq_deep_path_into_itself():
+    # two frames per level when every child finds a free target child
+    path = KTree((-1,) + tuple(range(399)), (0,) * 400)
+    assert ktree_leq(path, path, natural_order())
+
+
 def test_subtree_renumbers_in_preorder():
     t = KTree((-1, 0, 0, 2), (3, 1, 4, 1))
     assert subtree(t, 2).labels == (4, 1)
