@@ -15,6 +15,8 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import (
     EmptyBlock,
+    InvalidArray,
+    InvalidFragment,
     NegativeCount,
     NotIncreasing,
     NotTriRelated,
@@ -55,13 +57,13 @@ def _fragment_problems(blocks: Iterable[Block], window: int):
         if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
             yield NotIncreasing, f"block {block} is not strictly increasing"
         elif block and (block[0] < 0 or block[-1] >= window):
-            yield ValueError, f"block {block} leaves the window {window}"
+            yield InvalidFragment, f"block {block} leaves the window {window}"
         else:
             inside.add(block)
     for b, c in itertools.permutations(inside, 2):
         # distinct increasing blocks of equal length have distinct ranges
         if len(b) < len(c) and set(b) <= set(c):
-            yield ValueError, f"range of {b} is contained in range of {c}"
+            yield InvalidFragment, f"range of {b} is contained in range of {c}"
 
 
 def fragment(blocks: Iterable[Sequence[int]], window: int) -> BarrierFragment:
@@ -76,7 +78,7 @@ def fragment(blocks: Iterable[Sequence[int]], window: int) -> BarrierFragment:
 def uniform_fragment(k: int, window: int) -> BarrierFragment:
     """All ``k``-element subsets of the window, as increasing blocks."""
     if k < 1:
-        raise ValueError("uniform fragments need k >= 1")
+        raise InvalidFragment("uniform fragments need k >= 1")
     return BarrierFragment(
         window, frozenset(itertools.combinations(range(window), k))
     )
@@ -202,10 +204,10 @@ def classify_array(arr: PartialArray, frag: BarrierFragment, q: QuasiOrder) -> f
     """
     blocks = [b for b, _ in arr.entries]
     if len(set(blocks)) != len(blocks):
-        raise ValueError("array blocks must be distinct to form a map")
+        raise InvalidArray("array blocks must be distinct to form a map")
     for b, v in arr.entries:
         if b not in frag.blocks:
-            raise ValueError(f"block {b} is not in the fragment")
+            raise InvalidArray(f"block {b} is not in the fragment")
         q.require(v)
     total = hits = 0
     for _, _, v, w in _tri_pairs(arr):
@@ -234,7 +236,7 @@ def bad_array_violations(
         if not b:
             raise EmptyBlock("arrays over a barrier use non-empty blocks")
         if b not in frag.blocks:
-            raise ValueError(f"block {b} is not in the fragment")
+            raise InvalidArray(f"block {b} is not in the fragment")
         q.require(v)
     violations: list[str] = []
     for i in range(len(entries) - 1):

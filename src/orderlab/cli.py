@@ -2,8 +2,9 @@
 
 Every command prints one canonical JSON report on stdout and a one-line
 summary on stderr.  Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage
-error, 65 malformed input.  Reports are byte-deterministic: inputs are
-recorded as content digests and all sets are emitted sorted.
+error, 65 malformed input, 70 internal error.  Reports are
+byte-deterministic: inputs are recorded as content digests and all sets are
+emitted sorted.
 """
 
 from __future__ import annotations
@@ -14,18 +15,13 @@ import itertools
 import sys
 from typing import Callable, NamedTuple, Optional
 
-from . import barrier, formats, lexcode, menger, trees, wqo
+from . import formats
 from .errors import OrderlabError, ParseError
-from .order import seq_less, seq_less_by, validate_poset
-from .trees import LassoPath
 
-EXIT_PASS = 0
-EXIT_FAIL = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
-
-_EXITS = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}
+# report verdict -> exit code; an "error" report is a fault of the program (EX_SOFTWARE)
+_EXITS = {"pass": 0, "fail": 1, "inconclusive": 2, "error": 70}
 
 
 class UsageError(Exception):
@@ -90,12 +86,14 @@ def _holds(ok: bool) -> str:
 
 
 def _order_validate(a, _):
+    from .order import validate_poset
     names, pairs = _load(formats.raw_poset_from_doc, a.poset)
     poset = validate_poset(pairs, range(len(names)))
     return "pass", {"elements": len(names), "strict_pairs": len(poset.lt)}
 
 
 def _order_seq_less(a, _):
+    from .order import seq_less
     named = _load(formats.poset_from_doc, a.poset)
     left = tuple(named.text_to_id(tok, "left") for tok in _csv(a.left))
     right = tuple(named.text_to_id(tok, "right") for tok in _csv(a.right))
@@ -107,8 +105,9 @@ def _order_seq_less(a, _):
 
 
 def _load_code(a):
+    from .lexcode import encode_order
     named = _load(formats.poset_from_doc, a.poset)
-    return named, lexcode.encode_order(named.poset, a.tie_break)
+    return named, encode_order(named.poset, a.tie_break)
 
 
 def _lexcode_encode(a, _):
@@ -119,12 +118,15 @@ def _lexcode_encode(a, _):
 
 
 def _lexcode_decode(a, _):
+    from . import lexcode
     named, code = _load_code(a)
     seq = lexcode.decode_path(code, _csv_ints(a.coded, "coded"))
     return "pass", {"seq": [named.to_name(x) for x in seq]}
 
 
 def _lexcode_check_claims(a, _):
+    from . import lexcode
+    from .order import seq_less_by
     named, code = _load_code(a)
     poset = named.poset
     elems = poset.sorted_elements()
@@ -161,6 +163,7 @@ def _lexcode_check_claims(a, _):
 
 
 def _wqo_higman(a, spec):
+    from . import wqo
     left = _csv_items(a.left, spec, "left")
     right = _csv_items(a.right, spec, "right")
     ok = wqo.higman_leq(left, right, spec.q)
@@ -168,6 +171,7 @@ def _wqo_higman(a, spec):
 
 
 def _wqo_kruskal(a, spec):
+    from . import wqo
     s_tree = _load(formats.ktree_from_doc, a.left, spec)
     t_tree = _load(formats.ktree_from_doc, a.right, spec)
     ok = wqo.ktree_leq(s_tree, t_tree, spec.q)
@@ -175,6 +179,7 @@ def _wqo_kruskal(a, spec):
 
 
 def _wqo_bad(a, spec):
+    from . import wqo
     seq = _csv_items(a.seq, spec, "seq")
     pair = wqo.is_bad(seq, spec.q)
     if pair is None:
@@ -185,6 +190,7 @@ def _wqo_bad(a, spec):
 
 
 def _wqo_min_bad(a, spec):
+    from . import wqo
     bound = a.bound
     if spec.named is not None:
         bound = min(bound, len(spec.named.names))
@@ -195,6 +201,7 @@ def _wqo_min_bad(a, spec):
 
 
 def _wqo_nw_step(a, spec):
+    from . import wqo
     seqs = _load(formats.seqs_from_doc, a.seqs, spec)
     out = wqo.nash_williams_step(seqs, frozenset(_csv_ints(a.s, "s")), spec.q)
     return "pass", {"seqs": [[spec.show_item(x) for x in entry] for entry in out]}
@@ -204,6 +211,7 @@ def _wqo_nw_step(a, spec):
 
 
 def _barrier_check(a, _):
+    from . import barrier
     blocks, window = _load(formats.raw_fragment_from_doc, a.frag)
     result = barrier.check_fragment(blocks, window)
     details = {
@@ -214,6 +222,7 @@ def _barrier_check(a, _):
 
 
 def _barrier_tri(a, _):
+    from . import barrier
     b = _csv_ints(a.left, "left")
     c = _csv_ints(a.right, "right")
     ok = barrier.block_tri(b, c)
@@ -224,6 +233,7 @@ def _barrier_tri(a, _):
 
 
 def _barrier_star(a, _):
+    from . import barrier
     starred = barrier.star_fragment(_load(formats.fragment_from_doc, a.frag))
     return "pass", {"window": starred.window, "blocks": [list(b) for b in starred.sorted_blocks()]}
 
@@ -234,11 +244,13 @@ def _frag_and_array(a, spec, sequences: bool):
 
 
 def _barrier_classify(a, spec):
+    from . import barrier
     frag, arr = _frag_and_array(a, spec, sequences=False)
     return "pass", {"labels": sorted(barrier.classify_array(arr, frag, spec.q))}
 
 
 def _barrier_array_check(a, spec):
+    from . import barrier, wqo
     frag, arr = _frag_and_array(a, spec, sequences=True)
     violations = barrier.bad_array_violations(arr, frag, wqo.higman_lift(spec.q))
     details = {"violations": list(violations)[:8]}
@@ -246,6 +258,7 @@ def _barrier_array_check(a, spec):
 
 
 def _barrier_nwt_step(a, spec):
+    from . import barrier
     frag, arr = _frag_and_array(a, spec, sequences=True)
     out = barrier.nwt_improvement_step(arr, frozenset(_csv_ints(a.s, "s")), frag, spec.q)
     entries = [
@@ -268,29 +281,33 @@ def _alphabet_order(a, aut):
 
 
 def _tree_live(a, _):
+    from . import trees
     aut = _load(formats.automaton_from_doc, a.aut)
     live = trees.live_states(aut)
     return "pass", {"live": sorted(live), "start_live": aut.start in live}
 
 
 def _tree_leftmost(a, _):
+    from . import trees
     lasso = trees.leftmost_path(_load(formats.automaton_from_doc, a.aut))
     return "pass", {"lasso": formats.lasso_to_doc(lasso)}
 
 
 def _tree_minimal(a, _):
+    from . import trees
     aut = _load(formats.automaton_from_doc, a.aut)
     lasso = trees.minimal_path(aut, _alphabet_order(a, aut).poset)
     return "pass", {"lasso": formats.lasso_to_doc(lasso)}
 
 
 def _tree_challenge(a, _):
+    from . import trees
     aut = _load(formats.automaton_from_doc, a.aut)
     named = _alphabet_order(a, aut)
     cycle = _csv_ints(a.cycle, "cycle")
     if not cycle:
         raise ParseError("cycle: must be non-empty")
-    witness = LassoPath(_csv_ints(a.prefix, "prefix"), cycle)
+    witness = trees.LassoPath(_csv_ints(a.prefix, "prefix"), cycle)
     challengers = _load(formats.lassos_from_doc, a.challengers)
     report = trees.challenger_check(aut, witness, challengers, named.poset)
     entries = [
@@ -310,6 +327,7 @@ def _tree_challenge(a, _):
 
 
 def _menger_solve(a, _):
+    from . import menger
     system = menger.menger_solve(_load(formats.graph_from_doc, a.graph))
     return "pass", {
         "size": len(system.paths),
@@ -319,6 +337,7 @@ def _menger_solve(a, _):
 
 
 def _menger_waves(a, _):
+    from . import menger
     enum = menger.enumerate_waves(_load(formats.graph_from_doc, a.graph), cap=a.cap)
     details = {
         "count": len(enum.waves),
@@ -329,6 +348,7 @@ def _menger_waves(a, _):
 
 
 def _menger_max_wave(a, _):
+    from . import menger
     wave = menger.maximal_wave(_load(formats.graph_from_doc, a.graph))
     return "pass", {
         "paths": [list(p) for p in wave.paths],
@@ -337,12 +357,14 @@ def _menger_max_wave(a, _):
 
 
 def _menger_encode(a, _):
+    from . import menger
     g = _load(formats.graph_from_doc, a.graph)
     labels = menger.encode_wave(g, _load(formats.warp_from_doc, a.wave))
     return "pass", {"labels": formats.labels_to_doc(labels)}
 
 
 def _menger_decode(a, _):
+    from . import menger
     g = _load(formats.graph_from_doc, a.graph)
     wave = menger.decode_wave(g, _load(formats.labels_from_doc, a.seq))
     return "pass", {"paths": [list(p) for p in wave.paths]}
@@ -353,7 +375,6 @@ def _menger_decode(a, _):
 
 def _oracle(a, _):
     from . import suites
-
     names = list(suites.SUITES)
     if a.suite != "all":
         if a.suite not in suites.SUITES:
@@ -393,7 +414,7 @@ class _Arg(NamedTuple):
     flag: str  # "--poset", or a bare name for a positional argument
     kind: str = "text"
     default: object = _REQUIRED
-    choices: Optional[tuple] = None
+    choices: Optional[Callable[[], tuple]] = None  # called when the parser is built
     record: bool = True
 
     @property
@@ -415,8 +436,13 @@ class _Command(NamedTuple):
     op: Callable
 
 
+def _tie_breaks() -> tuple:
+    from .lexcode import TIE_BREAKS
+    return TIE_BREAKS
+
+
 _POSET = _Arg("--poset", "file")
-_TIE = _Arg("--tie-break", default="smallest-id", choices=lexcode.TIE_BREAKS)
+_TIE = _Arg("--tie-break", default="smallest-id", choices=_tie_breaks)
 _Q = _Arg("--q", "q")
 _LEFT, _RIGHT = _Arg("--left"), _Arg("--right")
 _FRAG_ARRAY_Q = (_Arg("--frag", "file"), _Arg("--array", "file"), _Q)
@@ -477,9 +503,11 @@ _COMMANDS = (
 def _run(cmd: _Command, args) -> dict:
     """Record the inputs, resolve ``--q``, run the op and build the report.
 
-    Malformed input (`ParseError`) propagates.  Any other domain error, or
-    a `ValueError` from a constructor, becomes a fail report naming the
-    command and its inputs, with the exception's clause when it has one.
+    Malformed input (`ParseError`) and usage errors propagate.  Any other
+    domain error becomes a fail report naming the command and its inputs,
+    with the exception's clause when it has one.  Any other exception is a
+    fault of the program: an "error" report (exit 70) with nothing counted
+    as checked, and the traceback on stderr.
     """
     inputs: dict = {}
     try:
@@ -493,14 +521,17 @@ def _run(cmd: _Command, args) -> dict:
             if spec.named is not None:
                 inputs["q"] = _digest(args.q)
         verdict, details, *counters = cmd.op(args, spec)
-    except ParseError:
+    except (ParseError, UsageError):
         raise
-    except (OrderlabError, ValueError) as exc:
-        verdict, counters = "fail", ()
+    except Exception as exc:
+        verdict, counters = "fail" if isinstance(exc, OrderlabError) else "error", ()
+        if verdict == "error":
+            import traceback
+            traceback.print_exc()
         details = {"error": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "clause", None) is not None:
             details["clause"] = exc.clause
-    checked, failures = counters or (1, int(verdict == "fail"))
+    checked, failures = counters or (int(verdict != "error"), int(verdict == "fail"))
     return {
         "command": cmd.path,
         "inputs": inputs,
@@ -510,22 +541,31 @@ def _run(cmd: _Command, args) -> dict:
     }
 
 
-def build_parser() -> _Parser:
+def build_parser(group: Optional[str] = None) -> _Parser:
+    """The parser of every command, or, for a known ``group``, of that
+    group's commands only.  Each other group then gets an empty parser,
+    which leaves the top-level usage and help unchanged."""
     parser = _Parser(prog="orderlab", description=__doc__)
     top = parser.add_subparsers(dest="group", parser_class=_Parser)
+    if group not in {cmd.path.split()[0] for cmd in _COMMANDS}:
+        group = None
     groups: dict = {}
+    subs: dict = {}
     for cmd in _COMMANDS:
-        group, *name = cmd.path.split()
-        if not name:
-            p = top.add_parser(group)
-        else:
-            if group not in groups:
-                groups[group] = top.add_parser(group).add_subparsers(dest="cmd")
-            p = groups[group].add_parser(name[0])
+        name, *sub = cmd.path.split()
+        if name not in groups:
+            groups[name] = top.add_parser(name)
+        if group not in (None, name):
+            continue
+        p = groups[name]
+        if sub:
+            if name not in subs:
+                subs[name] = p.add_subparsers(dest="cmd")
+            p = subs[name].add_parser(sub[0])
         for arg in cmd.args:
             kwargs: dict = {"type": _TYPES[arg.kind]} if arg.kind in _TYPES else {}
             if arg.choices is not None:
-                kwargs["choices"] = arg.choices
+                kwargs["choices"] = arg.choices()
             if arg.default is not _REQUIRED:
                 kwargs["default"] = arg.default
             elif arg.flag.startswith("-"):
@@ -536,7 +576,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         cmd = getattr(args, "command", None)

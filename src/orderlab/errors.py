@@ -21,6 +21,10 @@ class CycleError(OrderlabError):
     """The transitive closure of a strict order relates an element to itself."""
 
 
+class NotAQuasiOrder(OrderlabError):
+    """A finite relation is not reflexive or not transitive."""
+
+
 class MalformedCode(OrderlabError):
     """A coded sequence does not decompose into valid code blocks."""
 
@@ -41,6 +45,10 @@ class InvalidNode(OrderlabError):
     """A node id is outside the tree."""
 
 
+class InvalidTree(OrderlabError):
+    """A parent array does not describe one rooted tree over its labels."""
+
+
 class PreconditionViolation(OrderlabError):
     """A named precondition of a proof-step operation failed."""
 
@@ -59,6 +67,23 @@ class NotIncreasing(OrderlabError):
 
 class NotTriRelated(OrderlabError):
     """Block union is only defined for tri-related blocks."""
+
+
+class InvalidFragment(OrderlabError):
+    """A block leaves the window, a block's range lies inside another's, or
+    a uniform block size is below 1."""
+
+
+class InvalidArray(OrderlabError):
+    """An array repeats a block or uses a block outside its fragment."""
+
+
+class InvalidAutomaton(OrderlabError):
+    """A state is out of range, or two transitions share a state and letter."""
+
+
+class InvalidLasso(OrderlabError):
+    """A lasso path has an empty cycle."""
 
 
 class BadLetter(OrderlabError):

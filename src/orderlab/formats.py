@@ -2,19 +2,22 @@
 
 One parse layer with uniform errors: every loader raises `ParseError` with
 the offending location.  Named poset elements are interned to dense ids in
-declaration order.
+declaration order.  Each loader imports the domain constructor it calls, so
+a command loads only the modules its documents need.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .barrier import BarrierFragment, PartialArray, array_of, fragment, uniform_fragment
 from .errors import OrderlabError, ParseError
-from .menger import MengerGraph, Warp, graph, warp_of
-from .order import Poset, QuasiOrder, quasi_from_poset, validate_poset
-from .trees import LassoPath, TreeAutomaton, automaton
+
+if TYPE_CHECKING:
+    from .barrier import BarrierFragment, PartialArray
+    from .menger import MengerGraph, Warp
+    from .order import Poset, QuasiOrder
+    from .trees import LassoPath, TreeAutomaton
 
 
 def read_json(path: str) -> object:
@@ -62,7 +65,7 @@ def _built(make, where: str, *args):
     document at ``where`` is malformed."""
     try:
         return make(*args)
-    except (OrderlabError, ValueError) as exc:
+    except OrderlabError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -121,15 +124,13 @@ def raw_poset_from_doc(doc: object, where: str = "poset"):
 
 
 def poset_from_doc(doc: object, where: str = "poset") -> NamedPoset:
+    from .order import validate_poset
     elements, pairs = raw_poset_from_doc(doc, where)
     return NamedPoset(_built(validate_poset, where, pairs, range(len(elements))), elements)
 
 
 def poset_to_doc(poset: Poset) -> dict:
     return {"elements": sorted(poset.elements), "lt": [list(p) for p in sorted(poset.lt)]}
-
-
-BUILTIN_ORDERS = ("nat-leq", "nat-eq", "divides")
 
 
 class QuasiSpec:
@@ -168,8 +169,7 @@ class QuasiSpec:
 
 
 def quasi_from_spec(spec: str) -> QuasiSpec:
-    from .order import divisibility, natural_equality, natural_order
-
+    from .order import divisibility, natural_equality, natural_order, quasi_from_poset
     if spec == "nat-leq":
         return QuasiSpec(natural_order(), None)
     if spec == "nat-eq":
@@ -182,7 +182,6 @@ def quasi_from_spec(spec: str) -> QuasiSpec:
 
 def ktree_from_doc(doc: object, spec: QuasiSpec, where: str = "tree"):
     from .wqo import KTree
-
     parent = _int_list(_expect(doc, "parent", list, where), f"{where}.parent")
     labels = _expect(doc, "labels", list, where)
     if not parent or parent[0] != -1:
@@ -203,6 +202,7 @@ def raw_fragment_from_doc(doc: object, where: str = "fragment"):
     shorthand comes back as the frozenset `uniform_fragment` builds, valid
     by construction.
     """
+    from .barrier import uniform_fragment
     window = _size(doc, "window", where)
     if "uniform" in doc:
         k = _expect(doc, "uniform", int, where)
@@ -212,6 +212,7 @@ def raw_fragment_from_doc(doc: object, where: str = "fragment"):
 
 
 def fragment_from_doc(doc: object, where: str = "fragment") -> BarrierFragment:
+    from .barrier import BarrierFragment, fragment
     blocks, window = raw_fragment_from_doc(doc, where)
     if isinstance(blocks, frozenset):
         # a uniform fragment is never validated again: containment is quadratic
@@ -222,6 +223,7 @@ def fragment_from_doc(doc: object, where: str = "fragment") -> BarrierFragment:
 def array_from_doc(
     doc: object, spec: QuasiSpec, sequences: bool, where: str = "array"
 ) -> PartialArray:
+    from .barrier import array_of
     entries = _expect(doc, "entries", list, where)
     parsed = []
     for entry in entries:
@@ -241,6 +243,7 @@ def array_from_doc(
 
 
 def automaton_from_doc(doc: object, where: str = "automaton") -> TreeAutomaton:
+    from .trees import automaton
     alphabet = _size(doc, "alphabet", where)
     states = _expect(doc, "states", int, where)
     start = _expect(doc, "start", int, where)
@@ -264,6 +267,7 @@ def automaton_to_doc(aut: TreeAutomaton) -> dict:
 
 
 def graph_from_doc(doc: object, where: str = "graph") -> MengerGraph:
+    from .menger import graph
     n = _size(doc, "vertices", where)
     edges = _expect(doc, "edges", list, where)
     pairs = []
@@ -287,6 +291,7 @@ def graph_to_doc(g: MengerGraph) -> dict:
 
 
 def warp_from_doc(doc: object, where: str = "warp") -> Warp:
+    from .menger import warp_of
     paths = _expect(doc, "paths", list, where)
     return warp_of(tuple(_int_list(p, f"{where}.paths")) for p in paths)
 
@@ -334,6 +339,7 @@ def seqs_from_doc(doc: object, spec: QuasiSpec, where: str = "seqs") -> tuple:
 
 
 def lassos_from_doc(doc: object, where: str = "challengers") -> list[LassoPath]:
+    from .trees import LassoPath
     entries = _expect(doc, "challengers", list, where)
     out = []
     for i, entry in enumerate(entries):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .errors import CycleError, UnknownElement
+from .errors import CycleError, NotAQuasiOrder, UnknownElement
 
 Pair = tuple[int, int]
 
@@ -226,11 +226,11 @@ def finite_quasi_order(
         rel.add((x, y))
     for x in elems:
         if (x, x) not in rel:
-            raise ValueError(f"{name} is not reflexive at {x!r}")
+            raise NotAQuasiOrder(f"{name} is not reflexive at {x!r}")
     for x, y in rel:
         for z in elems:
             if (y, z) in rel and (x, z) not in rel:
-                raise ValueError(f"{name} is not transitive: {x!r},{y!r},{z!r}")
+                raise NotAQuasiOrder(f"{name} is not transitive: {x!r},{y!r},{z!r}")
     rel_frozen = frozenset(rel)
     return QuasiOrder(name, lambda x, y: (x, y) in rel_frozen, universe.__contains__, elems)
 

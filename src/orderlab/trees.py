@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import BadLetter, InvalidWitness, MalformedCode, WellFounded
+from .errors import (
+    AlphabetMismatch,
+    BadLetter,
+    InvalidAutomaton,
+    InvalidLasso,
+    InvalidWitness,
+    MalformedCode,
+    WellFounded,
+)
 from .order import Poset
 
 
@@ -30,12 +38,12 @@ class TreeAutomaton:
 
     def __post_init__(self):
         if self.states < 1:
-            raise ValueError("an automaton needs at least one state")
+            raise InvalidAutomaton("an automaton needs at least one state")
         if not 0 <= self.start < self.states:
-            raise ValueError("start state out of range")
+            raise InvalidAutomaton("start state out of range")
         for (s, a), t in self.delta.items():
             if not 0 <= s < self.states or not 0 <= t < self.states:
-                raise ValueError(f"transition ({s},{a})->{t} leaves the state set")
+                raise InvalidAutomaton(f"transition ({s},{a})->{t} leaves the state set")
             if not 0 <= a < self.alphabet_size:
                 raise BadLetter(f"letter {a} is outside the alphabet")
 
@@ -61,7 +69,7 @@ def automaton(
     for s, a, t in transitions:
         key = (s, a)
         if key in delta and delta[key] != t:
-            raise ValueError(f"conflicting transitions from state {s} on letter {a}")
+            raise InvalidAutomaton(f"conflicting transitions from state {s} on letter {a}")
         delta[key] = t
     return TreeAutomaton(alphabet_size, states, start, delta)
 
@@ -98,7 +106,7 @@ class LassoPath:
 
     def __post_init__(self):
         if not self.cycle:
-            raise ValueError("lasso cycle must be non-empty")
+            raise InvalidLasso("lasso cycle must be non-empty")
 
     def item(self, i: int) -> int:
         if i < len(self.prefix):
@@ -240,7 +248,7 @@ def minimal_path(aut: TreeAutomaton, alphabet_order: Poset) -> LassoPath:
     from . import lexcode  # deferred: lexcode builds lifted automata from this module
 
     if alphabet_order.elements != frozenset(range(aut.alphabet_size)):
-        raise ValueError("alphabet order must cover exactly the automaton's alphabet")
+        raise AlphabetMismatch("alphabet order must cover exactly the automaton's alphabet")
     code = lexcode.encode_order(alphabet_order)
     lifted = lexcode.lift_tree(code, aut)
     coded = leftmost_path(lifted)

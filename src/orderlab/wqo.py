@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .errors import InvalidNode, NegativeCount, PreconditionViolation, UnknownElement
+from .errors import InvalidNode, InvalidTree, NegativeCount, PreconditionViolation, UnknownElement
 from .order import QuasiOrder
 
 
@@ -187,10 +187,10 @@ class KTree:
         parent = self.parent
         n = len(parent)
         if len(self.labels) != n:
-            raise ValueError("labels and parent array must have equal length")
+            raise InvalidTree("labels and parent array must have equal length")
         roots = [i for i, p in enumerate(parent) if p == -1]
         if len(roots) != 1:
-            raise ValueError("a tree has exactly one root")
+            raise InvalidTree("a tree has exactly one root")
         children: list[list[int]] = [[] for _ in range(n)]
         for i, p in enumerate(parent):
             if p == -1:
@@ -206,7 +206,7 @@ class KTree:
             reached += len(below)
             stack.extend(below)
         if reached != n:
-            raise ValueError("parent array contains a cycle")
+            raise InvalidTree("parent array contains a cycle")
         object.__setattr__(self, "_root", roots[0])
         object.__setattr__(self, "_children", tuple(map(tuple, children)))
 

@@ -21,6 +21,8 @@ from orderlab.barrier import (
 )
 from orderlab.errors import (
     EmptyBlock,
+    InvalidArray,
+    InvalidFragment,
     NegativeCount,
     NotIncreasing,
     NotTriRelated,
@@ -54,13 +56,13 @@ def test_union_block():
 def test_fragment_validation():
     frag = fragment([(0, 1), (1, 2)], 3)
     assert frag.window == 3 and len(frag.blocks) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidFragment):
         fragment([(0,), (0, 1)], 2)  # one range inside another
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidFragment):
         fragment([(0, 5)], 3)
     with pytest.raises(NotIncreasing):
         fragment([(2, 1)], 3)
-    with pytest.raises(ValueError, match="leaves the window"):
+    with pytest.raises(InvalidFragment, match="leaves the window"):
         fragment([(-1,)], 3)
 
 
@@ -73,7 +75,7 @@ def test_fragment_raises_exactly_when_the_check_fails(blocks, window):
     report = check_fragment(blocks, window)
     try:
         fragment(blocks, window)
-    except (OrderlabError, ValueError) as exc:
+    except OrderlabError as exc:
         assert report.verdict == "fail"
         assert str(exc) in report.problems
     else:
@@ -145,9 +147,9 @@ def test_classify_array_examples():
     assert classify_array(lone, singles, leq) == frozenset({"bad", "perfect"})
     mixed = array_of([((0,), 0), ((1,), 2), ((2,), 1)])
     assert classify_array(mixed, singles, leq) == frozenset({"good", "mixed"})
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArray):
         classify_array(array_of([((0,), 0), ((0,), 1)]), singles, leq)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArray):
         classify_array(array_of([((5,), 0)]), singles, leq)
 
 
@@ -170,7 +172,7 @@ def test_bad_array_clauses():
     assert any(
         v == "missing-block (0, 2)" for v in bad_array_violations(skipping, pairs, leq)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArray):
         bad_array_violations(array_of([((0, 2), 1)]), singles, leq)
     with pytest.raises(EmptyBlock):
         bad_array_violations(array_of([((), 1)]), singles, leq)

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -423,6 +426,30 @@ def test_domain_error_report_names_command_and_inputs():
     assert err.strip() == "barrier tri: fail"
 
 
+def test_an_internal_error_is_exit_70_with_one_report(tmp_path, monkeypatch):
+    """An exception that is no `OrderlabError` is a fault of the program:
+    exit 70 and one canonical report naming the command and its inputs."""
+
+    def broken(a, spec):
+        raise KeyError("lost")
+
+    table = tuple(c._replace(op=broken) if c.path == "order validate" else c for c in cli._COMMANDS)
+    monkeypatch.setattr(cli, "_COMMANDS", table)
+    poset = chain_poset(tmp_path)
+    code, out, err = run(["order", "validate", "--poset", poset])
+    assert code == 70
+    assert out == formats.canonical_dumps(json.loads(out)) + "\n"
+    assert json.loads(out) == {
+        "command": "order validate",
+        "inputs": {"poset": cli._digest(poset)},
+        "verdict": "error",
+        "details": {"error": "KeyError", "message": "'lost'"},
+        "counters": {"checked": 0, "failures": 0},
+    }
+    assert err.startswith("Traceback") and "KeyError: 'lost'" in err
+    assert err.endswith("\norder validate: error\n")
+
+
 def test_decode_does_not_record_tie_break(tmp_path):
     poset = chain_poset(tmp_path)
     argv = ["lexcode", "decode", "--poset", poset, "--coded", "0,1,1"]
@@ -470,3 +497,74 @@ def test_named_items_must_be_names(tmp_path):
 def test_negative_sizes_and_bools_are_parse_errors(tmp_path, argv, name, doc):
     code, out, _ = run(argv + [name, write(tmp_path, "doc.json", doc)])
     assert (code, out) == (65, "")
+
+
+# ------------------------------------------------------ loading and parsing
+
+# the golden command a group is probed with -> the orderlab submodules one
+# `python -m orderlab.cli` call of it loads
+LOADED = {
+    "order validate": {"errors", "formats", "order"},
+    "lexcode encode": {"errors", "formats", "order", "trees", "lexcode"},
+    "wqo higman": {"errors", "formats", "order", "wqo"},
+    "barrier check": {"errors", "formats", "order", "wqo", "barrier"},
+    "tree live": {"errors", "formats", "order", "trees"},
+    "tree minimal": {"errors", "formats", "order", "trees", "lexcode"},
+    "menger solve": {"errors", "formats", "menger"},
+    "oracle star-law": {
+        "errors", "formats", "order", "lexcode", "trees", "wqo", "barrier", "menger",
+        "oracles", "suites",
+    },
+}
+
+
+# runs `python -m orderlab.cli <args>`, then prints the loaded orderlab submodules
+PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("orderlab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(*sorted(m for m in sys.modules if m.startswith("orderlab.")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", list(LOADED))
+def test_a_call_loads_only_the_modules_of_its_command(tmp_path, command):
+    golden, fill = golden_battery(tmp_path)
+    (case,) = [c for c in golden["commands"] if " ".join(c["argv"][:2]) == command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *fill(case["argv"])], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout) == (case["exit"], case["stdout"])
+    loaded = proc.stderr.splitlines()[-1].split()
+    assert {m.removeprefix("orderlab.") for m in loaded} == LOADED[command]
+
+
+def outcome(argv):
+    """Exit code, stdout and stderr of `cli.main`, also when argparse exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "group", [None, "order", "lexcode", "wqo", "barrier", "tree", "menger", "oracle"]
+)
+def test_a_one_group_parser_answers_as_the_full_parser(monkeypatch, group):
+    """``main`` builds only the parsers of the group its first argument
+    names; help, usage and errors read as with every parser built."""
+    lead = [group] if group else []
+    cases = [lead, lead + ["--help"], lead + ["bogus"]]
+    cases += [[*c.path.split(), "--help"] for c in cli._COMMANDS if c.path.split()[0] == group]
+    one_group = [outcome(argv) for argv in cases]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda group=None: full())
+    assert [outcome(argv) for argv in cases] == one_group

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlab.errors import CycleError, UnknownElement
+from orderlab.errors import CycleError, NotAQuasiOrder, UnknownElement
 from orderlab.order import (
     divisibility,
     finite_quasi_order,
@@ -118,9 +118,9 @@ def test_builtin_quasi_orders():
 def test_finite_quasi_order_enforces_axioms():
     q = finite_quasi_order((0, 1), [(0, 0), (1, 1), (0, 1)], "chain2")
     assert q.leq(0, 1) and not q.leq(1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotAQuasiOrder):
         finite_quasi_order((0, 1), [(0, 0)], "broken")
-    with pytest.raises(ValueError):
+    with pytest.raises(NotAQuasiOrder):
         finite_quasi_order(
             (0, 1, 2), [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)], "broken"
         )

@@ -3,7 +3,14 @@ import time
 
 import pytest
 
-from orderlab.errors import BadLetter, InvalidWitness, WellFounded
+from orderlab.errors import (
+    AlphabetMismatch,
+    BadLetter,
+    InvalidAutomaton,
+    InvalidLasso,
+    InvalidWitness,
+    WellFounded,
+)
 from orderlab.order import validate_poset
 from orderlab.trees import (
     LassoPath,
@@ -26,13 +33,13 @@ def loop_and_branch():
 
 
 def test_automaton_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidAutomaton):
         automaton(1, 0, 0, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidAutomaton):
         automaton(1, 1, 1, [])
     with pytest.raises(BadLetter):
         automaton(1, 1, 0, [(0, 3, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidAutomaton):
         automaton(2, 1, 0, [(0, 0, 0), (0, 0, 5)])
 
 
@@ -92,7 +99,7 @@ def test_live_states_on_a_long_dead_end_chain():
 
 
 def test_lasso_validation_and_expansion():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidLasso):
         LassoPath((), ())
     l = LassoPath((2,), (0, 1))
     assert l.take(5) == (2, 0, 1, 0, 1)
@@ -165,7 +172,7 @@ def test_minimal_path_prefers_order_not_ids():
 
 def test_minimal_path_requires_matching_alphabet():
     aut = automaton(2, 1, 0, [(0, 0, 0), (0, 1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(AlphabetMismatch):
         minimal_path(aut, validate_poset([], [0, 1, 2]))
     with pytest.raises(WellFounded):
         minimal_path(automaton(1, 1, 0, []), validate_poset([], [0]))

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from orderlab import oracles
-from orderlab.errors import InvalidNode, NegativeCount, PreconditionViolation, UnknownElement
+from orderlab.errors import (
+    InvalidNode,
+    InvalidTree,
+    NegativeCount,
+    PreconditionViolation,
+    UnknownElement,
+)
 from orderlab.order import (
     COMPILE_LIMIT,
     divisibility,
@@ -91,13 +97,13 @@ def anti2():
 
 
 def test_ktree_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidTree):
         KTree((0, -1), (0, 0))
     with pytest.raises(InvalidNode):
         KTree((-1, 5), (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidTree):
         KTree((-1,), (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidTree):
         KTree((-1, -1), (0, 0))
     t = KTree((-1, 0, 0), (0, 1, 0))
     assert t.size == 3 and t.root == 0
@@ -309,13 +315,13 @@ def test_subtree_and_key_on_a_long_path():
 @pytest.mark.parametrize(
     "parent, labels, exc, message",
     [
-        ((-1, 0), (0,), ValueError, "labels and parent array must have equal length"),
-        ((-1, -1), (0, 0), ValueError, "a tree has exactly one root"),
-        ((0, 1), (0, 0), ValueError, "a tree has exactly one root"),
+        ((-1, 0), (0,), InvalidTree, "labels and parent array must have equal length"),
+        ((-1, -1), (0, 0), InvalidTree, "a tree has exactly one root"),
+        ((0, 1), (0, 0), InvalidTree, "a tree has exactly one root"),
         ((-1, 5, 0), (0, 0, 0), InvalidNode, "parent of node 1 is out of range"),
         ((-1, 0, -2), (0, 0, 0), InvalidNode, "parent of node 2 is out of range"),
-        ((-1, 2, 1), (0, 0, 0), ValueError, "parent array contains a cycle"),
-        ((-1, 0, 3, 3), (0, 0, 0, 0), ValueError, "parent array contains a cycle"),
+        ((-1, 2, 1), (0, 0, 0), InvalidTree, "parent array contains a cycle"),
+        ((-1, 0, 3, 3), (0, 0, 0, 0), InvalidTree, "parent array contains a cycle"),
     ],
 )
 def test_ktree_rejects_malformed_parent_arrays(parent, labels, exc, message):
