@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import (
     EmptyBlock,
@@ -22,8 +22,9 @@ from .errors import (
     NotTriRelated,
     PreconditionViolation,
 )
-from .order import QuasiOrder
-from .wqo import higman_lift
+
+if TYPE_CHECKING:
+    from .order import QuasiOrder
 
 Block = tuple[int, ...]
 
@@ -147,7 +148,8 @@ def check_fragment(blocks: Iterable[Sequence[int]], window: int) -> FragmentChec
 
     Fails on structural violations.  Otherwise every increasing sequence
     from the base must reach a block prefix before running out of window;
-    sequences forced out of the window leave the verdict inconclusive.
+    sequences forced out of the window leave the verdict inconclusive, and
+    the search stops at the eighth of them.
     """
     checked = [tuple(b) for b in blocks]
     problems = sorted(message for _, message in _fragment_problems(checked, window))
@@ -164,13 +166,14 @@ def check_fragment(blocks: Iterable[Sequence[int]], window: int) -> FragmentChec
         extensions = [x for x in base if not seq or x > seq[-1]]
         if not extensions:
             uncovered.append(seq)
-            return
         for x in extensions:
+            if len(uncovered) == 8:
+                return
             walk(seq + (x,))
 
     walk(())
     if uncovered:
-        return FragmentCheck("inconclusive", (), tuple(uncovered[:8]))
+        return FragmentCheck("inconclusive", (), tuple(uncovered))
     return FragmentCheck("pass", (), ())
 
 
@@ -294,6 +297,7 @@ def nwt_improvement_step(
     is again a bad array, strictly below the input in the length order at
     the first block inside ``s``.
     """
+    from .wqo import higman_lift
     keep_s = frozenset(s)
     entries = arr.entries
     if not keep_s <= base_of(frag):

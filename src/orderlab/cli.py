@@ -34,11 +34,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _digest(path: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()[:16]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return hashlib.sha256(formats.read_bytes(path)).hexdigest()[:16]
 
 
 def _size(text: str) -> int:
@@ -128,35 +124,33 @@ def _lexcode_check_claims(a, _):
     from . import lexcode
     from .order import seq_less_by
     named, code = _load_code(a)
-    poset = named.poset
-    elems = poset.sorted_elements()
-    problems = []
-    checked = 0
+    elems = named.poset.sorted_elements()
 
-    for x, y in poset.lt:
-        checked += 1
-        if not seq_less_by(code.table[x], code.table[y], int.__lt__):
-            problems.append(
-                {"claim": "monotone", "below": named.to_name(x), "above": named.to_name(y)}
-            )
+    def checks():
+        for x, y in named.poset.lt:
+            if seq_less_by(code.table[x], code.table[y], int.__lt__):
+                yield None
+            else:
+                yield {"claim": "monotone", "below": named.to_name(x), "above": named.to_name(y)}
+        images = {x: lexcode.encode_element(code, x) for x in elems}
+        for x, y in itertools.permutations(elems, 2):
+            if images[y][: len(images[x])] == images[x]:
+                yield {
+                    "claim": "prefix-free", "prefix": named.to_name(x), "word": named.to_name(y)
+                }
+            else:
+                yield None
+        space = itertools.chain.from_iterable(
+            itertools.product(elems, repeat=r) for r in range(3)
+        )
+        for seq in itertools.islice(space, 300):
+            if lexcode.decode_path(code, lexcode.encode_seq(code, seq)) == seq:
+                yield None
+            else:
+                yield {"claim": "roundtrip", "seq": [named.to_name(x) for x in seq]}
 
-    images = {x: lexcode.encode_element(code, x) for x in elems}
-    for x, y in itertools.permutations(elems, 2):
-        checked += 1
-        if images[y][: len(images[x])] == images[x]:
-            problems.append(
-                {"claim": "prefix-free", "prefix": named.to_name(x), "word": named.to_name(y)}
-            )
-
-    space = itertools.chain.from_iterable(
-        itertools.product(elems, repeat=r) for r in range(3)
-    )
-    for seq in itertools.islice(space, 300):
-        checked += 1
-        if lexcode.decode_path(code, lexcode.encode_seq(code, seq)) != seq:
-            problems.append({"claim": "roundtrip", "seq": [named.to_name(x) for x in seq]})
-
-    return _holds(not problems), {"problems": problems[:8]}, checked, len(problems)
+    checked, problems = formats.tally(checks())
+    return _holds(not problems), {"problems": problems}, checked, len(problems)
 
 
 # ---------------------------------------------------------------- wqo
@@ -194,7 +188,7 @@ def _wqo_min_bad(a, spec):
     bound = a.bound
     if spec.named is not None:
         bound = min(bound, len(spec.named.names))
-    seq = wqo.min_bad_sequence(spec.q, int.__lt__, bound, a.length)
+    seq = wqo.min_bad_sequence(spec.q, bound, a.length)
     if seq is None:
         return "fail", {"found": False, "message": "no bad sequence"}
     return "pass", {"found": True, "seq": [spec.show_item(x) for x in seq]}

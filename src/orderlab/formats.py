@@ -1,4 +1,5 @@
-"""JSON document parsing for the CLI, and canonical serialisation.
+"""JSON document parsing for the CLI, canonical serialisation, and the
+tally of a run of checks.
 
 One parse layer with uniform errors: every loader raises `ParseError` with
 the offending location.  Named poset elements are interned to dense ids in
@@ -8,6 +9,7 @@ a command loads only the modules its documents need.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -20,12 +22,35 @@ if TYPE_CHECKING:
     from .trees import LassoPath, TreeAutomaton
 
 
-def read_json(path: str) -> object:
+MAX_FAILURES = 8
+
+
+def tally(checks) -> tuple[int, list]:
+    """Run the generator ``checks``, which yields None for a passing check
+    and a failure record otherwise, until it ends or yields its
+    `MAX_FAILURES`-th failure record, then close it.  Returns the number of
+    checks made and the failure records."""
+    checked = 0
+    failures: list = []
+    with contextlib.closing(checks):
+        for checked, record in enumerate(checks, 1):
+            if record is not None:
+                failures.append(record)
+                if len(failures) == MAX_FAILURES:
+                    break
+    return checked, failures
+
+
+def read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path: str) -> object:
+    raw = read_bytes(path)
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:

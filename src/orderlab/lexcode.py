@@ -10,11 +10,13 @@ the element of each block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import AlphabetMismatch, MalformedCode, UnknownTieBreak
-from .order import Poset
-from .trees import TreeAutomaton
+
+if TYPE_CHECKING:
+    from .order import Poset
+    from .trees import TreeAutomaton
 
 TIE_BREAKS = ("smallest-id", "largest-id")
 
@@ -110,6 +112,7 @@ def lift_tree(code: LexCode, aut: TreeAutomaton) -> TreeAutomaton:
     code blocks, sharing common prefixes per source state.  The alphabet
     covers every digit that occurs in a prefix-free code.
     """
+    from .trees import TreeAutomaton
     if frozenset(range(aut.alphabet_size)) != code.order.elements:
         raise AlphabetMismatch("tree alphabet must equal the coded order's elements")
     words = {a: code.table[a] + (a,) for a in range(aut.alphabet_size)}

@@ -5,9 +5,9 @@ A suite is written as a generator function of ``seed`` that yields one item
 per check: ``None`` when the check passes, or a failure record (a dict
 naming the counterexample) when it fails.  `_suite` registers it in
 `SUITES` and binds its name to a function ``seed -> SuiteResult``; that
-function hands the generator to one runner, which counts the checks, keeps
-the failure records and stops at the eighth failure, closing the generator.
-``checked`` is then the number of checks made.
+function hands the generator to `formats.tally`, which counts the checks,
+keeps the failure records and stops at the eighth failure, closing the
+generator.  ``checked`` is then the number of checks made.
 
 Suites are deterministic given ``seed``.  The registry `SUITES`, in
 definition order, is what the command line exposes.
@@ -35,22 +35,11 @@ class SuiteResult:
     notes: dict = field(default_factory=dict)
 
 
-MAX_FAILURES = 8
-
 SUITES: dict = {}
 
 
 def _run(name: str, checks, notes: dict) -> SuiteResult:
-    """Run the generator ``checks`` until it ends or yields its
-    `MAX_FAILURES`-th failure record, then close it."""
-    checked = 0
-    failures: list = []
-    with contextlib.closing(checks):
-        for checked, record in enumerate(checks, 1):
-            if record is not None:
-                failures.append(record)
-                if len(failures) == MAX_FAILURES:
-                    break
+    checked, failures = formats.tally(checks)
     verdict = "fail" if failures else "pass"
     return SuiteResult(name, verdict, checked, tuple(failures), dict(notes))
 

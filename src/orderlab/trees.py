@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     AlphabetMismatch,
@@ -20,7 +20,9 @@ from .errors import (
     MalformedCode,
     WellFounded,
 )
-from .order import Poset
+
+if TYPE_CHECKING:
+    from .order import Poset
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,6 @@ class LassoPath:
 
     def take(self, n: int) -> tuple[int, ...]:
         return tuple(self.item(i) for i in range(n))
-
-    def description_size(self) -> int:
-        return len(self.prefix) + len(self.cycle)
 
 
 def _primitive(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -245,7 +244,7 @@ def minimal_path(aut: TreeAutomaton, alphabet_order: Poset) -> LassoPath:
     integer sequences, lift the tree to coded words, take the leftmost path
     of the lift, and decode it block by block.
     """
-    from . import lexcode  # deferred: lexcode builds lifted automata from this module
+    from . import lexcode  # deferred: the other tree commands never load lexcode
 
     if alphabet_order.elements != frozenset(range(aut.alphabet_size)):
         raise AlphabetMismatch("alphabet order must cover exactly the automaton's alphabet")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import InvalidNode, InvalidTree, NegativeCount, PreconditionViolation, UnknownElement
 from .order import QuasiOrder
@@ -79,19 +79,15 @@ def is_bad(seq: Sequence, q: QuasiOrder) -> Optional[tuple[int, int]]:
 
 
 def min_bad_sequence(
-    q: QuasiOrder,
-    size_less: Callable[[Hashable, Hashable], bool],
-    universe_bound: int,
-    length: int,
+    q: QuasiOrder, universe_bound: int, length: int
 ) -> Optional[tuple[int, ...]]:
-    """A bad sequence of the given length that no other bad sequence of the
-    same length undercuts in the sequence order induced by ``size_less``.
+    """The lexicographically least bad sequence of the given length over
+    ``0 .. universe_bound - 1``, or None if there is none.
 
-    Depth-first search in ascending item order finds an initial bad
-    sequence; repeated searches for a strictly smaller one (pruned at the
-    first divergence from the incumbent) converge because the sequence
-    order is well founded on a finite space.  Raises `NegativeCount` when
-    ``universe_bound`` or ``length`` is negative.
+    Depth-first search in ascending item order extends only bad prefixes, and
+    every prefix of a bad sequence is bad, so the first sequence it completes
+    is the least.  Raises `NegativeCount` when ``universe_bound`` or
+    ``length`` is negative.
     """
     for name, count in (("universe_bound", universe_bound), ("length", length)):
         if count < 0:
@@ -99,42 +95,18 @@ def min_bad_sequence(
     universe = [x for x in range(universe_bound) if q.contains(x)]
     leq = q.leq
 
-    def find(incumbent: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
-        # When chasing an incumbent, a prefix is viable while it equals the
-        # incumbent so far or already went below it at the divergence point.
-        def dfs(prefix: tuple[int, ...], undecided: bool) -> Optional[tuple[int, ...]]:
-            if len(prefix) == length:
-                return None if undecided else prefix
-            pos = len(prefix)
-            for v in universe:
-                if any(leq(p, v) for p in prefix):
-                    continue
-                if incumbent is None:
-                    nxt = False
-                elif undecided:
-                    if v == incumbent[pos]:
-                        nxt = True
-                    elif size_less(v, incumbent[pos]):
-                        nxt = False
-                    else:
-                        continue
-                else:
-                    nxt = False
-                found = dfs(prefix + (v,), nxt)
-                if found is not None:
-                    return found
-            return None
-
-        return dfs((), incumbent is not None)
-
-    incumbent = find(None)
-    if incumbent is None:
+    def dfs(prefix: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        if len(prefix) == length:
+            return prefix
+        for v in universe:
+            if any(leq(p, v) for p in prefix):
+                continue
+            found = dfs(prefix + (v,))
+            if found is not None:
+                return found
         return None
-    while True:
-        better = find(incumbent)
-        if better is None:
-            return incumbent
-        incumbent = better
+
+    return dfs(())
 
 
 def nash_williams_step(

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +136,60 @@ def test_check_fragment_verdicts():
     assert (2,) in inconclusive.uncovered
     failed = check_fragment([(0,), (0, 1)], 2)
     assert failed.verdict == "fail" and failed.problems
+
+
+def uncovered_by_full_walk(blocks, window):
+    """Every increasing sequence over the base that leaves the window before
+    it reaches a block, in depth-first order: the walk `check_fragment` made
+    before it stopped at the eighth such sequence."""
+    blockset = set(blocks)
+    base = sorted({x for b in blockset for x in b})
+    out = []
+
+    def walk(seq):
+        if seq in blockset:
+            return
+        extensions = [x for x in base if not seq or x > seq[-1]]
+        if not extensions:
+            out.append(seq)
+        for x in extensions:
+            walk(seq + (x,))
+
+    walk(())
+    return out
+
+
+def test_check_fragment_reports_the_first_eight_uncovered_sequences():
+    rng = random.Random(0)
+    cases = [([tuple(range(w))], w) for w in range(11)]
+    cases += [(uniform_fragment(k, w).blocks, w) for w in range(7) for k in range(1, w + 1)]
+    for _ in range(2000):
+        window = rng.randint(0, 7)
+        pool = [b for r in range(1, 4) for b in itertools.combinations(range(window), r)]
+        cases.append((rng.sample(pool, min(len(pool), rng.randint(1, 6))), window))
+    for blocks, window in cases:
+        try:
+            fragment(blocks, window)
+        except OrderlabError:
+            continue
+        expected = uncovered_by_full_walk(blocks, window)[:8]
+        report = check_fragment(blocks, window)
+        assert report.verdict == ("inconclusive" if expected else "pass"), (blocks, window)
+        assert report.uncovered == tuple(expected), (blocks, window)
+
+
+def test_check_fragment_stops_early_on_a_long_block():
+    # The walk descends the block's own path first, so the first eight
+    # uncovered sequences share the prefix 0 .. 27 and then run as they do
+    # for the block range(12), shifted up by 28.
+    start = time.perf_counter()
+    report = check_fragment([tuple(range(40))], 40)
+    assert time.perf_counter() - start < 1.0
+    tails = uncovered_by_full_walk([tuple(range(12))], 12)[:8]
+    assert report.verdict == "inconclusive"
+    assert report.uncovered == tuple(
+        tuple(range(28)) + tuple(x + 28 for x in tail) for tail in tails
+    )
 
 
 def test_classify_array_examples():

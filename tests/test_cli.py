@@ -161,6 +161,25 @@ def test_lexcode_check_claims(tmp_path):
     assert report["counters"]["checked"] > 9
 
 
+def test_lexcode_check_claims_stops_at_the_eighth_failure(tmp_path, monkeypatch):
+    from orderlab import lexcode
+
+    def one_word(order, tie_break):
+        elems = order.sorted_elements()
+        return lexcode.LexCode(order, {x: (1,) for x in elems}, elems)
+
+    # every pair of a 5-chain breaks monotonicity: 10 failures before the cap
+    monkeypatch.setattr(lexcode, "encode_order", one_word)
+    names = list("abcde")
+    chain = {"elements": names, "lt": [[x, y] for x, y in zip(names, names[1:])]}
+    poset = write(tmp_path, "chain5.json", chain)
+    code, out, _ = run(["lexcode", "check-claims", "--poset", poset])
+    report = json.loads(out)
+    assert code == 1
+    assert report["counters"] == {"checked": 8, "failures": 8}
+    assert [p["claim"] for p in report["details"]["problems"]] == ["monotone"] * 8
+
+
 def test_wqo_higman_and_bad():
     code, out, _ = run(["wqo", "higman", "--q", "nat-leq", "--left", "1,2", "--right", "0,1,3"])
     assert code == 0 and json.loads(out)["details"] == {"embeds": True}
@@ -505,10 +524,13 @@ def test_negative_sizes_and_bools_are_parse_errors(tmp_path, argv, name, doc):
 # `python -m orderlab.cli` call of it loads
 LOADED = {
     "order validate": {"errors", "formats", "order"},
-    "lexcode encode": {"errors", "formats", "order", "trees", "lexcode"},
+    "lexcode encode": {"errors", "formats", "order", "lexcode"},
     "wqo higman": {"errors", "formats", "order", "wqo"},
-    "barrier check": {"errors", "formats", "order", "wqo", "barrier"},
-    "tree live": {"errors", "formats", "order", "trees"},
+    "barrier check": {"errors", "formats", "barrier"},
+    "barrier tri": {"errors", "formats", "barrier"},
+    "barrier classify": {"errors", "formats", "order", "barrier"},
+    "tree live": {"errors", "formats", "trees"},
+    "tree leftmost": {"errors", "formats", "trees"},
     "tree minimal": {"errors", "formats", "order", "trees", "lexcode"},
     "menger solve": {"errors", "formats", "menger"},
     "oracle star-law": {

@@ -77,11 +77,30 @@ def test_the_package_loads_a_submodule_on_first_use():
             "print(loaded())",
         ]
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-    ).stdout
-    assert out.splitlines() == [
+    assert run_probe(probe).splitlines() == [
         "['orderlab']",
         "['orderlab', 'orderlab.errors', 'orderlab.menger']",
     ]
+    # a submodule loads only what it calls at import time, not what it annotates
+    for module, loaded in {
+        "lexcode": {"errors", "lexcode"},
+        "trees": {"errors", "trees"},
+        "barrier": {"errors", "barrier"},
+        "wqo": {"errors", "order", "wqo"},
+    }.items():
+        probe = "\n".join(
+            [
+                "import sys",
+                f"import orderlab.{module}",
+                "print(*[m[9:] for m in sys.modules if m.startswith('orderlab.')])",
+            ]
+        )
+        assert set(run_probe(probe).split()) == loaded, module
+
+
+def run_probe(probe: str) -> str:
+    """The stdout of ``probe`` run by a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    ).stdout

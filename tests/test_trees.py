@@ -103,7 +103,6 @@ def test_lasso_validation_and_expansion():
         LassoPath((), ())
     l = LassoPath((2,), (0, 1))
     assert l.take(5) == (2, 0, 1, 0, 1)
-    assert l.description_size() == 3
 
 
 def test_canonical_lasso():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -54,15 +56,36 @@ def test_is_bad_divisibility_chain():
 
 
 def test_min_bad_sequence_frozen():
-    assert min_bad_sequence(natural_equality(), int.__lt__, 5, 3) == (0, 1, 2)
-    assert min_bad_sequence(natural_order(), int.__lt__, 5, 3) == (2, 1, 0)
-    assert min_bad_sequence(natural_order(), int.__lt__, 5, 6) is None
+    assert min_bad_sequence(natural_equality(), 5, 3) == (0, 1, 2)
+    assert min_bad_sequence(natural_order(), 5, 3) == (2, 1, 0)
+    assert min_bad_sequence(natural_order(), 5, 6) is None
+
+
+def test_min_bad_sequence_is_the_least_bad_sequence():
+    # itertools.product enumerates each length in lexicographic order.
+    for q in oracles.quasi_orders_upto(3):
+        for bound in range(5):
+            universe = [x for x in range(bound) if q.contains(x)]
+            for length in range(5):
+                least = next(
+                    (
+                        seq
+                        for seq in itertools.product(universe, repeat=length)
+                        if not any(
+                            q.leq(seq[i], seq[j])
+                            for i in range(length)
+                            for j in range(i + 1, length)
+                        )
+                    ),
+                    None,
+                )
+                assert min_bad_sequence(q, bound, length) == least, (q.name, bound, length)
 
 
 @pytest.mark.parametrize("universe_bound, length", [(-1, 3), (5, -1)])
 def test_min_bad_sequence_rejects_negative_counts(universe_bound, length):
     with pytest.raises(NegativeCount):
-        min_bad_sequence(natural_equality(), int.__lt__, universe_bound, length)
+        min_bad_sequence(natural_equality(), universe_bound, length)
 
 
 def test_nash_williams_step_frozen():
