@@ -122,14 +122,6 @@ def union_block(b: Sequence[int], c: Sequence[int]) -> Block:
     return union
 
 
-def restrict(frag: BarrierFragment, subset: Iterable[int]) -> BarrierFragment:
-    """Blocks whose range lies inside ``subset``; the window is unchanged."""
-    keep = set(subset)
-    return BarrierFragment(
-        frag.window, frozenset(b for b in frag.blocks if set(b) <= keep)
-    )
-
-
 def star_fragment(frag: BarrierFragment) -> BarrierFragment:
     """Unions of all tri-related block pairs, over the same window."""
     unions = (_tri_union(b, c) for b in frag.blocks for c in frag.blocks)
@@ -185,14 +177,21 @@ class PartialArray:
 
 
 def array_of(entries: Iterable[tuple[Sequence[int], Hashable]]) -> PartialArray:
-    out = []
-    for b, v in entries:
-        out.append((_require_block(b), v))
-    return PartialArray(tuple(out))
+    """Validated array: increasing blocks, each at most once."""
+    out = tuple((_require_block(b), v) for b, v in entries)
+    if len({b for b, _ in out}) != len(out):
+        raise InvalidArray("array blocks must be distinct to form a map")
+    return PartialArray(out)
 
 
-def _tri_pairs(arr: PartialArray):
-    entries = arr.entries
+def _require_entry(b: Block, v: Hashable, frag: BarrierFragment, q: QuasiOrder) -> None:
+    """Raise unless block ``b`` is in ``frag`` and value ``v`` is in ``q``."""
+    if b not in frag.blocks:
+        raise InvalidArray(f"block {b} is not in the fragment")
+    q.require(v)
+
+
+def _tri_pairs(entries: Sequence[tuple[Block, Hashable]]):
     for i, (b, v) in enumerate(entries):
         for j, (c, w) in enumerate(entries):
             if i != j and _tri_union(b, c) is not None:
@@ -205,15 +204,10 @@ def classify_array(arr: PartialArray, frag: BarrierFragment, q: QuasiOrder) -> f
     With no tri-related pair at all the array is vacuously bad and perfect
     at once, and both labels are reported.
     """
-    blocks = [b for b, _ in arr.entries]
-    if len(set(blocks)) != len(blocks):
-        raise InvalidArray("array blocks must be distinct to form a map")
     for b, v in arr.entries:
-        if b not in frag.blocks:
-            raise InvalidArray(f"block {b} is not in the fragment")
-        q.require(v)
+        _require_entry(b, v, frag, q)
     total = hits = 0
-    for _, _, v, w in _tri_pairs(arr):
+    for _, _, v, w in _tri_pairs(arr.entries):
         total += 1
         hits += bool(q.leq(v, w))
     if total == 0:
@@ -238,14 +232,12 @@ def bad_array_violations(
     for b, v in entries:
         if not b:
             raise EmptyBlock("arrays over a barrier use non-empty blocks")
-        if b not in frag.blocks:
-            raise InvalidArray(f"block {b} is not in the fragment")
-        q.require(v)
+        _require_entry(b, v, frag, q)
     violations: list[str] = []
     for i in range(len(entries) - 1):
         if max(entries[i][0]) > max(entries[i + 1][0]):
             violations.append(f"maxima-decrease at entries {i},{i + 1}")
-    for i, j, v, w in _tri_pairs(arr):
+    for i, j, v, w in _tri_pairs(entries):
         if q.leq(v, w):
             violations.append(f"dominated-tri-pair at entries {i},{j}")
     if entries:
@@ -314,8 +306,8 @@ def nwt_improvement_step(
     inside = [i for i, (b, _) in enumerate(entries) if set(b) <= keep_s]
     if not inside:
         raise PreconditionViolation("s-meets-blocks", "no entry block lies inside s")
-    finals = array_of((entries[i][0], entries[i][1][-1]) for i in inside)
-    if "perfect" not in classify_array(finals, restrict(frag, keep_s), q):
+    finals = [(entries[i][0], entries[i][1][-1]) for i in inside]
+    if not all(q.leq(v, w) for _, _, v, w in _tri_pairs(finals)):
         raise PreconditionViolation(
             "perfect-on-s", "final labels on s are not pairwise dominated"
         )

@@ -247,8 +247,8 @@ def _barrier_array_check(a, spec):
     from . import barrier, wqo
     frag, arr = _frag_and_array(a, spec, sequences=True)
     violations = barrier.bad_array_violations(arr, frag, wqo.higman_lift(spec.q))
-    details = {"violations": list(violations)[:8]}
-    return _holds(not violations), details, max(1, len(arr.entries)), len(violations)
+    listed = list(violations[: formats.MAX_FAILURES])
+    return _holds(not listed), {"violations": listed}, max(1, len(arr.entries)), len(listed)
 
 
 def _barrier_nwt_step(a, spec):

@@ -44,6 +44,15 @@ class MengerGraph:
             adj[v].append(u)
         return {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
+    @functools.cached_property
+    def ab_paths(self) -> tuple[Path, ...]:
+        """All simple paths from a source to a sink, sorted by length then
+        lexicographically, built on first use."""
+        adj = self.adjacency
+        found = [p for a in sorted(self.A) for p in _simple_paths(adj, a) if p[-1] in self.B]
+        found.sort(key=lambda p: (len(p), p))
+        return tuple(found)
+
 
 def graph(
     n: int, edges: Iterable[Sequence[int]], a: Iterable[int], b: Iterable[int]
@@ -86,14 +95,6 @@ def _simple_paths(
     return out
 
 
-def enumerate_ab_paths(g: MengerGraph) -> tuple[Path, ...]:
-    """All simple paths from a source to a sink, sorted by length then
-    lexicographically."""
-    found = [p for a in sorted(g.A) for p in _simple_paths(g.adjacency, a) if p[-1] in g.B]
-    found.sort(key=lambda p: (len(p), p))
-    return tuple(found)
-
-
 def is_separator(g: MengerGraph, c: Iterable[int]) -> bool:
     """Whether every source-to-sink path meets ``c``.
 
@@ -120,22 +121,25 @@ class Warp:
 
     paths: tuple[Path, ...]
 
+    @functools.cached_property
+    def vertices(self) -> frozenset[int]:
+        """The vertices on the paths, built on first use."""
+        return frozenset(v for p in self.paths for v in p)
+
+    @functools.cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges along the paths as (smaller, larger) vertex pairs,
+        built on first use."""
+        return frozenset(
+            (min(p[i], p[i + 1]), max(p[i], p[i + 1]))
+            for p in self.paths
+            for i in range(len(p) - 1)
+        )
+
 
 def warp_of(paths: Iterable[Sequence[int]]) -> Warp:
     """Canonical form: paths sorted by their starting vertex."""
     return Warp(tuple(sorted(tuple(p) for p in paths)))
-
-
-def warp_vertices(w: Warp) -> frozenset[int]:
-    return frozenset(v for p in w.paths for v in p)
-
-
-def warp_edges(w: Warp) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        (min(p[i], p[i + 1]), max(p[i], p[i + 1]))
-        for p in w.paths
-        for i in range(len(p) - 1)
-    )
 
 
 def _path_problem(g: MengerGraph, p: Path) -> Optional[str]:
@@ -187,7 +191,7 @@ def is_wave(g: MengerGraph, w: Warp) -> bool:
 
 def wave_leq(w: Warp, y: Warp) -> bool:
     """Subgraph order: every vertex and edge of ``w`` appears in ``y``."""
-    return warp_vertices(w) <= warp_vertices(y) and warp_edges(w) <= warp_edges(y)
+    return w.vertices <= y.vertices and w.edges <= y.edges
 
 
 def enumerate_warps(g: MengerGraph) -> list[Warp]:
@@ -346,20 +350,18 @@ def _path_prefixes(w: Warp) -> dict[int, Path]:
     return out
 
 
-def encode_wave(
-    g: MengerGraph, wave: Warp, paths: Optional[Sequence[Path]] = None
-) -> tuple[Label, ...]:
-    """Labelled sequence describing a wave against the path enumeration.
+def encode_wave(g: MengerGraph, wave: Warp) -> tuple[Label, ...]:
+    """Labelled sequence describing a wave against the path enumeration
+    ``g.ab_paths``.
 
     Even slot ``2i`` tells how vertex ``i`` is covered; odd slot ``2i+1``
     records which wave vertices meet enumerated path ``i``.  Slots past the
     shorter enumeration are filled with ``(0, 0)``.
     """
-    if paths is None:
-        paths = enumerate_ab_paths(g)
+    paths = g.ab_paths
     if not is_wave(g, wave):
         raise NotAWave("only waves are encoded")
-    covered = warp_vertices(wave)
+    covered = wave.vertices
     prefixes = _path_prefixes(wave)
     top = max(g.n, len(paths))
     out: list[Label] = []
@@ -403,11 +405,9 @@ def _check_path_label(g: MengerGraph, q: Path, end: int) -> bool:
     return bool(q) and q[-1] == end and _path_problem(g, q) is None
 
 
-def _read_coding(
-    g: MengerGraph, seq: Sequence[Label], paths: Sequence[Path]
-) -> Optional[tuple[dict[int, Path], dict[int, frozenset[int]]]]:
-    """The cover labels of ``seq`` by vertex and its meet labels by path
-    index, or None when a label does not fit its slot.
+def _coding_covers(g: MengerGraph, seq: Sequence[Label]) -> Optional[dict[int, Path]]:
+    """The cover labels of ``seq`` by vertex when ``seq`` is a node of the
+    wave-coding tree, or None when it is not.
 
     Even slot ``2v`` holds a blank or a warp-path prefix ending at ``v``.
     Odd slot ``2i+1`` holds a blank past the path enumeration, and before
@@ -415,6 +415,10 @@ def _read_coding(
     read left to right, so a malformed one is reported only if every slot
     before it fits.
     """
+    paths = g.ab_paths
+    top = max(g.n, len(paths))
+    if len(seq) > 2 * top:
+        return None
     covers: dict[int, Path] = {}
     meets: dict[int, frozenset[int]] = {}
     for k, label in enumerate(seq):
@@ -434,7 +438,21 @@ def _read_coding(
             if not chosen or not chosen <= set(paths[i]):
                 return None
             meets[i] = chosen
-    return covers, meets
+    # pairwise coherence of the covering paths
+    for i, j in itertools.combinations(sorted(covers), 2):
+        qi, qj = covers[i], covers[j]
+        if set(qi) & set(qj):
+            if qi != qj[: len(qi)] and qj != qi[: len(qj)]:
+                return None
+    # the sources and every vertex a label names are covered, where present
+    named = set(g.A).union(*covers.values(), *meets.values())
+    if any(2 * v < len(seq) and seq[2 * v] == (0, 0) for v in named):
+        return None
+    if len(seq) == 2 * top:
+        ends = _maximal_covers(covers)
+        if any(chosen.isdisjoint(ends) for chosen in meets.values()):
+            return None
+    return covers
 
 
 def _maximal_covers(covers: dict[int, Path]) -> dict[int, Path]:
@@ -444,50 +462,22 @@ def _maximal_covers(covers: dict[int, Path]) -> dict[int, Path]:
     return {v: q for v, q in covers.items() if q not in inner}
 
 
-def wave_seq_valid(
-    g: MengerGraph, seq: Sequence[Label], paths: Optional[Sequence[Path]] = None
-) -> bool:
+def wave_seq_valid(g: MengerGraph, seq: Sequence[Label]) -> bool:
     """Whether ``seq`` is a node of the wave-coding tree (a valid prefix).
 
     Checks every condition that mentions only the positions present; the
     terminal-vertex condition on the meet-sets applies to complete
     sequences only.
     """
-    if paths is None:
-        paths = enumerate_ab_paths(g)
-    top = max(g.n, len(paths))
-    if len(seq) > 2 * top:
-        return False
-    read = _read_coding(g, seq, paths)
-    if read is None:
-        return False
-    covers, meets = read
-    # pairwise coherence of the covering paths
-    for i, j in itertools.combinations(sorted(covers), 2):
-        qi, qj = covers[i], covers[j]
-        if set(qi) & set(qj):
-            if qi != qj[: len(qi)] and qj != qi[: len(qj)]:
-                return False
-    # the sources and every vertex a label names are covered, where present
-    named = set(g.A).union(*covers.values(), *meets.values())
-    if any(2 * v < len(seq) and seq[2 * v] == (0, 0) for v in named):
-        return False
-    if len(seq) == 2 * top:
-        ends = _maximal_covers(covers)
-        return all(not chosen.isdisjoint(ends) for chosen in meets.values())
-    return True
+    return _coding_covers(g, seq) is not None
 
 
-def decode_wave(
-    g: MengerGraph, seq: Sequence[Label], paths: Optional[Sequence[Path]] = None
-) -> Warp:
+def decode_wave(g: MengerGraph, seq: Sequence[Label]) -> Warp:
     """Rebuild the wave from a complete valid coding sequence."""
-    if paths is None:
-        paths = enumerate_ab_paths(g)
-    top = max(g.n, len(paths))
-    if len(seq) != 2 * top or not wave_seq_valid(g, seq, paths):
+    complete = len(seq) == 2 * max(g.n, len(g.ab_paths))
+    covers = _coding_covers(g, seq) if complete else None
+    if covers is None:
         raise InvalidSequence("not a complete valid wave coding")
-    covers, _ = _read_coding(g, seq, paths)
     wave = warp_of(_maximal_covers(covers).values())
     if not is_wave(g, wave):
         raise InvalidSequence("decoded warp is not a wave")

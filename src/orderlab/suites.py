@@ -566,20 +566,19 @@ def wave_coding(seed):
             for a, b in assignments:
                 instances.append(menger.graph(n, edges, a, b))
     for g in instances:
-        paths = menger.enumerate_ab_paths(g)
         waves = menger.enumerate_waves(g).waves
         coded = []
         seen: dict = {}
         for w in waves:
-            seq = menger.encode_wave(g, w, paths)
+            seq = menger.encode_wave(g, w)
             problems = []
-            if not menger.wave_seq_valid(g, seq, paths):
+            if not menger.wave_seq_valid(g, seq):
                 problems.append(f"encoding of {w.paths} is not valid")
             else:
                 if seq in seen:
                     problems.append(f"collision between {seen[seq].paths} and {w.paths}")
                 seen[seq] = w
-                if menger.decode_wave(g, seq, paths) != w:
+                if menger.decode_wave(g, seq) != w:
                     problems.append(f"decode does not invert encode on {w.paths}")
                 coded.append((w, seq))
             yield {"graph": formats.graph_to_doc(g), "problems": problems} if problems else None

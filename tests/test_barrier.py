@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlab import oracles
 from orderlab.barrier import (
     BarrierFragment,
     array_of,
@@ -16,7 +18,6 @@ from orderlab.barrier import (
     classify_array,
     fragment,
     nwt_improvement_step,
-    restrict,
     star_fragment,
     uniform_fragment,
     union_block,
@@ -32,6 +33,7 @@ from orderlab.errors import (
     PreconditionViolation,
 )
 from orderlab.order import natural_equality, natural_order
+from orderlab.wqo import higman_lift
 
 
 def test_block_tri_examples():
@@ -87,9 +89,6 @@ def test_fragment_raises_exactly_when_the_check_fails(blocks, window):
 def test_base_and_restrict():
     frag = uniform_fragment(2, 4)
     assert base_of(frag) == frozenset({0, 1, 2, 3})
-    assert restrict(frag, {0, 2}).blocks == frozenset({(0, 2)})
-    assert restrict(frag, base_of(frag)) == frag
-    assert restrict(frag, ()).blocks == frozenset()
 
 
 def test_union_block_is_the_range_union_exactly_on_tri_pairs():
@@ -270,3 +269,70 @@ def test_nwt_improvement_step_clauses():
         with pytest.raises(PreconditionViolation) as err:
             nwt_improvement_step(array_of(entries), s, singles, eq)
         assert err.value.clause == clause
+
+
+def reference_nwt_step(arr, s, frag, q):
+    """The array step with its perfect-on-s precondition read as a
+    classification: the final items of the entries inside ``s``, over the
+    fragment restricted to ``s``, must form a perfect array."""
+    keep_s = frozenset(s)
+    entries = arr.entries
+    if not keep_s <= base_of(frag):
+        raise PreconditionViolation("s-in-base", "s must be a subset of the base")
+    violations = bad_array_violations(arr, frag, higman_lift(q))
+    if violations:
+        raise PreconditionViolation("bad-array", "; ".join(violations[:4]))
+    if any(not isinstance(v, tuple) or not v for _, v in entries):
+        raise PreconditionViolation("values-non-empty", "a value is not a non-empty tuple")
+    inside = [i for i, (b, _) in enumerate(entries) if set(b) <= keep_s]
+    if not inside:
+        raise PreconditionViolation("s-meets-blocks", "no entry block lies inside s")
+    inner = frozenset(b for b in frag.blocks if set(b) <= keep_s)
+    restricted = BarrierFragment(frag.window, inner)
+    finals = array_of((entries[i][0], entries[i][1][-1]) for i in inside)
+    if "perfect" not in classify_array(finals, restricted, q):
+        raise PreconditionViolation("perfect-on-s", "final labels are not pairwise dominated")
+    widened = keep_s.union(*(b for b, _ in entries[: inside[0]]))
+    return tuple(
+        (b, v[:-1]) if set(b) <= keep_s else (b, v) for b, v in entries if set(b) <= widened
+    )
+
+
+def test_nwt_improvement_step_matches_the_classifying_reference():
+    rng = random.Random(2009)
+    pool = oracles.quasi_orders_upto(3)
+    outcomes = collections.Counter()
+    for round_ in range(300):
+        k = 1 + round_ % 2
+        window = rng.randint(k + 1, 5)
+        q = rng.choice(pool)
+        items = list(q.elements)
+        frag = uniform_fragment(k, window)
+        entries = oracles.planted_bad_array(rng, k, window, items)
+        if round_ % 3 == 1:
+            # fresh final items keep the array bad but can break perfect-on-s
+            entries = [(b, v[:-1] + (rng.choice(items),)) for b, v in entries]
+        elif round_ % 3 == 2:
+            blocks = sorted(frag.blocks)
+            blocks = rng.sample(blocks, rng.randint(1, min(4, len(blocks))))
+            entries = [
+                (b, tuple(rng.choice(items) for _ in range(rng.randint(0, 3)))) for b in blocks
+            ]
+        covered = sorted({x for b, _ in entries for x in b})
+        if round_ % 2:
+            s = covered[rng.randrange(len(covered)):]
+        else:
+            s = rng.sample(covered, min(2, len(covered)))
+        arr = array_of(entries)
+        try:
+            expected = reference_nwt_step(arr, s, frag, q)
+        except PreconditionViolation as exc:
+            expected = exc.clause
+        try:
+            got = nwt_improvement_step(arr, s, frag, q).entries
+        except PreconditionViolation as exc:
+            got = exc.clause
+        assert got == expected, (q.name, entries, s)
+        kind = expected if isinstance(expected, str) else "returned"
+        outcomes[kind] += 1
+    assert outcomes["perfect-on-s"] >= 20 and outcomes["returned"] >= 20, outcomes

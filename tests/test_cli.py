@@ -241,6 +241,33 @@ def test_barrier_nwt_step(tmp_path):
     }
 
 
+def test_barrier_array_check_stops_at_the_eighth_violation(tmp_path):
+    frag = write(tmp_path, "frag.json", {"uniform": 1, "window": 10})
+    # every one of the 45 tri-related pairs is dominated
+    arr = write(tmp_path, "seqarr.json", {"entries": [[[i], [1]] for i in range(10)]})
+    code, out, _ = run(["barrier", "array-check", "--frag", frag, "--array", arr, "--q", "nat-eq"])
+    report = json.loads(out)
+    assert code == 1
+    assert report["counters"] == {"checked": 10, "failures": 8}
+    assert len(report["details"]["violations"]) == 8
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["classify"], 1),
+        (["array-check"], [1]),
+        (["nwt-step", "--s", "0"], [1]),
+    ],
+    ids=["classify", "array-check", "nwt-step"],
+)
+def test_an_array_that_repeats_a_block_is_malformed(tmp_path, argv, value):
+    frag = write(tmp_path, "frag.json", {"uniform": 1, "window": 3})
+    arr = write(tmp_path, "arr.json", {"entries": [[[0], value], [[0], value]]})
+    command = ["barrier", argv[0], "--frag", frag, "--array", arr, "--q", "nat-eq", *argv[1:]]
+    assert run(command)[:2] == (65, "")
+
+
 def test_tree_commands(tmp_path):
     aut = write(
         tmp_path, "aut.json", {"alphabet": 1, "states": 1, "start": 0, "delta": [[0, 0, 0]]}

@@ -23,7 +23,6 @@ from orderlab.menger import (
     _check_path_label,
     decode_wave,
     encode_wave,
-    enumerate_ab_paths,
     enumerate_waves,
     graph,
     is_separator,
@@ -64,10 +63,10 @@ def test_graph_validation():
 
 
 def test_enumerate_ab_paths():
-    assert enumerate_ab_paths(path3()) == ((0, 1, 2),)
+    assert path3().ab_paths == ((0, 1, 2),)
     shared = graph(1, [], [0], [0])
-    assert enumerate_ab_paths(shared) == ((0,),)
-    assert enumerate_ab_paths(diamond()) == ((0, 1, 3), (0, 2, 3))
+    assert shared.ab_paths == ((0,),)
+    assert diamond().ab_paths == ((0, 1, 3), (0, 2, 3))
 
 
 def test_is_separator():
@@ -282,6 +281,8 @@ def test_waves_and_order():
     assert terminals(mid) == frozenset({1})
     assert wave_leq(tiny, mid) and wave_leq(mid, full) and wave_leq(tiny, full)
     assert not wave_leq(full, mid) and not wave_leq(mid, tiny)
+    # the cached vertex and edge sets take no part in equality or hashing
+    assert mid == warp_of(mid.paths) and hash(mid) == hash(warp_of(mid.paths))
     assert enumerate_waves(g).waves == (tiny, mid, full)
     assert maximal_wave(g) == full
 
