@@ -32,9 +32,9 @@ _EXPORTS = {
     "barrier": """BarrierFragment FragmentCheck PartialArray array_of bad_array_violations
         barrier_pair_homogeneous base_of block_tri check_fragment classify_array fragment
         nwt_improvement_step star_fragment uniform_fragment union_block""",
-    "menger": """MengerGraph MengerSystem Warp decode_wave encode_wave enumerate_warps
-        enumerate_waves graph is_separator is_wave label_less maximal_wave menger_solve
-        terminals validate_warp warp_of wave_leq wave_seq_valid""",
+    "menger": """MengerGraph MengerSystem Warp decode_wave encode_wave enumerate_waves
+        graph is_separator is_wave label_less maximal_wave menger_solve terminals
+        validate_warp warp_of wave_leq wave_seq_valid""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = [*_EXPORTS, *_MODULE_OF]

@@ -9,6 +9,7 @@ completeness check reports "inconclusive" rather than failing.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Optional, Sequence
@@ -151,19 +152,17 @@ def check_fragment(blocks: Iterable[Sequence[int]], window: int) -> FragmentChec
     blockset = set(checked)
     base = sorted({x for b in blockset for x in b})
     uncovered: list[Block] = []
-
-    def walk(seq: Block) -> None:
-        if seq in blockset:
-            return
-        extensions = [x for x in base if not seq or x > seq[-1]]
-        if not extensions:
-            uncovered.append(seq)
-        for x in extensions:
-            if len(uncovered) == 8:
-                return
-            walk(seq + (x,))
-
-    walk(())
+    # a pre-order walk with one lazy iterator of extensions per level
+    stack = [iter([()])]
+    while stack and len(uncovered) < 8:
+        seq = next(stack[-1], None)
+        if seq is None:
+            stack.pop()
+        elif seq not in blockset:
+            rest = base[bisect.bisect_right(base, seq[-1]) :] if seq else base
+            if not rest:
+                uncovered.append(seq)
+            stack.append(map(seq.__add__, zip(rest)))
     if uncovered:
         return FragmentCheck("inconclusive", (), tuple(uncovered))
     return FragmentCheck("pass", (), ())

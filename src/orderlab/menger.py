@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     InvalidGraph,
@@ -77,21 +77,23 @@ def _simple_paths(
     adj: dict[int, tuple[int, ...]], start: int, blocked: frozenset[int] = frozenset()
 ) -> list[Path]:
     """Every simple path from ``start`` in DFS pre-order, neighbours in
-    ascending order; vertices in ``blocked`` are never entered after
-    ``start``."""
-    out: list[Path] = []
-
-    def dfs(path: list[int], seen: set[int]) -> None:
-        out.append(tuple(path))
-        for w in adj[path[-1]]:
+    ascending order, which is lexicographic order; vertices in ``blocked``
+    are never entered after ``start``."""
+    out = [(start,)]
+    seen = {start}
+    # one neighbour iterator per vertex of the current path, which is the
+    # prefix of the last path found that has one vertex per iterator
+    stack = [iter(adj[start])]
+    while stack:
+        for w in stack[-1]:
             if w not in seen and w not in blocked:
-                path.append(w)
+                out.append(out[-1][: len(stack)] + (w,))
                 seen.add(w)
-                dfs(path, seen)
-                seen.discard(w)
-                path.pop()
-
-    dfs([start], {start})
+                stack.append(iter(adj[w]))
+                break
+        else:
+            stack.pop()
+            seen.discard(out[-1][len(stack)])
     return out
 
 
@@ -194,59 +196,56 @@ def wave_leq(w: Warp, y: Warp) -> bool:
     return w.vertices <= y.vertices and w.edges <= y.edges
 
 
-def enumerate_warps(g: MengerGraph) -> list[Warp]:
-    sources = sorted(g.A)
-    # each path leaves its source and never enters another
-    choices = [_simple_paths(g.adjacency, a, g.A) for a in sources]
-    out: list[Warp] = []
-
-    def rec(i: int, used: set[int], acc: list[Path]) -> None:
-        if i == len(sources):
-            out.append(Warp(tuple(acc)))
-            return
-        for p in choices[i]:
-            if used & set(p):
-                continue
-            acc.append(p)
-            rec(i + 1, used | set(p), acc)
-            acc.pop()
-
-    rec(0, set(), [])
-    return out
-
-
 class WaveEnumeration(NamedTuple):
     waves: tuple[Warp, ...]
     truncated: bool
 
 
 def enumerate_waves(g: MengerGraph, cap: Optional[int] = None) -> WaveEnumeration:
-    """All waves in canonical order, optionally truncated at ``cap``.
-
-    Raises `NegativeCount` when ``cap`` is negative.
+    """All waves in canonical order, or the first ``cap`` of them with
+    ``truncated`` set when there are more; raises `NegativeCount` when
+    ``cap`` is negative.  The search takes one path per source, sources
+    ascending, from each source's paths in lexicographic order, so warps
+    come out in ``paths`` order and it stops at wave ``cap + 1``.
     """
     if cap is not None and cap < 0:
         raise NegativeCount(f"cap must be at least 0, got {cap}")
-    waves = [w for w in enumerate_warps(g) if is_separator(g, terminals(w))]
-    waves.sort(key=lambda w: w.paths)
-    if cap is not None and len(waves) > cap:
-        return WaveEnumeration(tuple(waves[:cap]), True)
-    return WaveEnumeration(tuple(waves), False)
+    # each path leaves its source and never enters another
+    choices = [_simple_paths(g.adjacency, a, g.A) for a in sorted(g.A)]
+
+    def warps() -> Iterator[Warp]:
+        acc: list[Path] = []
+        used: set[int] = set()
+        # one iterator per source, over its paths that miss those chosen
+        stack = [filter(used.isdisjoint, choices[0])] if choices else []
+        if not choices:
+            yield Warp(())
+        while stack:
+            p = next(stack[-1], None)
+            if p is None:
+                stack.pop()
+                used.difference_update(acc.pop() if acc else ())
+            elif len(stack) == len(choices):
+                yield Warp((*acc, p))
+            else:
+                acc.append(p)
+                used.update(p)
+                stack.append(filter(used.isdisjoint, choices[len(stack)]))
+
+    waves = (w for w in warps() if is_separator(g, terminals(w)))
+    found = tuple(itertools.islice(waves, None if cap is None else cap + 1))
+    return WaveEnumeration(found[:cap], cap is not None and len(found) > cap)
 
 
 def maximal_wave(g: MengerGraph) -> Warp:
-    """The canonically greatest wave among those with no strictly larger wave.
-
-    The trivial warp of singleton source paths is always a wave, so a
-    maximal one exists.
+    """The canonically greatest wave among those with no strictly larger
+    wave, which is the last wave.  If a wave ``y`` contains a wave ``w``,
+    vertices and edges, each path of ``w`` is a prefix of ``y``'s path from
+    the same source, as a source has one edge in ``y`` and every later
+    vertex at most two; so ``y.paths > w.paths``.  The trivial warp of
+    singleton source paths is always a wave, so a last one exists.
     """
-    waves = enumerate_waves(g).waves
-    maximal = [
-        w
-        for w in waves
-        if not any(y != w and wave_leq(w, y) for y in waves)
-    ]
-    return max(maximal, key=lambda w: w.paths)
+    return enumerate_waves(g).waves[-1]
 
 
 @dataclass(frozen=True)
@@ -326,6 +325,7 @@ def menger_solve(g: MengerGraph) -> MengerSystem:
 
     # The flow on a forward (even) arc is the residual of its reverse.  A
     # vertex passes at most one unit, so one forward arc out of it has flow.
+    # The source lists its arcs by head, so paths come out by first vertex.
     paths: list[Path] = []
     for first, k in arcs[source]:
         if not residual[k ^ 1]:
@@ -337,7 +337,6 @@ def menger_solve(g: MengerGraph) -> MengerSystem:
                 break
             walk.append(w // 2)
         paths.append(tuple(walk))
-    paths.sort()
     return MengerSystem(tuple(paths), separator)
 
 

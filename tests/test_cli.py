@@ -346,6 +346,48 @@ def test_menger_encode_decode(tmp_path):
     assert json.loads(out)["details"]["error"] == "NotAWave"
 
 
+def test_menger_waves_and_max_wave_on_a_long_path(tmp_path):
+    """A 1,100-vertex path, deeper than the interpreter's recursion limit."""
+    n = 1100
+    g = write(
+        tmp_path,
+        "path.json",
+        {"vertices": n, "edges": [[v, v + 1] for v in range(n - 1)], "A": [0], "B": [n - 1]},
+    )
+    code, out, _ = run(["menger", "waves", "--graph", g])
+    assert code == 0
+    details = json.loads(out)["details"]
+    assert details["count"] == n and details["truncated"] is False
+    assert details["waves"][-1] == [list(range(n))]
+    code, out, _ = run(["menger", "max-wave", "--graph", g])
+    assert code == 0
+    assert json.loads(out)["details"] == {"paths": [list(range(n))], "terminals": [n - 1]}
+
+
+def test_menger_waves_cap_stops_the_search_on_a_wide_star(tmp_path):
+    """1,100 sources around one sink: the search stops at the third wave."""
+    n = 1100
+    g = write(
+        tmp_path,
+        "star.json",
+        {"vertices": n + 1, "edges": [[v, n] for v in range(n)], "A": list(range(n)), "B": [n]},
+    )
+    code, out, _ = run(["menger", "waves", "--cap", "2", "--graph", g])
+    assert code == 0
+    details = json.loads(out)["details"]
+    assert details["count"] == 2 and details["truncated"] is True
+    assert details["waves"][1][-1] == [n - 1, n]
+
+
+def test_barrier_check_walks_a_long_block(tmp_path):
+    frag = write(tmp_path, "frag.json", {"blocks": [list(range(1500))], "window": 1500})
+    code, out, _ = run(["barrier", "check", "--frag", frag])
+    assert code == 2
+    uncovered = json.loads(out)["details"]["uncovered"]
+    assert len(uncovered) == 8
+    assert uncovered[0] == [*range(1498), 1499]
+
+
 def test_oracle_smoke():
     code, out, _ = run(["oracle", "star-law"])
     assert code == 0

@@ -295,6 +295,65 @@ def test_enumerate_waves_cap():
         enumerate_waves(g, cap=-1)
 
 
+def _reference_waves(g: MengerGraph) -> list[Warp]:
+    """The enumeration `enumerate_waves` replaced: every choice of disjoint
+    paths, one per source, each leaving its source and entering no other,
+    kept when its terminals separate, then sorted by ``paths``."""
+
+    def paths_from(path):
+        yield tuple(path)
+        for w in g.adjacency[path[-1]]:
+            if w not in path and w not in g.A:
+                yield from paths_from(path + [w])
+
+    choices = [list(paths_from([a])) for a in sorted(g.A)]
+    waves = []
+
+    def choose(acc, used):
+        if len(acc) == len(choices):
+            if is_separator(g, terminals(Warp(tuple(acc)))):
+                waves.append(Warp(tuple(acc)))
+            return
+        for p in choices[len(acc)]:
+            if used.isdisjoint(p):
+                choose(acc + [p], used | set(p))
+
+    choose([], set())
+    waves.sort(key=lambda w: w.paths)
+    return waves
+
+
+def _reference_maximal_wave(waves: list[Warp]) -> Warp:
+    """The all-pairs pass `maximal_wave` replaced: the greatest by ``paths``
+    of the waves that no other wave contains."""
+    maximal = [w for w in waves if not any(y != w and wave_leq(w, y) for y in waves)]
+    return max(maximal, key=lambda w: w.paths)
+
+
+def test_wave_routes_match_the_sorted_all_pairs_reference():
+    """Every connected graph on at most 5 vertices under each side
+    assignment, 200 random graphs and the empty graph: the waves come out
+    of the search sorted, the cap cuts that order, and the last wave is the
+    greatest maximal one."""
+    graphs = [
+        graph(n, edges, a, b)
+        for n in range(1, 6)
+        for edges in oracles.connected_edge_sets(n)
+        for a, b in oracles.side_assignments(n)
+    ]
+    rng = random.Random("wave-reference")
+    graphs += [oracles.random_graph(rng, 8) for _ in range(200)]
+    graphs.append(graph(0, [], [], []))
+    for g in graphs:
+        waves = _reference_waves(g)
+        assert enumerate_waves(g) == (tuple(waves), False), g
+        assert maximal_wave(g) == _reference_maximal_wave(waves), g
+        if g.n <= 4:
+            for cap in range(len(waves) + 2):
+                assert enumerate_waves(g, cap=cap) == (tuple(waves[:cap]), cap < len(waves))
+    assert len(graphs) == 4057
+
+
 def test_warp_need_not_be_wave():
     g = graph(3, [(0, 1), (1, 2), (0, 2)], [0], [2])
     stub = warp_of([(0, 1)])
