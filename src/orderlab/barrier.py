@@ -12,9 +12,10 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
+    MAX_FAILURES,
     EmptyBlock,
     InvalidArray,
     InvalidFragment,
@@ -154,7 +155,7 @@ def check_fragment(blocks: Iterable[Sequence[int]], window: int) -> FragmentChec
     uncovered: list[Block] = []
     # a pre-order walk with one lazy iterator of extensions per level
     stack = [iter([()])]
-    while stack and len(uncovered) < 8:
+    while stack and len(uncovered) < MAX_FAILURES:
         seq = next(stack[-1], None)
         if seq is None:
             stack.pop()
@@ -220,8 +221,9 @@ def classify_array(arr: PartialArray, frag: BarrierFragment, q: QuasiOrder) -> f
 
 def bad_array_violations(
     arr: PartialArray, frag: BarrierFragment, q: QuasiOrder
-) -> tuple[str, ...]:
-    """Violated clauses of the bad-partial-array conditions (empty if none).
+) -> Iterator[str]:
+    """Yield the violated clauses of the bad-partial-array conditions,
+    lazily, so a caller takes as many as it reports.
 
     The clauses: block maxima never decrease; no tri-related pair is
     dominated in order; and every fragment block inside the enumerated base
@@ -232,21 +234,19 @@ def bad_array_violations(
         if not b:
             raise EmptyBlock("arrays over a barrier use non-empty blocks")
         _require_entry(b, v, frag, q)
-    violations: list[str] = []
     for i in range(len(entries) - 1):
         if max(entries[i][0]) > max(entries[i + 1][0]):
-            violations.append(f"maxima-decrease at entries {i},{i + 1}")
+            yield f"maxima-decrease at entries {i},{i + 1}"
     for i, j, v, w in _tri_pairs(entries):
         if q.leq(v, w):
-            violations.append(f"dominated-tri-pair at entries {i},{j}")
+            yield f"dominated-tri-pair at entries {i},{j}"
     if entries:
         enumerated = {b for b, _ in entries[:-1]}
         covered = {x for b, _ in entries for x in b}
         frontier = max(entries[-1][0])
         for b in sorted(frag.blocks):
             if b and set(b) <= covered and max(b) < frontier and b not in enumerated:
-                violations.append(f"missing-block {b}")
-    return tuple(violations)
+                yield f"missing-block {b}"
 
 
 def barrier_pair_homogeneous(
@@ -293,10 +293,9 @@ def nwt_improvement_step(
     entries = arr.entries
     if not keep_s <= base_of(frag):
         raise PreconditionViolation("s-in-base", "s must be a subset of the base")
-    lifted = higman_lift(q)
-    violations = bad_array_violations(arr, frag, lifted)
+    violations = list(itertools.islice(bad_array_violations(arr, frag, higman_lift(q)), 4))
     if violations:
-        raise PreconditionViolation("bad-array", "; ".join(violations[:4]))
+        raise PreconditionViolation("bad-array", "; ".join(violations))
     for b, v in entries:
         if not isinstance(v, tuple) or not v:
             raise PreconditionViolation(

@@ -247,7 +247,7 @@ def _barrier_array_check(a, spec):
     from . import barrier, wqo
     frag, arr = _frag_and_array(a, spec, sequences=True)
     violations = barrier.bad_array_violations(arr, frag, wqo.higman_lift(spec.q))
-    listed = list(violations[: formats.MAX_FAILURES])
+    listed = list(itertools.islice(violations, formats.MAX_FAILURES))
     return _holds(not listed), {"violations": listed}, max(1, len(arr.entries)), len(listed)
 
 

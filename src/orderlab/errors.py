@@ -1,4 +1,8 @@
-"""Exception types shared across the workbench."""
+"""Exception types shared across the workbench, and the failure cap every
+report shares."""
+
+# a report lists at most this many failures, and its check stops at the last
+MAX_FAILURES = 8
 
 
 class OrderlabError(Exception):

@@ -13,16 +13,13 @@ import contextlib
 import json
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import OrderlabError, ParseError
+from .errors import MAX_FAILURES, OrderlabError, ParseError
 
 if TYPE_CHECKING:
     from .barrier import BarrierFragment, PartialArray
     from .menger import MengerGraph, Warp
     from .order import Poset, QuasiOrder
     from .trees import LassoPath, TreeAutomaton
-
-
-MAX_FAILURES = 8
 
 
 def tally(checks) -> tuple[int, list]:
@@ -331,7 +328,7 @@ def labels_from_doc(doc: object, where: str = "labels"):
         if not isinstance(kind, int) or isinstance(kind, bool):
             raise ParseError(f"{where}: label kinds are integers")
         if kind == 0:
-            if payload != 0:
+            if type(payload) is not int or payload != 0:
                 raise ParseError(f"{where}: blank labels are [0, 0]")
             out.append((0, 0))
         elif kind == 1:

@@ -8,6 +8,7 @@ is a warp whose terminals separate the sources from the sinks.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -75,11 +76,12 @@ def graph(
 
 def _simple_paths(
     adj: dict[int, tuple[int, ...]], start: int, blocked: frozenset[int] = frozenset()
-) -> list[Path]:
+) -> Iterator[Path]:
     """Every simple path from ``start`` in DFS pre-order, neighbours in
     ascending order, which is lexicographic order; vertices in ``blocked``
     are never entered after ``start``."""
-    out = [(start,)]
+    path = (start,)
+    yield path
     seen = {start}
     # one neighbour iterator per vertex of the current path, which is the
     # prefix of the last path found that has one vertex per iterator
@@ -87,14 +89,14 @@ def _simple_paths(
     while stack:
         for w in stack[-1]:
             if w not in seen and w not in blocked:
-                out.append(out[-1][: len(stack)] + (w,))
+                path = path[: len(stack)] + (w,)
+                yield path
                 seen.add(w)
                 stack.append(iter(adj[w]))
                 break
         else:
             stack.pop()
-            seen.discard(out[-1][len(stack)])
-    return out
+            seen.discard(path[len(stack)])
 
 
 def is_separator(g: MengerGraph, c: Iterable[int]) -> bool:
@@ -201,39 +203,33 @@ class WaveEnumeration(NamedTuple):
     truncated: bool
 
 
+def _waves(g: MengerGraph) -> Iterator[Warp]:
+    """Every wave in canonical order, lazily.  The search takes one path per
+    source, sources ascending, from each source's paths in lexicographic
+    order that enter no source and miss the paths already taken, so warps
+    come out in ``paths`` order."""
+    sources = sorted(g.A)
+    # a pre-order walk with one lazy iterator of partial warps per level
+    stack = [iter([()])]
+    while stack:
+        acc = next(stack[-1], None)
+        if acc is None:
+            stack.pop()
+        elif len(acc) < len(sources):
+            paths = _simple_paths(g.adjacency, sources[len(acc)], g.A.union(*acc))
+            stack.append(map(acc.__add__, zip(paths)))
+        elif is_separator(g, terminals(Warp(acc))):
+            yield Warp(acc)
+
+
 def enumerate_waves(g: MengerGraph, cap: Optional[int] = None) -> WaveEnumeration:
     """All waves in canonical order, or the first ``cap`` of them with
     ``truncated`` set when there are more; raises `NegativeCount` when
-    ``cap`` is negative.  The search takes one path per source, sources
-    ascending, from each source's paths in lexicographic order, so warps
-    come out in ``paths`` order and it stops at wave ``cap + 1``.
+    ``cap`` is negative.  The search stops at wave ``cap + 1``.
     """
     if cap is not None and cap < 0:
         raise NegativeCount(f"cap must be at least 0, got {cap}")
-    # each path leaves its source and never enters another
-    choices = [_simple_paths(g.adjacency, a, g.A) for a in sorted(g.A)]
-
-    def warps() -> Iterator[Warp]:
-        acc: list[Path] = []
-        used: set[int] = set()
-        # one iterator per source, over its paths that miss those chosen
-        stack = [filter(used.isdisjoint, choices[0])] if choices else []
-        if not choices:
-            yield Warp(())
-        while stack:
-            p = next(stack[-1], None)
-            if p is None:
-                stack.pop()
-                used.difference_update(acc.pop() if acc else ())
-            elif len(stack) == len(choices):
-                yield Warp((*acc, p))
-            else:
-                acc.append(p)
-                used.update(p)
-                stack.append(filter(used.isdisjoint, choices[len(stack)]))
-
-    waves = (w for w in warps() if is_separator(g, terminals(w)))
-    found = tuple(itertools.islice(waves, None if cap is None else cap + 1))
+    found = tuple(itertools.islice(_waves(g), None if cap is None else cap + 1))
     return WaveEnumeration(found[:cap], cap is not None and len(found) > cap)
 
 
@@ -245,7 +241,7 @@ def maximal_wave(g: MengerGraph) -> Warp:
     vertex at most two; so ``y.paths > w.paths``.  The trivial warp of
     singleton source paths is always a wave, so a last one exists.
     """
-    return enumerate_waves(g).waves[-1]
+    return collections.deque(_waves(g), maxlen=1)[0]
 
 
 @dataclass(frozen=True)

@@ -383,6 +383,73 @@ def array_step(seed):
         yield {**witness, "problems": problems} if problems else None
 
 
+def _production_clause(clause: str) -> str:
+    """A clause of `oracles.brute_bad_array_violations` in the words of
+    `barrier.bad_array_violations`."""
+    if clause.startswith("maxima-decrease at "):
+        i = int(clause.removeprefix("maxima-decrease at "))
+        return f"maxima-decrease at entries {i},{i + 1}"
+    if clause.startswith("dominated at "):
+        return "dominated-tri-pair at entries " + clause.removeprefix("dominated at ")
+    return "missing-block " + clause.removeprefix("missing ")
+
+
+def _broken_arrays(rng: random.Random, entries: list, window: int):
+    """``(break, entries)``: a planted bad array as planted, then copies of
+    it broken one way each: two adjacent entries swapped, their blocks
+    swapped under their values, a later entry given an earlier tri-related
+    entry's value, and (with three entries or more) an interior entry
+    dropped.  The block swap is the one break that can leave a later
+    entry's block tri-related to an earlier entry's under a value that
+    embeds, so it is the case that checks pairs read backwards."""
+    yield "none", entries
+    i = rng.randrange(len(entries) - 1)
+    (b, v), (c, w) = entries[i : i + 2]
+    yield "swap", [*entries[:i], (c, w), (b, v), *entries[i + 2 :]]
+    yield "swap-blocks", [*entries[:i], (c, v), (b, w), *entries[i + 2 :]]
+    tri = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(entries)), 2)
+        if oracles.brute_block_tri(entries[i][0], entries[j][0], 2 * window)
+    ]
+    i, j = rng.choice(tri)
+    yield "revalue", [*entries[:j], (entries[j][0], entries[i][1]), *entries[j + 1 :]]
+    if len(entries) > 2:
+        i = rng.randrange(1, len(entries) - 1)
+        yield "drop", entries[:i] + entries[i + 1 :]
+
+
+@_suite("array-violations")
+def array_violations(seed):
+    """bad_array_violations lists the clauses the definitions list, in the
+    same order, on 100 planted bad arrays over singleton and 2-subset
+    fragments and on copies of each broken one way."""
+    rng = random.Random(seed)
+    pool = oracles.quasi_orders_upto(3)
+    for round_ in range(100):
+        k = 1 + round_ % 2
+        window = rng.randint(k + 1, 5)
+        q = rng.choice(pool)
+        planted = oracles.planted_bad_array(rng, k, window, list(q.elements))
+        frag = barrier.uniform_fragment(k, window)
+        for kind, entries in _broken_arrays(rng, planted, window):
+            arr = barrier.array_of(entries)
+            got = list(barrier.bad_array_violations(arr, frag, wqo.higman_lift(q)))
+            brute = oracles.brute_bad_array_violations(entries, window, frag.blocks, q)
+            expected = [_production_clause(c) for c in brute]
+            if got == expected:
+                yield None
+            else:
+                yield {
+                    "q": q.name,
+                    "window": window,
+                    "break": kind,
+                    "entries": [[list(b), list(v)] for b, v in entries],
+                    "got": got,
+                    "expected": expected,
+                }
+
+
 # ------------------------------------------------------------ barriers
 
 

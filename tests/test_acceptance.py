@@ -24,6 +24,7 @@ CHECKED = {
     "kruskal-agreement": 163_592,
     "refine-step": 200,
     "array-step": 100,
+    "array-violations": 473,
     "singleton-bridge": 32_178,
     "star-law": 21,
     "tri-agreement": 40_229,
@@ -107,3 +108,7 @@ def test_criterion_14_element_codes_prefix_free():
 
 def test_criterion_15_pair_homogeneity_matches_ramsey():
     _run(15, ["pair-homogeneous"])
+
+
+def test_criterion_16_array_violations_match_the_definitions():
+    _run(16, ["array-violations"])

@@ -32,7 +32,7 @@ from orderlab.errors import (
     OrderlabError,
     PreconditionViolation,
 )
-from orderlab.order import natural_equality, natural_order
+from orderlab.order import QuasiOrder, natural_equality, natural_order
 from orderlab.wqo import higman_lift
 
 
@@ -211,8 +211,8 @@ def test_classify_array_examples():
 def test_bad_array_clauses():
     singles = uniform_fragment(1, 3)
     leq = natural_order()
-    assert not bad_array_violations(array_of([]), singles, leq)
-    assert not bad_array_violations(array_of([((0,), 9)]), singles, leq)
+    assert not list(bad_array_violations(array_of([]), singles, leq))
+    assert not list(bad_array_violations(array_of([((0,), 9)]), singles, leq))
     decreasing = array_of([((2,), 0), ((0,), 1)])
     assert any(
         v.startswith("maxima-decrease") for v in bad_array_violations(decreasing, singles, leq)
@@ -228,9 +228,27 @@ def test_bad_array_clauses():
         v == "missing-block (0, 2)" for v in bad_array_violations(skipping, pairs, leq)
     )
     with pytest.raises(InvalidArray):
-        bad_array_violations(array_of([((0, 2), 1)]), singles, leq)
+        list(bad_array_violations(array_of([((0, 2), 1)]), singles, leq))
     with pytest.raises(EmptyBlock):
-        bad_array_violations(array_of([((), 1)]), singles, leq)
+        list(bad_array_violations(array_of([((), 1)]), singles, leq))
+
+
+def test_the_first_violation_costs_one_comparison():
+    """300 singleton entries of one value: all 44,850 tri-related pairs are
+    dominated, and the first violation needs only the first of them."""
+    calls = 0
+    eq = natural_equality()
+
+    def leq(x, y):
+        nonlocal calls
+        calls += 1
+        return eq.leq(x, y)
+
+    counted = QuasiOrder("counted-eq", leq, eq.contains)
+    arr = array_of([((i,), 1) for i in range(300)])
+    violations = iter(bad_array_violations(arr, uniform_fragment(1, 300), counted))
+    assert next(violations) == "dominated-tri-pair at entries 0,1"
+    assert calls <= 3
 
 
 def test_barrier_pair_homogeneous():
@@ -279,7 +297,7 @@ def reference_nwt_step(arr, s, frag, q):
     entries = arr.entries
     if not keep_s <= base_of(frag):
         raise PreconditionViolation("s-in-base", "s must be a subset of the base")
-    violations = bad_array_violations(arr, frag, higman_lift(q))
+    violations = list(bad_array_violations(arr, frag, higman_lift(q)))
     if violations:
         raise PreconditionViolation("bad-array", "; ".join(violations[:4]))
     if any(not isinstance(v, tuple) or not v for _, v in entries):

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -346,6 +347,18 @@ def test_menger_encode_decode(tmp_path):
     assert json.loads(out)["details"]["error"] == "NotAWave"
 
 
+@pytest.mark.parametrize("blank", [[0, False], [0, 0.0]], ids=["false", "float"])
+def test_a_blank_label_is_the_integer_zero(tmp_path, blank):
+    g = write(
+        tmp_path,
+        "graph.json",
+        {"vertices": 3, "edges": [[0, 1], [1, 2]], "A": [0], "B": [2]},
+    )
+    labels = [[1, [0]], [2, [0, 1]], [1, [0, 1]], [0, 0], [0, 0], blank]
+    seq = write(tmp_path, "seq.json", {"labels": labels})
+    assert run(["menger", "decode", "--graph", g, "--seq", seq])[:2] == (65, "")
+
+
 def test_menger_waves_and_max_wave_on_a_long_path(tmp_path):
     """A 1,100-vertex path, deeper than the interpreter's recursion limit."""
     n = 1100
@@ -377,6 +390,16 @@ def test_menger_waves_cap_stops_the_search_on_a_wide_star(tmp_path):
     details = json.loads(out)["details"]
     assert details["count"] == 2 and details["truncated"] is True
     assert details["waves"][1][-1] == [n - 1, n]
+
+
+def test_menger_waves_cap_bounds_the_search_on_a_complete_graph(tmp_path):
+    """K10 from vertex 0 to vertex 9: the search stops at the second wave,
+    after a few of the 986,410 simple paths from 0."""
+    edges = [list(e) for e in itertools.combinations(range(10), 2)]
+    g = write(tmp_path, "k10.json", {"vertices": 10, "edges": edges, "A": [0], "B": [9]})
+    code, out, _ = run(["menger", "waves", "--cap", "1", "--graph", g])
+    assert code == 0
+    assert json.loads(out)["details"] == {"count": 1, "truncated": True, "waves": [[[0]]]}
 
 
 def test_barrier_check_walks_a_long_block(tmp_path):

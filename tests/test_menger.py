@@ -7,7 +7,7 @@ from collections import deque
 
 import pytest
 
-from orderlab import oracles
+from orderlab import menger, oracles
 from orderlab.errors import (
     InvalidGraph,
     InvalidSequence,
@@ -293,6 +293,28 @@ def test_enumerate_waves_cap():
     assert enumerate_waves(g, cap=3) == enumerate_waves(g)
     with pytest.raises(NegativeCount):
         enumerate_waves(g, cap=-1)
+
+
+def test_a_capped_wave_search_builds_only_the_paths_it_needs(monkeypatch):
+    """K10 has 986,410 simple paths from vertex 0.  The search for two waves
+    (A = {0}, B = {9}) stops at the path 0-1-...-9, its tenth."""
+    built = 0
+    simple_paths = menger._simple_paths
+
+    class Adjacency(dict):
+        """Counts its lookups: `_simple_paths` makes one per path it builds."""
+
+        def __getitem__(self, v):
+            nonlocal built
+            built += 1
+            return super().__getitem__(v)
+
+    monkeypatch.setattr(
+        menger, "_simple_paths", lambda adj, *rest: simple_paths(Adjacency(adj), *rest)
+    )
+    k10 = graph(10, itertools.combinations(range(10), 2), [0], [9])
+    assert enumerate_waves(k10, cap=1) == ((warp_of([(0,)]),), True)
+    assert built <= 20
 
 
 def _reference_waves(g: MengerGraph) -> list[Warp]:
