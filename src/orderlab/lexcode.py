@@ -20,6 +20,9 @@ if TYPE_CHECKING:
 
 TIE_BREAKS = ("smallest-id", "largest-id")
 
+# Spacing of encode_order's ranks: 64 fresh words fit into one gap
+_GAP = 1 << 64
+
 
 @dataclass(frozen=True)
 class LexCode:
@@ -46,6 +49,15 @@ def encode_order(order: Poset, tie_break: str = "smallest-id") -> LexCode:
     least word is unique and ``tie_break`` is validated but never decides.
     Each word stem hands out odd final digits 1, 3, 5, ... in turn, so a
     fresh word takes the smallest unused one.
+
+    The least anchor is found by an integer rank that agrees with word
+    order, not by comparing words, which on a descending chain share ever
+    longer runs of zeros; finding it costs one lookup per candidate.  A
+    fresh word sits directly below its anchor's word, and a word ``(2c+1,)``
+    above every word issued before it, so the ranks form an
+    order-maintenance list (Dietz & Sleator 1987): a fresh rank is the
+    midpoint of its gap, and when a gap closes the whole list is spaced
+    out again.
     """
     if tie_break not in TIE_BREAKS:
         raise UnknownTieBreak(f"tie_break must be one of {TIE_BREAKS}")
@@ -56,12 +68,34 @@ def encode_order(order: Poset, tie_break: str = "smallest-id") -> LexCode:
             anchors[y].append(x)
     table: dict[int, tuple[int, ...]] = {}
     issued: dict[tuple[int, ...], int] = {}
+    rank: dict[int, int] = {}
+    # the element whose word is next below, None under the least word
+    below: dict[int, int | None] = {}
+    top = None
     for y in elems:
         if anchors[y]:
-            word = min(map(table.__getitem__, anchors[y]))
+            x = min(anchors[y], key=rank.__getitem__)
+            word = table[x]
             stem = word[:-1] + (word[-1] - 1,)
+            # the fresh word goes directly below word
+            z = below[x]
+            below[x], below[y] = y, z
+            if z is None:
+                rank[y] = rank[x] - _GAP
+            elif rank[x] - rank[z] > 1:
+                rank[y] = (rank[x] + rank[z]) // 2
+            else:
+                # the gap is closed: space out the whole list from the top
+                v, r = top, 0
+                while v is not None:
+                    rank[v] = r
+                    v, r = below[v], r - _GAP
         else:
             stem = ()
+            # (2c+1,) goes above every word
+            below[y] = top
+            rank[y] = 0 if top is None else rank[top] + _GAP
+            top = y
         count = issued.get(stem, 0)
         issued[stem] = count + 1
         table[y] = stem + (2 * count + 1,)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import CycleError, NotAQuasiOrder, UnknownElement
@@ -21,38 +21,65 @@ Pair = tuple[int, int]
 # 44-136 ms at 512 (BENCH_3.json, "compile_limit").
 COMPILE_LIMIT = 128
 
+# bytes.translate table taking the digits "0"/"1" to the bytes 0/1
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
 
 def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
     """Transitive closure of a binary relation given as a set of pairs.
 
-    Warshall's algorithm (1962) on bit rows: each of the ``n`` elements that
-    occur in a pair gets a dense index and an int whose bit ``j`` says
-    "related to element ``j``", and for each ``k`` row ``k`` is ORed into
-    every row with bit ``k`` set.  That is ``n**2`` tests and ORs of
-    ``n``-bit ints, then one step per output pair.  A cycle needs no special
-    case: it shows up as diagonal pairs.
+    Each of the ``n`` elements that occur in a pair gets a dense index and
+    an int whose bit ``j`` says "related to element ``j``".  Rows are closed
+    from the sinks up in Kahn's order (1962): an element whose successors
+    are all closed ORs their rows into its own, one OR per input pair.
+    Only the elements left over, those on or above a cycle, go through
+    Warshall's loop (1962), which ORs row ``k`` into every leftover row with
+    bit ``k`` set; on an acyclic relation none are left.  A cycle needs no
+    special case: it shows up as diagonal pairs.  The output pairs are read
+    off each row's bits in C.
     """
     index: dict = {}
     rows: list[int] = []
+    preds: list[list[int]] = []
+    # pending[i] counts the input pairs (i, j) whose j is not closed yet
+    pending: list[int] = []
     for x, y in pairs:
-        for v in (x, y):
-            if v not in index:
-                index[v] = len(rows)
-                rows.append(0)
-        rows[index[x]] |= 1 << index[y]
-    for k, row_k in enumerate(rows):
-        bit = 1 << k
-        for i, row in enumerate(rows):
-            if row & bit:
-                rows[i] = row | row_k
+        # one test per side: cheaper than a loop over (x, y) on small input
+        if x not in index:
+            index[x] = len(rows)
+            rows.append(0)
+            preds.append([])
+            pending.append(0)
+        if y not in index:
+            index[y] = len(rows)
+            rows.append(0)
+            preds.append([])
+            pending.append(0)
+        i, j = index[x], index[y]
+        rows[i] |= 1 << j
+        preds[j].append(i)
+        pending[i] += 1
+    closed = [j for j, count in enumerate(pending) if not count]
+    for j in closed:  # grows while it is read: Kahn's queue
+        row_j = rows[j]
+        for i in preds[j]:
+            rows[i] |= row_j
+            pending[i] -= 1
+            if not pending[i]:
+                closed.append(i)
+    left = [k for k, count in enumerate(pending) if count]
+    for k in left:
+        bit, row_k = 1 << k, rows[k]
+        for i in left:
+            if rows[i] & bit:
+                rows[i] |= row_k
     elems = list(index)
-    return frozenset(
-        (x, y)
-        for x, row in zip(elems, rows)
-        if row
-        # bin(row)[:1:-1] spells the bits of row from bit 0 up as "0"/"1"
-        for y in compress(elems, map("1".__eq__, bin(row)[:1:-1]))
-    )
+    out: list[Pair] = []
+    for x, row in zip(elems, rows):
+        if row:
+            # bin(row)[:1:-1] spells the bits of row from bit 0 up as "0"/"1"
+            out += zip(repeat(x), compress(elems, bin(row)[:1:-1].encode().translate(_BITS)))
+    return frozenset(out)
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,20 @@ def test_classify_array_examples():
         classify_array(array_of([((5,), 0)]), singles, leq)
 
 
+def test_classify_array_reads_backward_tri_pairs():
+    # singleton blocks are tri-related upwards, (a,) ◁ (b,) when a < b, so
+    # with the blocks listed downwards each tri pair runs from a later
+    # entry to an earlier one
+    singles = uniform_fragment(1, 3)
+    leq = natural_order()
+    falling = array_of([((1,), 5), ((0,), 3)])
+    assert classify_array(falling, singles, leq) == frozenset({"good", "perfect"})
+    # entries 1 ◁ 0 (3 <= 7) and 2 ◁ 0 (9 > 7) run backwards and decide
+    # the verdict; the forward pair 1 ◁ 2 (3 <= 9) alone would be perfect
+    mixed = array_of([((2,), 7), ((0,), 3), ((1,), 9)])
+    assert classify_array(mixed, singles, leq) == frozenset({"good", "mixed"})
+
+
 def test_bad_array_clauses():
     singles = uniform_fragment(1, 3)
     leq = natural_order()

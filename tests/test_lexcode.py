@@ -260,3 +260,32 @@ def test_long_descending_chain_gets_zero_runs():
     lt = frozenset((ids[i], ids[j]) for i in range(n) for j in range(i + 1, n))
     table = lexcode.encode_order(Poset(frozenset(ids), lt)).table
     assert table == {k: (0,) * k + (1,) for k in range(n)}
+
+
+def test_fan_below_one_element_spaces_out_its_ranks():
+    # 200 pairwise incomparable elements below 0 all anchor on the word of
+    # 0, so each fresh word lands between the previous one and (1,): far
+    # more than the 64 that fit into one gap of encode_order's ranks.  Then
+    # each of 201..260 lies below two neighbours of the fan, and anchors on
+    # the smaller word, which only the ranks tell apart.
+    n = 201
+    pairs = [(i, 0) for i in range(1, n)]
+    pairs += [(n + k, m) for k in range(60) for m in (140 + k, 141 + k)]
+    fan = validate_poset(pairs, range(n + 60))
+    want = {0: (1,), **{i: (0, 2 * i - 1) for i in range(1, n)}}
+    want.update({n + k: (0, 278 + 2 * k, 1) for k in range(60)})
+    assert _reference_encode_order(fan) == want
+    for tie in lexcode.TIE_BREAKS:
+        assert lexcode.encode_order(fan, tie).table == want
+
+
+def test_encode_matches_reference_on_random_orders_of_20_to_60_elements():
+    rng = random.Random("lexcode-rank-reference")
+    for _ in range(40):
+        n = rng.randint(20, 60)
+        ids = rng.sample(range(n), n)
+        density = rng.uniform(0.02, 0.3)
+        pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        poset = validate_poset(pairs, range(n))
+        for tie in lexcode.TIE_BREAKS:
+            assert lexcode.encode_order(poset, tie).table == _reference_encode_order(poset, tie)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +83,21 @@ def test_closure_of_a_long_chain():
     closed = transitive_closure((i + 1, i) for i in range(n - 1))
     assert len(closed) == n * (n - 1) // 2 == 1_999_000
     assert (n - 1, 0) in closed and (0, n - 1) not in closed
+
+
+def test_closure_of_a_long_tail_below_a_cycle():
+    # the chain 1499 > 1498 > ... > 0, whose top 20 elements 1480..1499
+    # also form a cycle: 1480 elements close from the sinks up, and the
+    # cycle above them is left to Warshall's loop
+    n, core = 1500, 1480
+    pairs = [(i + 1, i) for i in range(n - 1)] + [(core, n - 1)]
+    random.Random("closure-tail").shuffle(pairs)
+    closed = transitive_closure(pairs)
+    # each element reaches every smaller one, and each on the cycle all
+    assert len(closed) == core * (core - 1) // 2 + (n - core) * n
+    assert all(0 <= y < n and (y < x or x >= core) for x, y in closed)
+    with pytest.raises(CycleError, match=f"cycle through {core}$"):
+        validate_poset(pairs, range(n))
 
 
 def test_seq_less_divergence_and_prefix():
