@@ -10,6 +10,7 @@ the element of each block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import AlphabetMismatch, MalformedCode, UnknownTieBreak
@@ -41,9 +42,10 @@ def encode_order(order: Poset, tie_break: str = "smallest-id") -> LexCode:
     """Assign code words so that ``x < y`` in the order forces a
     lexicographically smaller word.
 
-    Elements are processed in ascending id order.  One pass over the order
-    pairs lists, for each element, the smaller-id elements above it; the
-    element anchors on the least word among them.  Decrementing that word's
+    Elements are processed in ascending id order.  An element's anchor
+    candidates, the smaller ids above it, are the bits of its row in the
+    poset below its own index; the element anchors on the least word among
+    them.  Decrementing that word's
     final digit then stays below every other candidate's word, which is
     what the order-embedding argument needs.  Words are never reused, so the
     least word is unique and ``tie_break`` is validated but never decides.
@@ -59,23 +61,22 @@ def encode_order(order: Poset, tie_break: str = "smallest-id") -> LexCode:
     midpoint of its gap, and when a gap closes the whole list is spaced
     out again.
     """
+    from .order import bit_flags
     if tie_break not in TIE_BREAKS:
         raise UnknownTieBreak(f"tie_break must be one of {TIE_BREAKS}")
     elems = order.sorted_elements()
-    anchors: dict[int, list[int]] = {y: [] for y in elems}
-    for y, x in order.lt:
-        if x < y:
-            anchors[y].append(x)
-    table: dict[int, tuple[int, ...]] = {}
+    # words, ranks and links are kept by index into elems
+    words: list[tuple[int, ...]] = []
     issued: dict[tuple[int, ...], int] = {}
-    rank: dict[int, int] = {}
-    # the element whose word is next below, None under the least word
-    below: dict[int, int | None] = {}
+    rank = [0] * len(elems)
+    # the index whose word is next below, None under the least word
+    below: list[int | None] = [None] * len(elems)
     top = None
-    for y in elems:
-        if anchors[y]:
-            x = min(anchors[y], key=rank.__getitem__)
-            word = table[x]
+    for y, row in enumerate(order.rows):
+        above = row & ((1 << y) - 1)
+        if above:
+            x = min(compress(range(y), bit_flags(above)), key=rank.__getitem__)
+            word = words[x]
             stem = word[:-1] + (word[-1] - 1,)
             # the fresh word goes directly below word
             z = below[x]
@@ -98,8 +99,8 @@ def encode_order(order: Poset, tie_break: str = "smallest-id") -> LexCode:
             top = y
         count = issued.get(stem, 0)
         issued[stem] = count + 1
-        table[y] = stem + (2 * count + 1,)
-    return LexCode(order, table, elems)
+        words.append(stem + (2 * count + 1,))
+    return LexCode(order, dict(zip(elems, words)), elems)
 
 
 def encode_element(code: LexCode, x: int) -> tuple[int, ...]:

@@ -15,34 +15,38 @@ from .errors import CycleError, NotAQuasiOrder, UnknownElement
 
 Pair = tuple[int, int]
 
-# Largest finite universe that QuasiOrder.compiled handles.  Compiling takes
-# n**2 calls of leq, which a one-shot CLI call on a poset file pays in full:
-# at most 7 ms at 128 elements against a 95-140 ms call, 9-28 ms at 256 and
-# 44-136 ms at 512 (BENCH_3.json, "compile_limit").
+# Largest finite universe that QuasiOrder.compiled builds from a leq
+# callable.  That takes n**2 calls of leq: 3.7 ms for a 128-element
+# finite_quasi_order and 23 ms at 256 (best of 5, Python 3.11, 2-vCPU Xeon).
+# A poset's quasi-order takes its compiled form from the rows, at any size.
 COMPILE_LIMIT = 128
 
 # bytes.translate table taking the digits "0"/"1" to the bytes 0/1
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
-    """Transitive closure of a binary relation given as a set of pairs.
+def bit_flags(row: int) -> bytes:
+    """Bytes 0/1 for the bits of ``row`` from bit 0 up, for `itertools.compress`."""
+    return bin(row)[:1:-1].encode().translate(_BITS)
 
-    Each of the ``n`` elements that occur in a pair gets a dense index and
-    an int whose bit ``j`` says "related to element ``j``".  Rows are closed
+
+def _closed_rows(pairs: Iterable[Pair], index: dict) -> list[int]:
+    """Transitively closed bit rows of a relation given as pairs.
+
+    ``index`` numbers the elements densely; an element that occurs in a
+    pair but not in ``index`` is added to it, in order of first appearance.
+    Bit ``j`` of row ``i`` says "related to element ``j``".  Rows are closed
     from the sinks up in Kahn's order (1962): an element whose successors
     are all closed ORs their rows into its own, one OR per input pair.
     Only the elements left over, those on or above a cycle, go through
     Warshall's loop (1962), which ORs row ``k`` into every leftover row with
     bit ``k`` set; on an acyclic relation none are left.  A cycle needs no
-    special case: it shows up as diagonal pairs.  The output pairs are read
-    off each row's bits in C.
+    special case: it shows up as diagonal bits.
     """
-    index: dict = {}
-    rows: list[int] = []
-    preds: list[list[int]] = []
+    rows = [0] * len(index)
+    preds: list[list[int]] = [[] for _ in index]
     # pending[i] counts the input pairs (i, j) whose j is not closed yet
-    pending: list[int] = []
+    pending = [0] * len(index)
     for x, y in pairs:
         # one test per side: cheaper than a loop over (x, y) on small input
         if x not in index:
@@ -73,54 +77,106 @@ def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
         for i in left:
             if rows[i] & bit:
                 rows[i] |= row_k
-    elems = list(index)
+    return rows
+
+
+def _pairs(elems: Sequence, rows: Iterable[int]) -> frozenset[Pair]:
+    """The pairs ``(elems[i], elems[j])`` for each set bit ``j`` of row ``i``."""
     out: list[Pair] = []
     for x, row in zip(elems, rows):
         if row:
-            # bin(row)[:1:-1] spells the bits of row from bit 0 up as "0"/"1"
-            out += zip(repeat(x), compress(elems, bin(row)[:1:-1].encode().translate(_BITS)))
+            out += zip(repeat(x), compress(elems, bit_flags(row)))
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
+    """Transitive closure of a binary relation given as a set of pairs."""
+    index: dict = {}
+    rows = _closed_rows(pairs, index)
+    return _pairs(list(index), rows)
+
+
 class Poset:
     """Strict partial order over a finite set of natural-number ids.
 
-    ``lt`` is transitively closed and irreflexive.  Build instances with
-    :func:`validate_poset`, which closes and checks an arbitrary pair set.
+    Kept as one closed bit row per id, in ascending id order: bit ``j`` of
+    ``rows[i]`` says the ``i``-th id is below the ``j``-th.  `validate_poset`
+    closes and checks an arbitrary pair set into rows.  ``Poset(elements,
+    lt)``, with ``lt`` closed and irreflexive, derives the rows on first use
+    and raises `UnknownElement` then for a pair outside ``elements``.  The
+    pairs ``lt`` are derived from the rows when read.  Equality and hashing
+    are those of the relation.
     """
 
-    elements: frozenset[int]
-    lt: frozenset[Pair]
+    def __init__(self, elements: Iterable[int], lt: Iterable[Pair]):
+        self.__dict__.update(elements=frozenset(elements), lt=frozenset(lt))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a Poset is immutable")
+
+    @functools.cached_property
+    def _index(self) -> dict[int, int]:
+        return {x: i for i, x in enumerate(sorted(self.elements))}
+
+    @functools.cached_property
+    def rows(self) -> tuple[int, ...]:
+        index = self._index
+        # "0"/"1" digits from bit 0 up, one bytearray per row, each read by one int() call
+        digits = [bytearray(b"0" * len(index)) for _ in index]
+        try:
+            for x, y in self.lt:
+                digits[index[x]][index[y]] = 49  # ord("1")
+        except KeyError as err:
+            raise UnknownElement(f"element {err.args[0]!r} is not declared") from None
+        return tuple(int(row[::-1], 2) for row in digits)
+
+    @functools.cached_property
+    def lt(self) -> frozenset[Pair]:
+        return _pairs(tuple(self._index), self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, Poset) and self.elements == other.elements
+        return same and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Poset(elements={self.elements!r}, lt={self.lt!r})"
 
     def less(self, x: int, y: int) -> bool:
-        return (x, y) in self.lt
+        index = self._index
+        try:
+            return self.rows[index[x]] >> index[y] & 1 == 1
+        except KeyError:
+            return False
 
     def require(self, x: int) -> None:
         if x not in self.elements:
             raise UnknownElement(f"element {x!r} is not declared")
 
     def sorted_elements(self) -> tuple[int, ...]:
-        return tuple(sorted(self.elements))
+        return tuple(self._index)
 
 
 def validate_poset(pairs: Iterable[Pair], elements: Iterable[int]) -> Poset:
     """Close ``pairs`` transitively and reject cycles and stray elements.
 
-    A `CycleError` names the least element that lies on a cycle.
+    The rows are closed over the sorted ids; no pair is made.  An
+    `UnknownElement` names the first stray element in ``pairs``, a
+    `CycleError` the least element whose row has its own bit set.
     """
-    elems = frozenset(elements)
-    raw = set()
-    for x, y in pairs:
-        for v in (x, y):
-            if v not in elems:
-                raise UnknownElement(f"element {v!r} is not declared")
-        raw.add((x, y))
-    closed = transitive_closure(raw)
-    cyclic = [x for x in elems if (x, x) in closed]
-    if cyclic:
-        raise CycleError(f"relation has a cycle through {min(cyclic)!r}")
-    return Poset(elems, closed)
+    ids = tuple(sorted(frozenset(elements)))
+    index = {x: i for i, x in enumerate(ids)}
+    rows = _closed_rows(pairs, index)
+    if len(index) > len(ids):
+        raise UnknownElement(f"element {list(index)[len(ids)]!r} is not declared")
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            raise CycleError(f"relation has a cycle through {ids[i]!r}")
+    poset = Poset.__new__(Poset)
+    poset.__dict__.update(elements=frozenset(ids), _index=index, rows=tuple(rows))
+    return poset
 
 
 class CompiledOrder:
@@ -184,7 +240,8 @@ class QuasiOrder:
 
     ``leq`` is the specification: the oracles read it and nothing else.
     ``compiled`` is a faster form of the same relation for the production
-    routes only, built from ``leq`` on first use.
+    routes only, built from ``leq`` on first use unless the constructor of
+    the order (`quasi_from_poset`) supplies it.
     """
 
     name: str
@@ -197,8 +254,9 @@ class QuasiOrder:
         """Dense ids and up-set bitmasks, or None for an infinite universe
         or one of more than ``COMPILE_LIMIT`` elements.
 
-        Building the form takes ``n**2`` calls of ``leq``, so a large
-        universe keeps the plain scan.
+        Building the form from ``leq`` takes ``n**2`` calls, so a large
+        universe keeps the plain scan.  A poset's quasi-order comes with
+        this form already set, from the poset's rows.
         """
         if self.elements is None:
             return None
@@ -263,13 +321,17 @@ def finite_quasi_order(
 
 
 def quasi_from_poset(poset: Poset, name: str = "poset") -> QuasiOrder:
-    """Reflexive closure of a strict order, viewed as a quasi-order."""
-    return QuasiOrder(
-        name,
-        lambda x, y: x == y or (x, y) in poset.lt,
-        poset.elements.__contains__,
-        poset.sorted_elements(),
-    )
+    """Reflexive closure of a strict order, viewed as a quasi-order.
+
+    Its compiled form is ready at any size, with no ``leq`` call: the up-set
+    of the ``i``-th id is the poset's row ``i`` plus bit ``i``.
+    """
+    less, elems = poset.less, poset.sorted_elements()
+    q = QuasiOrder(name, lambda x, y: x == y or less(x, y), poset.elements.__contains__, elems)
+    up = tuple(row | 1 << i for i, row in enumerate(poset.rows))
+    # QuasiOrder is frozen: set the cached property where it caches itself
+    q.__dict__["compiled"] = CompiledOrder(poset._index, up)
+    return q
 
 
 def seq_less_by(a: Sequence, b: Sequence, less: Callable[[Hashable, Hashable], bool]) -> bool:

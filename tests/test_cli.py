@@ -152,6 +152,26 @@ def test_lexcode_decode(tmp_path):
     assert json.loads(out)["details"]["error"] == "MalformedCode"
 
 
+def test_long_chain_commands_build_no_pairs(tmp_path, monkeypatch):
+    from orderlab import order
+
+    def no_pairs(poset):
+        raise AssertionError("the pair set of a poset was built")
+
+    # 999 > 998 > ... > 0 by name; a read of any poset's pairs fails the call
+    monkeypatch.setattr(order.Poset, "lt", property(no_pairs))
+    n = 1000
+    doc = {"elements": list(range(n)), "lt": [[k + 1, k] for k in range(n - 1)]}
+    poset = write(tmp_path, "chain1000.json", doc)
+    code, out, _ = run(["order", "validate", "--poset", poset])
+    assert code == 0
+    assert json.loads(out)["details"] == {"elements": n, "strict_pairs": 499_500}
+    code, out, _ = run(["lexcode", "encode", "--poset", poset])
+    assert code == 0
+    table = json.loads(out)["details"]["table"]
+    assert table == {str(k): [0] * k + [1] for k in range(n)}
+
+
 def test_lexcode_check_claims(tmp_path):
     code, out, _ = run(
         ["lexcode", "check-claims", "--poset", chain_poset(tmp_path), "--tie-break", "largest-id"]

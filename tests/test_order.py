@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlab import lexcode, oracles
 from orderlab.errors import CycleError, NotAQuasiOrder, UnknownElement
 from orderlab.order import (
+    Poset,
     divisibility,
     finite_quasi_order,
     natural_equality,
@@ -158,3 +160,65 @@ def test_seq_less_by_is_a_strict_order(a, b):
     lt = int.__lt__
     assert not seq_less_by(a, a, lt)
     assert not (seq_less_by(a, b, lt) and seq_less_by(b, a, lt))
+
+
+def test_a_stray_pair_raises_when_the_rows_are_derived():
+    # the pair-built constructor defers its checks to the first use of the rows
+    stray = Poset(frozenset({0, 1}), frozenset({(1, 0), (0, 5)}))
+    with pytest.raises(UnknownElement, match="element 5 is not declared"):
+        stray.rows
+    with pytest.raises(UnknownElement):
+        stray.less(1, 0)
+    with pytest.raises(UnknownElement):
+        seq_less((1,), (0,), stray)
+    with pytest.raises(UnknownElement):
+        lexcode.encode_order(Poset(frozenset({0, 1}), frozenset({(7, 0)})))
+
+
+def _construction_routes(poset, ids):
+    """``poset`` relabelled by ``ids``, built by each route: validated from
+    its pairs, from their closure, and from the relabelled pairs as given."""
+    elems = [ids[x] for x in poset.elements]
+    pairs = [(ids[x], ids[y]) for x, y in poset.lt]
+    return [
+        validate_poset(pairs, elems),
+        Poset(elems, transitive_closure(pairs)),
+        Poset(frozenset(elems), frozenset(pairs)),
+    ]
+
+
+def test_routes_agree_on_equality_hashing_and_reading():
+    rng = random.Random("poset-routes")
+    corpus = oracles.all_posets(4) + [oracles.random_poset(rng, 8) for _ in range(200)]
+    for poset in corpus:
+        ids = rng.sample(range(3 * len(poset.elements) + 1), len(poset.elements))
+        routes = _construction_routes(poset, ids)
+        first = routes[0]
+        assert validate_poset(poset.lt, poset.elements) == poset
+        for other in routes[1:]:
+            assert other == first and hash(other) == hash(first)
+            assert other.sorted_elements() == first.sorted_elements() == tuple(sorted(ids))
+            assert other.lt == first.lt
+            for x, y in itertools.product(ids, repeat=2):
+                assert other.less(x, y) == first.less(x, y) == ((x, y) in first.lt)
+        assert len(set(routes)) == 1
+    # a poset differs from its reverse once it has a pair
+    chain = chain3()
+    assert chain != validate_poset([(0, 1), (1, 2)], [0, 1, 2]) and chain != chain.lt
+    with pytest.raises(AttributeError):
+        chain.elements = frozenset()
+
+
+def test_the_hot_routes_build_no_pairs():
+    n = 1000
+    poset = validate_poset([(k + 1, k) for k in range(n - 1)], range(n))
+    assert sum(row.bit_count() for row in poset.rows) == n * (n - 1) // 2 == 499_500
+    code = lexcode.encode_order(poset)
+    assert all(code.table[k] == (0,) * k + (1,) for k in range(n))
+    compiled = quasi_from_poset(poset).compiled
+    # on this chain k is below exactly the ids 0..k
+    assert compiled.up == tuple((1 << (k + 1)) - 1 for k in range(n))
+    assert seq_less((5, n - 1), (5, 0), poset) and not seq_less((0,), (n - 1,), poset)
+    assert "lt" not in vars(poset)
+    # read once, the pairs are those of the rows
+    assert len(poset.lt) == 499_500 and (n - 1, 0) in poset.lt

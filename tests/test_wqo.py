@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -17,6 +18,8 @@ from orderlab.order import (
     finite_quasi_order,
     natural_equality,
     natural_order,
+    quasi_from_poset,
+    validate_poset,
 )
 from orderlab.wqo import (
     KTree,
@@ -293,6 +296,35 @@ def test_large_finite_order_keeps_the_scan():
     assert not higman_leq((5, 3), (1, 3, 4, 5), q)
     with pytest.raises(UnknownElement):
         higman_leq((n,), (1,), q)
+
+
+def test_compiled_form_comes_from_the_rows():
+    small = oracles.all_posets(4)
+    rng = random.Random("compiled-rows")
+    ids = rng.sample(range(1000), 200)
+    pairs = [(x, y) for x, y in itertools.combinations(ids, 2) if rng.random() < 0.02]
+    large = validate_poset(pairs, ids)
+    for poset in small + [large]:
+        q = quasi_from_poset(poset)
+        compiled = q.compiled
+        assert compiled is not None and compiled.ids == {x: i for i, x in enumerate(q.elements)}
+        for x, y in itertools.product(q.elements, repeat=2):
+            bit = compiled.up[compiled.ids[x]] >> compiled.ids[y] & 1
+            assert bool(bit) == q.leq(x, y) == (x == y or (x, y) in poset.lt)
+    assert len(large.elements) == 200 > COMPILE_LIMIT
+
+
+def test_higman_over_a_large_poset_agrees_with_the_oracle():
+    rng = random.Random("higman-200")
+    ids = rng.sample(range(1000), 200)
+    pairs = [(x, y) for x, y in itertools.combinations(ids, 2) if rng.random() < 0.05]
+    q = quasi_from_poset(validate_poset(pairs, ids))
+    tau = tuple(rng.choice(ids) for _ in range(12))
+    sigmas = [tuple(rng.choice(ids) for _ in range(rng.randint(0, 5))) for _ in range(50)]
+    # two rounds against one target: the later calls read its table
+    for sigma in sigmas + sigmas:
+        assert higman_leq(sigma, tau, q) == oracles.brute_higman(sigma, tau, q), sigma
+    assert q.compiled.next_table(tau) is not None
 
 
 def test_ktree_leq_checks_labels():
