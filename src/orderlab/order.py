@@ -7,19 +7,13 @@ ids so that searches can be bounded explicitly.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import CycleError, NotAQuasiOrder, UnknownElement
 
 Pair = tuple[int, int]
-
-# Largest finite universe that QuasiOrder.compiled builds from a leq
-# callable.  That takes n**2 calls of leq: 3.7 ms for a 128-element
-# finite_quasi_order and 23 ms at 256 (best of 5, Python 3.11, 2-vCPU Xeon).
-# A poset's quasi-order takes its compiled form from the rows, at any size.
-COMPILE_LIMIT = 128
 
 # bytes.translate table taking the digits "0"/"1" to the bytes 0/1
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -28,6 +22,18 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 def bit_flags(row: int) -> bytes:
     """Bytes 0/1 for the bits of ``row`` from bit 0 up, for `itertools.compress`."""
     return bin(row)[:1:-1].encode().translate(_BITS)
+
+
+def _rows(pairs: Iterable[tuple], index: dict) -> tuple[int, ...]:
+    """Bit rows of a relation, bit ``index[y]`` of row ``index[x]`` set for
+    each pair ``(x, y)``.  A KeyError names the first element of ``pairs``,
+    in pair order, that ``index`` lacks.
+    """
+    # "0"/"1" digits from bit 0 up, one bytearray per row, each read by one int() call
+    digits = [bytearray(b"0" * len(index)) for _ in index]
+    for x, y in pairs:
+        digits[index[x]][index[y]] = 49  # ord("1")
+    return tuple(int(row[::-1], 2) for row in digits)
 
 
 def _closed_rows(pairs: Iterable[Pair], index: dict) -> list[int]:
@@ -120,15 +126,10 @@ class Poset:
 
     @functools.cached_property
     def rows(self) -> tuple[int, ...]:
-        index = self._index
-        # "0"/"1" digits from bit 0 up, one bytearray per row, each read by one int() call
-        digits = [bytearray(b"0" * len(index)) for _ in index]
         try:
-            for x, y in self.lt:
-                digits[index[x]][index[y]] = 49  # ord("1")
+            return _rows(self.lt, self._index)
         except KeyError as err:
             raise UnknownElement(f"element {err.args[0]!r} is not declared") from None
-        return tuple(int(row[::-1], 2) for row in digits)
 
     @functools.cached_property
     def lt(self) -> frozenset[Pair]:
@@ -240,34 +241,16 @@ class QuasiOrder:
 
     ``leq`` is the specification: the oracles read it and nothing else.
     ``compiled`` is a faster form of the same relation for the production
-    routes only, built from ``leq`` on first use unless the constructor of
-    the order (`quasi_from_poset`) supplies it.
+    routes only: dense ids and up-set bitmasks, which the constructors of
+    finite orders (`finite_quasi_order`, `quasi_from_poset`) supply at any
+    size.  It is None otherwise, and equality, hashing and ``repr`` ignore it.
     """
 
     name: str
     leq: Callable[[Hashable, Hashable], bool]
     contains: Callable[[Hashable], bool]
     elements: Optional[tuple] = None
-
-    @functools.cached_property
-    def compiled(self) -> Optional[CompiledOrder]:
-        """Dense ids and up-set bitmasks, or None for an infinite universe
-        or one of more than ``COMPILE_LIMIT`` elements.
-
-        Building the form from ``leq`` takes ``n**2`` calls, so a large
-        universe keeps the plain scan.  A poset's quasi-order comes with
-        this form already set, from the poset's rows.
-        """
-        if self.elements is None:
-            return None
-        elems = tuple(dict.fromkeys(self.elements))
-        if len(elems) > COMPILE_LIMIT:
-            return None
-        leq = self.leq
-        up = tuple(
-            sum(1 << j for j, y in enumerate(elems) if leq(x, y)) for x in elems
-        )
-        return CompiledOrder({x: i for i, x in enumerate(elems)}, up)
+    compiled: Optional[CompiledOrder] = field(default=None, compare=False, repr=False)
 
     def require(self, x: Hashable) -> None:
         if not self.contains(x):
@@ -300,38 +283,46 @@ def divisibility() -> QuasiOrder:
 def finite_quasi_order(
     elements: Iterable[Hashable], leq_pairs: Iterable[tuple], name: str = "finite"
 ) -> QuasiOrder:
-    """Explicit finite quasi-order; reflexivity and transitivity are enforced."""
+    """Explicit finite quasi-order; reflexivity and transitivity are enforced.
+
+    The pairs become up-set bit rows over ``elements`` in one pass, and the
+    axioms are checked on the rows: reflexivity at every element first, then
+    transitivity, reported for the least failing ``(x, y, z)`` in element
+    order.  An `UnknownElement` names the first stray element in pair order.
+    The rows are the order's compiled form, at any size.
+    """
     elems = tuple(dict.fromkeys(elements))
-    universe = frozenset(elems)
-    rel = set()
-    for x, y in leq_pairs:
-        for v in (x, y):
-            if v not in universe:
-                raise UnknownElement(f"{v!r} is not declared in {name}")
-        rel.add((x, y))
-    for x in elems:
-        if (x, x) not in rel:
-            raise NotAQuasiOrder(f"{name} is not reflexive at {x!r}")
-    for x, y in rel:
-        for z in elems:
-            if (y, z) in rel and (x, z) not in rel:
-                raise NotAQuasiOrder(f"{name} is not transitive: {x!r},{y!r},{z!r}")
-    rel_frozen = frozenset(rel)
-    return QuasiOrder(name, lambda x, y: (x, y) in rel_frozen, universe.__contains__, elems)
+    ids = {x: i for i, x in enumerate(elems)}
+    pairs = [(x, y) for x, y in leq_pairs]
+    try:
+        up = _rows(pairs, ids)
+    except KeyError as err:
+        raise UnknownElement(f"{err.args[0]!r} is not declared in {name}") from None
+    for i, row in enumerate(up):
+        if not row >> i & 1:
+            raise NotAQuasiOrder(f"{name} is not reflexive at {elems[i]!r}")
+    for i, row in enumerate(up):
+        for j in compress(range(len(up)), bit_flags(row)):
+            missing = up[j] & ~row
+            if missing:
+                z = elems[(missing & -missing).bit_length() - 1]
+                raise NotAQuasiOrder(f"{name} is not transitive: {elems[i]!r},{elems[j]!r},{z!r}")
+    rel, compiled = frozenset(pairs), CompiledOrder(ids, up)
+    return QuasiOrder(name, lambda x, y: (x, y) in rel, ids.__contains__, elems, compiled)
 
 
 def quasi_from_poset(poset: Poset, name: str = "poset") -> QuasiOrder:
     """Reflexive closure of a strict order, viewed as a quasi-order.
 
-    Its compiled form is ready at any size, with no ``leq`` call: the up-set
-    of the ``i``-th id is the poset's row ``i`` plus bit ``i``.
+    Its compiled form comes from the poset's rows, at any size, with no
+    ``leq`` call: the up-set of the ``i``-th id is row ``i`` plus bit ``i``.
     """
     less, elems = poset.less, poset.sorted_elements()
-    q = QuasiOrder(name, lambda x, y: x == y or less(x, y), poset.elements.__contains__, elems)
     up = tuple(row | 1 << i for i, row in enumerate(poset.rows))
-    # QuasiOrder is frozen: set the cached property where it caches itself
-    q.__dict__["compiled"] = CompiledOrder(poset._index, up)
-    return q
+    compiled = CompiledOrder(poset._index, up)
+    return QuasiOrder(
+        name, lambda x, y: x == y or less(x, y), poset.elements.__contains__, elems, compiled
+    )
 
 
 def seq_less_by(a: Sequence, b: Sequence, less: Callable[[Hashable, Hashable], bool]) -> bool:

@@ -1,9 +1,14 @@
+import ast
+import dataclasses
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_package_api import run_probe
 
+import orderlab
 from orderlab import lexcode, oracles
 from orderlab.errors import CycleError, NotAQuasiOrder, UnknownElement
 from orderlab.order import (
@@ -144,6 +149,52 @@ def test_finite_quasi_order_enforces_axioms():
         )
     with pytest.raises(UnknownElement):
         finite_quasi_order((0,), [(0, 0), (0, 9)])
+
+
+# a chain on "abcde" given without its composite pairs
+BROKEN_CHAIN = """
+from orderlab.order import finite_quasi_order
+try:
+    finite_quasi_order("abcde", [(x, x) for x in "abcde"] + list(zip("abcd", "bcde")), "c5")
+except Exception as err:
+    print(err)
+"""
+
+
+def test_axiom_errors_name_the_least_failure(monkeypatch):
+    messages = set()
+    for hash_seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        messages.add(run_probe(BROKEN_CHAIN))
+    assert messages == {"c5 is not transitive: 'a','b','c'\n"}
+    # broken both ways: reflexivity is checked at every element first
+    with pytest.raises(NotAQuasiOrder, match="c5 is not reflexive at 'e'"):
+        finite_quasi_order("abcde", [(x, x) for x in "abcd"] + list(zip("abcd", "bcde")), "c5")
+    with pytest.raises(UnknownElement, match="'z' is not declared in finite"):
+        finite_quasi_order("ab", [("a", "a"), ("a", "z"), ("y", "b")])
+
+
+def _called_name(func: ast.expr):
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_only_the_finite_constructors_compile():
+    q = finite_quasi_order((0, 1), [(0, 0), (1, 1), (0, 1)], "chain2")
+    bare = dataclasses.replace(q, compiled=None)
+    assert bare == q and hash(bare) == hash(q) and repr(bare) == repr(q)
+    assert "compiled" not in repr(q)
+    # every CompiledOrder(...) call, with the innermost function around it
+    calls = []
+    for path in sorted(Path(orderlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions come first, inner ones overwrite
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node.func) == "CompiledOrder":
+                calls.append((path.name, owner.get(node)))
+    assert sorted(calls) == [("order.py", "finite_quasi_order"), ("order.py", "quasi_from_poset")]
 
 
 def test_quasi_from_poset_is_reflexive():

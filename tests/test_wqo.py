@@ -13,7 +13,6 @@ from orderlab.errors import (
     UnknownElement,
 )
 from orderlab.order import (
-    COMPILE_LIMIT,
     divisibility,
     finite_quasi_order,
     natural_equality,
@@ -289,9 +288,11 @@ def test_compiled_form_matches_leq():
 
 
 def test_large_finite_order_keeps_the_scan():
-    n = COMPILE_LIMIT + 1
+    # a large finite order is compiled like a small one, and still answers
+    # Higman queries and reports unknown items
+    n = 200
     q = finite_quasi_order(range(n), [(x, x) for x in range(n)], "anti")
-    assert q.compiled is None
+    assert q.compiled is not None and len(q.compiled.up) == n
     assert higman_leq((3, 5), (1, 3, 4, 5), q)
     assert not higman_leq((5, 3), (1, 3, 4, 5), q)
     with pytest.raises(UnknownElement):
@@ -304,14 +305,16 @@ def test_compiled_form_comes_from_the_rows():
     ids = rng.sample(range(1000), 200)
     pairs = [(x, y) for x, y in itertools.combinations(ids, 2) if rng.random() < 0.02]
     large = validate_poset(pairs, ids)
-    for poset in small + [large]:
-        q = quasi_from_poset(poset)
+    cases = [(quasi_from_poset(p), {(x, x) for x in p.elements} | p.lt) for p in small + [large]]
+    # a finite_quasi_order is compiled from its pairs at any size too
+    divides = {(x, y) for x in range(1, 201) for y in range(x, 201, x)}
+    cases.append((finite_quasi_order(range(1, 201), divides, "divides200"), divides))
+    for q, rel in cases:
         compiled = q.compiled
         assert compiled is not None and compiled.ids == {x: i for i, x in enumerate(q.elements)}
         for x, y in itertools.product(q.elements, repeat=2):
             bit = compiled.up[compiled.ids[x]] >> compiled.ids[y] & 1
-            assert bool(bit) == q.leq(x, y) == (x == y or (x, y) in poset.lt)
-    assert len(large.elements) == 200 > COMPILE_LIMIT
+            assert bool(bit) == q.leq(x, y) == ((x, y) in rel)
 
 
 def test_higman_over_a_large_poset_agrees_with_the_oracle():
