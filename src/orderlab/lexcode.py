@@ -104,7 +104,8 @@ def encode_order(order: Poset, tie_break: str = "smallest-id") -> LexCode:
 
 
 def encode_element(code: LexCode, x: int) -> tuple[int, ...]:
-    """Code word of ``x`` with the element id appended (prefix-free form)."""
+    """Code word of ``x`` with the element id appended (prefix-free form):
+    the block of ``x``, and the one writer of blocks."""
     code.order.require(x)
     return code.table[x] + (x,)
 
@@ -114,29 +115,38 @@ def encode_seq(code: LexCode, seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(d for x in seq for d in encode_element(code, x))
 
 
-def decode_path(code: LexCode, coded: Sequence[int]) -> tuple[int, ...]:
-    """Invert `encode_seq`; raises `MalformedCode` on any non-image input.
+def read_block(code: LexCode, coded: tuple[int, ...], i: int) -> tuple[int, int]:
+    """The element whose block starts at ``coded[i]``, and the position
+    after that block; raises `MalformedCode` when no block starts there.
 
     A block is a run of even digits, one odd digit, then the element id,
-    and must equal that element's prefix-free code exactly.
+    and must equal that element's prefix-free code exactly.  This is the
+    one reader of blocks: `decode_path` and the lasso decoder of
+    `trees.minimal_path` both call it.
     """
+    n = len(coded)
+    j = i
+    while j < n and coded[j] % 2 == 0:
+        j += 1
+    if j >= n:
+        raise MalformedCode("ran out of digits before an odd block terminator")
+    if j + 1 >= n:
+        raise MalformedCode("block terminator is not followed by an element id")
+    elem = coded[j + 1]
+    if code.table.get(elem) != coded[i : j + 1]:
+        raise MalformedCode(f"digits {coded[i:j + 2]} are not a coded element")
+    return elem, j + 2
+
+
+def decode_path(code: LexCode, coded: Sequence[int]) -> tuple[int, ...]:
+    """Invert `encode_seq` block by block; raises `MalformedCode` on any
+    non-image input."""
     coded = tuple(coded)
-    table = code.table
     out: list[int] = []
-    i, n = 0, len(coded)
-    while i < n:
-        j = i
-        while j < n and coded[j] % 2 == 0:
-            j += 1
-        if j >= n:
-            raise MalformedCode("ran out of digits before an odd block terminator")
-        if j + 1 >= n:
-            raise MalformedCode("block terminator is not followed by an element id")
-        elem = coded[j + 1]
-        if table.get(elem) != coded[i : j + 1]:
-            raise MalformedCode(f"digits {coded[i:j + 2]} are not a coded element")
+    i = 0
+    while i < len(coded):
+        elem, i = read_block(code, coded, i)
         out.append(elem)
-        i = j + 2
     return tuple(out)
 
 
@@ -150,7 +160,7 @@ def lift_tree(code: LexCode, aut: TreeAutomaton) -> TreeAutomaton:
     from .trees import TreeAutomaton
     if frozenset(range(aut.alphabet_size)) != code.order.elements:
         raise AlphabetMismatch("tree alphabet must equal the coded order's elements")
-    words = {a: code.table[a] + (a,) for a in range(aut.alphabet_size)}
+    words = {a: encode_element(code, a) for a in range(aut.alphabet_size)}
     alphabet = max((d for w in words.values() for d in w), default=-1) + 1
     delta: dict[tuple[int, int], int] = {}
     fresh = aut.states

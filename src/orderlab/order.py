@@ -39,8 +39,8 @@ def _rows(pairs: Iterable[tuple], index: dict) -> tuple[int, ...]:
 def _closed_rows(pairs: Iterable[Pair], index: dict) -> list[int]:
     """Transitively closed bit rows of a relation given as pairs.
 
-    ``index`` numbers the elements densely; an element that occurs in a
-    pair but not in ``index`` is added to it, in order of first appearance.
+    ``index`` numbers the elements densely; a KeyError names the first
+    element of ``pairs``, in pair order, that it lacks.
     Bit ``j`` of row ``i`` says "related to element ``j``".  Rows are closed
     from the sinks up in Kahn's order (1962): an element whose successors
     are all closed ORs their rows into its own, one OR per input pair.
@@ -54,17 +54,6 @@ def _closed_rows(pairs: Iterable[Pair], index: dict) -> list[int]:
     # pending[i] counts the input pairs (i, j) whose j is not closed yet
     pending = [0] * len(index)
     for x, y in pairs:
-        # one test per side: cheaper than a loop over (x, y) on small input
-        if x not in index:
-            index[x] = len(rows)
-            rows.append(0)
-            preds.append([])
-            pending.append(0)
-        if y not in index:
-            index[y] = len(rows)
-            rows.append(0)
-            preds.append([])
-            pending.append(0)
         i, j = index[x], index[y]
         rows[i] |= 1 << j
         preds[j].append(i)
@@ -93,13 +82,6 @@ def _pairs(elems: Sequence, rows: Iterable[int]) -> frozenset[Pair]:
         if row:
             out += zip(repeat(x), compress(elems, bit_flags(row)))
     return frozenset(out)
-
-
-def transitive_closure(pairs: Iterable[Pair]) -> frozenset[Pair]:
-    """Transitive closure of a binary relation given as a set of pairs."""
-    index: dict = {}
-    rows = _closed_rows(pairs, index)
-    return _pairs(list(index), rows)
 
 
 class Poset:
@@ -169,9 +151,10 @@ def validate_poset(pairs: Iterable[Pair], elements: Iterable[int]) -> Poset:
     """
     ids = tuple(sorted(frozenset(elements)))
     index = {x: i for i, x in enumerate(ids)}
-    rows = _closed_rows(pairs, index)
-    if len(index) > len(ids):
-        raise UnknownElement(f"element {list(index)[len(ids)]!r} is not declared")
+    try:
+        rows = _closed_rows(pairs, index)
+    except KeyError as err:
+        raise UnknownElement(f"element {err.args[0]!r} is not declared") from None
     for i, row in enumerate(rows):
         if row >> i & 1:
             raise CycleError(f"relation has a cycle through {ids[i]!r}")
@@ -325,11 +308,12 @@ def quasi_from_poset(poset: Poset, name: str = "poset") -> QuasiOrder:
     )
 
 
-def seq_less_by(a: Sequence, b: Sequence, less: Callable[[Hashable, Hashable], bool]) -> bool:
+def seq_less_by(a: Iterable, b: Iterable, less: Callable[[Hashable, Hashable], bool]) -> bool:
     """Strict sequence comparison: shared prefix, then a strictly smaller item.
 
     A proper prefix is never below its extension; incomparable items at the
-    first divergence make the sequences incomparable.
+    first divergence make the sequences incomparable.  Items are read in
+    step and only up to the first divergence, so ``a`` and ``b`` may be lazy.
     """
     for x, y in zip(a, b):
         if x != y:

@@ -17,7 +17,6 @@ from .errors import (
     InvalidAutomaton,
     InvalidLasso,
     InvalidWitness,
-    MalformedCode,
     WellFounded,
 )
 
@@ -83,20 +82,28 @@ def live_states(aut: TreeAutomaton) -> frozenset[int]:
     iff the subtree rooted at it is ill-founded.  Computed as in linear-time
     Horn satisfiability (Dowling & Gallier 1984): each state counts its
     transitions, and a dying state takes one count off each predecessor, so
-    a state dies when its count reaches 0.  O(states + transitions).
+    a state dies when its count reaches 0.  Only the states that transitions
+    name are counted and walked, in O(transitions) whatever ``states`` is;
+    every other state has no transition, so it is dead.
     """
-    count = [0] * aut.states
-    preds: list[list[int]] = [[] for _ in range(aut.states)]
+    count: dict[int, int] = {}
+    preds: dict[int, list[int]] = {}
     for (s, _), t in aut.delta.items():
-        count[s] += 1
-        preds[t].append(s)
-    dead = [s for s, c in enumerate(count) if not c]
+        if s in count:
+            count[s] += 1
+        else:
+            count[s] = 1
+        if t in preds:
+            preds[t].append(s)
+        else:
+            preds[t] = [s]
+    dead = [t for t in preds if t not in count]
     for t in dead:  # grows while read; a state enters once, when it dies
-        for s in preds[t]:
+        for s in preds.get(t, ()):
             count[s] -= 1
             if not count[s]:
                 dead.append(s)
-    return frozenset(range(aut.states)).difference(dead)
+    return frozenset([s for s, c in count.items() if c])
 
 
 @dataclass(frozen=True)
@@ -189,12 +196,11 @@ def path_left_of(first: LassoPath, second: LassoPath, order: Poset) -> bool:
     Examines items up to ``|p1| + |p2| + lcm(|c1|, |c2|)``, past which equal
     sequences stay equal; at the first divergence the alphabet order decides.
     """
+    from .order import seq_less_by  # deferred: the other tree commands never load order
+
     bound = len(first.prefix) + len(second.prefix) + lcm(len(first.cycle), len(second.cycle))
-    for i in range(bound):
-        x, y = first.item(i), second.item(i)
-        if x != y:
-            return order.less(x, y)
-    return False
+    # items are read lazily, up to the first divergence: the lcm term can be large
+    return seq_less_by(map(first.item, range(bound)), map(second.item, range(bound)), order.less)
 
 
 @dataclass(frozen=True)
@@ -258,30 +264,24 @@ def _decode_lasso(code, coded: LassoPath) -> LassoPath:
     """Decode a lasso of coded symbols into a lasso of order elements.
 
     Block boundaries eventually revisit a phase of the coded lasso, at which
-    point the decoded sequence repeats as well.
+    point the decoded sequence repeats as well.  A block has at most
+    ``longest`` digits and a phase repeats within ``clen + 1`` boundaries
+    in the cycle, so `lexcode.read_block` needs only the first
+    ``plen + (clen + 1) * longest`` digits.
     """
-    table = code.table
-    longest = max((len(v) for v in table.values()), default=0) + 1
+    from .lexcode import read_block
+
+    longest = max(map(len, code.table.values()), default=0) + 1
     plen, clen = len(coded.prefix), len(coded.cycle)
+    digits = coded.take(plen + (clen + 1) * longest)
     elems: list[int] = []
     boundaries: dict[int, int] = {}
-    buf: list[int] = []
     i = 0
     while True:
-        if not buf:
-            phase = i if i < plen else plen + (i - plen) % clen
-            if phase in boundaries:
-                cut = boundaries[phase]
-                return canonical_lasso(LassoPath(tuple(elems[:cut]), tuple(elems[cut:])))
-            boundaries[phase] = len(elems)
-        x = coded.item(i)
-        buf.append(x)
-        if len(buf) >= 2 and buf[-2] % 2 == 1:
-            elem = buf[-1]
-            if table.get(elem) != tuple(buf[:-1]):
-                raise MalformedCode(f"block {tuple(buf)} is not a coded element")
-            elems.append(elem)
-            buf = []
-        elif len(buf) > longest:
-            raise MalformedCode("coded path does not terminate a block")
-        i += 1
+        phase = i if i < plen else plen + (i - plen) % clen
+        if phase in boundaries:
+            cut = boundaries[phase]
+            return canonical_lasso(LassoPath(tuple(elems[:cut]), tuple(elems[cut:])))
+        boundaries[phase] = len(elems)
+        elem, i = read_block(code, digits, i)
+        elems.append(elem)

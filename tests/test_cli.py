@@ -310,6 +310,21 @@ def test_tree_commands(tmp_path):
     assert json.loads(out)["details"]["error"] == "WellFounded"
 
 
+def test_liveness_counts_only_the_states_that_transitions_name(tmp_path):
+    # 10**20 declared states, two of them named: no per-state table is built
+    aut = write(
+        tmp_path,
+        "aut.json",
+        {"alphabet": 2, "states": 10**20, "start": 0, "delta": [[0, 0, 1], [1, 1, 0]]},
+    )
+    code, out, _ = run(["tree", "live", "--aut", aut])
+    assert code == 0
+    assert json.loads(out)["details"] == {"live": [0, 1], "start_live": True}
+    code, out, _ = run(["tree", "leftmost", "--aut", aut])
+    assert code == 0
+    assert json.loads(out)["details"] == {"lasso": {"prefix": [], "cycle": [0, 1]}}
+
+
 def test_tree_challenge(tmp_path):
     aut = write(
         tmp_path, "aut.json", {"alphabet": 1, "states": 1, "start": 0, "delta": [[0, 0, 0]]}

@@ -1,12 +1,13 @@
-"""Every function the package exports is reached from the command line or
-an oracle suite, so no public routine goes unchecked by either.
+"""Every top-level function of a library module, exported or not, is
+reached from the command line or an oracle suite, so no routine goes
+unchecked by either and none lingers unused.
 
-The source is read with `ast`.  The exports are the ``_EXPORTS`` table of
-the package's lazy ``__init__.py`` (module -> space-separated names).  A
-top-level definition reaches every top-level definition whose name it
-mentions: a bare name defined in or imported into its module, or
-``module.name`` for an imported package module.  The roots are the
-top-level definitions of ``cli.py`` and ``suites.py``.
+The source is read with `ast`.  The library modules are all but the roots
+and the package's lazy ``__init__.py``.  A top-level definition reaches
+every top-level definition whose name it mentions: a bare name defined in
+or imported into its module, or ``module.name`` for an imported package
+module.  The roots are the top-level definitions of ``cli.py`` and
+``suites.py``.
 """
 
 import ast
@@ -51,20 +52,10 @@ def _imports(tree: ast.Module) -> tuple[dict, dict]:
     return names, modules
 
 
-def _exports(tree: ast.Module) -> list[tuple[str, str]]:
-    """``(module, name)`` for every name in the ``_EXPORTS`` table."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets
-        ):
-            table = ast.literal_eval(node.value)
-            return [(module, name) for module, names in table.items() for name in names.split()]
-    raise AssertionError("__init__ has no _EXPORTS table")
-
-
 def unreached(sources: dict[str, str]) -> set[str]:
-    """Functions exported by ``sources["__init__"]`` that no chain of name
-    references reaches from a top-level definition in a root module."""
+    """Top-level functions of the library modules in ``sources`` that no
+    chain of name references reaches from a top-level definition in a root
+    module."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     defs = {module: _definitions(tree) for module, tree in trees.items()}
     imports = {module: _imports(tree) for module, tree in trees.items()}
@@ -92,22 +83,23 @@ def unreached(sources: dict[str, str]) -> set[str]:
             continue
         seen.add((module, name))
         stack.extend(mentions(module, defs[module][name]))
-    exported = _exports(trees["__init__"])
     return {
         name
-        for module, name in exported
-        if isinstance(defs[module].get(name), ast.FunctionDef) and (module, name) not in seen
+        for module, found in defs.items()
+        if module not in ("__init__", *ROOTS)
+        for name, node in found.items()
+        if isinstance(node, ast.FunctionDef) and (module, name) not in seen
     }
 
 
-def test_every_exported_function_is_reached():
+def test_every_library_function_is_reached():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unreached(sources) == EXCEPTIONS
 
 
 def test_a_planted_unreached_function_is_flagged():
     sources = {
-        "__init__": '_EXPORTS = {"a": "f g h k C", "b": "m"}',
+        "__init__": "def __getattr__(name): pass",
         "a": "\n".join(
             [
                 "def f():",
@@ -121,8 +113,9 @@ def test_a_planted_unreached_function_is_flagged():
                 "TABLE = [k]",
             ]
         ),
-        "b": "def m(): pass",
+        "b": "def m(): pass\ndef _unlisted(): pass",
         "cli": "from .a import f\ndef main():\n    return f()",
         "suites": "from . import a\nRUN = a.TABLE",
     }
-    assert unreached(sources) == {"h", "m"}
+    # _helper reaches h, but nothing reaches _helper
+    assert unreached(sources) == {"h", "m", "_helper", "_unlisted"}

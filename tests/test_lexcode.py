@@ -95,6 +95,25 @@ def test_decode_path_roundtrip_and_errors():
         lexcode.decode_path(code, (1, 2))
 
 
+def test_read_block_returns_the_element_and_the_next_position():
+    # prefix-free codes: 0 -> (1, 0) and 1 -> (0, 1, 1)
+    code = lexcode.encode_order(validate_poset([(1, 0)], [0, 1]))
+    coded = (1, 0, 0, 1, 1)
+    assert lexcode.read_block(code, coded, 0) == (0, 2)
+    assert lexcode.read_block(code, coded, 2) == (1, 5)
+    for digits, message in [
+        ((0, 0), "ran out of digits"),  # even digits with no odd one after them
+        ((0, 1), "not followed by an element id"),  # an odd digit with no id
+        ((1, 1), r"\(1, 1\) are not a coded element"),  # 1's word is (0, 1)
+    ]:
+        with pytest.raises(MalformedCode, match=message):
+            lexcode.read_block(code, digits, 0)
+        # decode_path fails on the same blocks, also after a good one
+        with pytest.raises(MalformedCode, match=message):
+            lexcode.decode_path(code, coded + digits)
+    assert lexcode.decode_path(code, coded) == (0, 1)
+
+
 def test_converse_witness_on_small_posets():
     # whenever one word extends another's decremented stem, the owner of
     # the extension sits strictly below the stem's owner

@@ -64,7 +64,7 @@ def test_the_guard_flags_other_imports():
         [
             "import itertools",
             "from typing import Optional",
-            "from .order import Poset, transitive_closure",
+            "from .order import Poset, validate_poset",
             "from orderlab.trees import live_states",
             "from . import wqo",
             "import orderlab.menger",
@@ -74,7 +74,7 @@ def test_the_guard_flags_other_imports():
         ]
     )
     assert disallowed(production_imports(source)) == [
-        ("order", "transitive_closure"),
+        ("order", "validate_poset"),
         ("trees", "live_states"),
         ("", "wqo"),
         ("menger", "*module*"),

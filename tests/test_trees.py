@@ -9,12 +9,15 @@ from orderlab.errors import (
     InvalidAutomaton,
     InvalidLasso,
     InvalidWitness,
+    MalformedCode,
     WellFounded,
 )
+from orderlab.lexcode import encode_order
 from orderlab.order import validate_poset
 from orderlab.trees import (
     LassoPath,
     TreeAutomaton,
+    _decode_lasso,
     automaton,
     canonical_lasso,
     challenger_check,
@@ -167,6 +170,22 @@ def test_minimal_path_prefers_order_not_ids():
     assert minimal_path(aut, po) == LassoPath((), (1,))
     anti = validate_poset([], [0, 1])
     assert minimal_path(aut, anti) == LassoPath((), (0,))
+
+
+def test_decode_lasso_reads_blocks_across_the_seam():
+    # prefix-free codes: 0 -> (1, 0) and 1 -> (0, 1, 1)
+    code = encode_order(validate_poset([(1, 0)], [0, 1]))
+    # the first block (1, 0) crosses the seam, so the cycle starts inside a
+    # block and is no concatenation of whole blocks
+    assert _decode_lasso(code, LassoPath((1,), (0, 1, 0, 1))) == LassoPath((), (0,))
+    assert _decode_lasso(code, LassoPath((1,), (0, 0, 1, 1, 1))) == LassoPath((), (0, 1))
+    assert _decode_lasso(code, LassoPath((0, 1, 1), (1, 0))) == LassoPath((1,), (0,))
+    # 1 0 1 0 0 1 0 ...: the third block (0, 1, 0) is no element's code
+    with pytest.raises(MalformedCode):
+        _decode_lasso(code, LassoPath((1,), (0, 1, 0)))
+    # no odd digit ever ends a block
+    with pytest.raises(MalformedCode):
+        _decode_lasso(code, LassoPath((), (0,)))
 
 
 def test_minimal_path_requires_matching_alphabet():
