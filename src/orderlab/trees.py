@@ -266,14 +266,16 @@ def _decode_lasso(code, coded: LassoPath) -> LassoPath:
     Block boundaries eventually revisit a phase of the coded lasso, at which
     point the decoded sequence repeats as well.  A block has at most
     ``longest`` digits and a phase repeats within ``clen + 1`` boundaries
-    in the cycle, so `lexcode.read_block` needs only the first
-    ``plen + (clen + 1) * longest`` digits.
+    in the cycle, so `lexcode.read_block` never reads past the first
+    ``plen + (clen + 1) * longest`` digits.  The digits are unrolled on
+    demand, doubling the whole cycles held, so at most twice the digits
+    actually read are ever built.
     """
     from .lexcode import read_block
 
     longest = max(map(len, code.table.values()), default=0) + 1
     plen, clen = len(coded.prefix), len(coded.cycle)
-    digits = coded.take(plen + (clen + 1) * longest)
+    digits = coded.prefix + coded.cycle
     elems: list[int] = []
     boundaries: dict[int, int] = {}
     i = 0
@@ -283,5 +285,7 @@ def _decode_lasso(code, coded: LassoPath) -> LassoPath:
             cut = boundaries[phase]
             return canonical_lasso(LassoPath(tuple(elems[:cut]), tuple(elems[cut:])))
         boundaries[phase] = len(elems)
+        while len(digits) < i + longest:
+            digits += digits[plen:]
         elem, i = read_block(code, digits, i)
         elems.append(elem)

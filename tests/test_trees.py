@@ -188,6 +188,27 @@ def test_decode_lasso_reads_blocks_across_the_seam():
         _decode_lasso(code, LassoPath((), (0,)))
 
 
+def test_decode_lasso_unrolls_only_the_digits_it_reads(monkeypatch):
+    # a descending chain gives its least letter the word 0^(n-1) 1, so the
+    # coded self-loop is one block of n + 1 digits; the span bound
+    # plen + (clen + 1) * longest would be about (n + 1)^2 digits
+    from orderlab import lexcode
+
+    n = 1000
+    chain = validate_poset([(i + 1, i) for i in range(n - 1)], list(range(n)))
+    aut = automaton(n, 1, 0, [(0, n - 1, 0)])
+    widest = []
+    read_block = lexcode.read_block
+
+    def recording_read_block(code, coded, i):
+        widest.append(len(coded))
+        return read_block(code, coded, i)
+
+    monkeypatch.setattr(lexcode, "read_block", recording_read_block)
+    assert minimal_path(aut, chain) == LassoPath((), (n - 1,))
+    assert widest and max(widest) <= 10 * (n + 1)
+
+
 def test_minimal_path_requires_matching_alphabet():
     aut = automaton(2, 1, 0, [(0, 0, 0), (0, 1, 0)])
     with pytest.raises(AlphabetMismatch):
