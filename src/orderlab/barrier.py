@@ -79,9 +79,12 @@ def fragment(blocks: Iterable[Sequence[int]], window: int) -> BarrierFragment:
 
 
 def uniform_fragment(k: int, window: int) -> BarrierFragment:
-    """All ``k``-element subsets of the window, as increasing blocks."""
+    """All ``k``-element subsets of the window, as increasing blocks: none
+    when ``k`` exceeds the window."""
     if k < 1:
         raise InvalidFragment("uniform fragments need k >= 1")
+    if k > window:
+        return BarrierFragment(window, frozenset())
     return BarrierFragment(
         window, frozenset(itertools.combinations(range(window), k))
     )

@@ -38,8 +38,9 @@ class MengerGraph:
 
     @functools.cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Each vertex's neighbours in ascending order, built on first use."""
-        adj: dict[int, list[int]] = {v: [] for v in range(self.n)}
+        """Each named vertex's neighbours in ascending order, keyed in
+        ascending order and built on first use."""
+        adj: dict[int, list[int]] = {v: [] for v in _named(self)}
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
@@ -53,6 +54,13 @@ class MengerGraph:
         found = [p for a in sorted(self.A) for p in _simple_paths(adj, a) if p[-1] in self.B]
         found.sort(key=lambda p: (len(p), p))
         return tuple(found)
+
+
+def _named(g: MengerGraph) -> list[int]:
+    """The vertices that an edge, ``A`` or ``B`` names, in ascending order.
+    Any other vertex is isolated and outside both sides, so no search
+    enters it."""
+    return sorted(g.A | g.B | {v for e in g.edges for v in e})
 
 
 def graph(
@@ -256,82 +264,159 @@ class MengerSystem:
 def menger_solve(g: MengerGraph) -> MengerSystem:
     """Maximum vertex-disjoint path system and matching minimum separator.
 
-    Vertex-splitting max-flow by shortest augmenting paths (Edmonds & Karp
-    1972).  Arc ``k`` and its reverse ``k ^ 1`` share one residual list, and
-    each node lists its ``(head, arc)`` pairs by ascending head.  The
-    separator is read off the residual reachability cut, which is the
+    Vertex-splitting max-flow over the named vertices, numbered in
+    ascending order, so an isolated vertex costs nothing.  Arc ``k`` and its
+    reverse ``k ^ 1`` share one residual list, and each node lists its
+    ``(head, arc)`` pairs by ascending head.
+
+    The flow grows in Dinic's phases (Dinic 1970) that augment exactly the
+    paths of Edmonds & Karp (1972).  A phase runs one breadth-first search
+    that scans each node's arcs in list order and stops at the sink, at
+    distance ``d``.  Such a search reaches each node first along the least
+    sequence of arc positions among its shortest paths, so its arc pointers
+    give the first shortest augmenting path in that order: the path
+    Edmonds–Karp augments.  Augmenting never lowers a distance, so a later
+    path of length ``d`` runs along level arcs, from distance ``i`` to
+    ``i + 1`` below ``d`` or into the sink, that are not yet saturated.  A
+    depth-first search over those arcs in list order, dropping saturated
+    arcs and dead ends, therefore finds the path Edmonds–Karp's next search
+    would.  An attempt may build the level lists of at most ``2 * d`` nodes
+    new to the phase, twice what a path costs that meets no dead end; past
+    that, or when it finds nothing, the next phase starts with Edmonds–Karp's
+    own next search.  No attempt is made once the flow reaches
+    ``min(|A|, |B|)``, nor after a search that took in no more than
+    ``2 * d`` nodes, which costs no more than the attempt may; so small
+    graphs run plain Edmonds–Karp.  Either way the flow, the paths and the
+    separator are Edmonds–Karp's.
+
+    The separator is read off the residual reachability cut, which is the
     unique minimum cut closest to the sources.
     """
-    inf = g.n + 1
-    source, sink = 2 * g.n, 2 * g.n + 1
-    head: list[int] = []
-    residual: list[int] = []
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(sink + 1)]
-
-    def arc(u: int, v: int, c: int) -> None:
-        pairs[u].append((v, len(head)))
-        pairs[v].append((u, len(head) + 1))
-        head.extend((v, u))
-        residual.extend((c, 0))
-
-    for v in range(g.n):
-        arc(2 * v, 2 * v + 1, 1)
+    names = _named(g)
+    n = len(names)
+    source, sink = 2 * n, 2 * n + 1
+    # the i-th named vertex has in-node 2i and out-node 2i + 1, joined by
+    # the split arc 2i of capacity 1; the other arcs have capacity n + 1
+    node = dict(zip(names, range(0, source, 2)))
+    pairs = [[(x ^ 1, x)] for x in range(source)] + [[], []]
+    k = source
     for u, v in g.edges:
-        arc(2 * u + 1, 2 * v, inf)
-        arc(2 * v + 1, 2 * u, inf)
+        u, v = node[u], node[v]
+        pairs[u + 1].append((v, k))
+        pairs[v].append((u + 1, k + 1))
+        pairs[v + 1].append((u, k + 2))
+        pairs[u].append((v + 1, k + 3))
+        k += 4
     for a in g.A:
-        arc(source, 2 * a, inf)
+        pairs[source].append((node[a], k))
+        pairs[node[a]].append((source, k + 1))
+        k += 2
     for b in g.B:
-        arc(2 * b + 1, sink, inf)
+        pairs[node[b] + 1].append((sink, k))
+        pairs[sink].append((node[b] + 1, k + 1))
+        k += 2
     arcs = [sorted(p) for p in pairs]
+    residual = [1, 0] * n + [n + 1, 0] * (k // 2 - n)
 
-    def search() -> list[Optional[int]]:
-        """The arc that first reaches each node in a breadth-first search
-        of the residual graph, which stops once it reaches the sink."""
-        prev: list[Optional[int]] = [None] * (sink + 1)
-        prev[source] = -1
+    def search() -> tuple[list[int], list[Optional[int]], int]:
+        """The node from which a breadth-first search of the residual graph
+        first reaches each node, stopping once it reaches the sink, each
+        node's distance, None where unreached, and the count of nodes
+        reached.  Of the nodes at the sink's distance only the sink keeps
+        its distance."""
+        prev = [0] * (sink + 1)
+        level: list[Optional[int]] = [None] * (sink + 1)
+        level[source] = 0
         queue = [source]
         for u in queue:
+            up = level[u] + 1
             for v, k in arcs[u]:
-                if prev[v] is None and residual[k]:
-                    prev[v] = k
+                if level[v] is None and residual[k]:
+                    prev[v] = u
+                    level[v] = up
                     if v == sink:
-                        return prev
+                        for w in reversed(queue):
+                            if level[w] < up:
+                                break
+                            level[w] = None
+                        return prev, level, len(queue)
                     queue.append(v)
-        return prev
+        return prev, level, len(queue)
 
+    def level_path(level: list[Optional[int]], todo: dict, fresh: int) -> list[int]:
+        """The arcs of the first source-to-sink path along level arcs in
+        list order, or none when there is none or it enters more than
+        ``fresh`` nodes that ``todo`` does not hold.  ``todo`` keeps each
+        entered node's level arcs still worth trying, the next one last;
+        a dead end leaves the levels."""
+        stack, path = [source], []
+        while stack:
+            u = stack[-1]
+            if u == sink:
+                return path
+            left = todo.get(u)
+            if left is None:
+                fresh -= 1
+                if fresh < 0:
+                    return []
+                up = level[u] + 1
+                left = todo[u] = [
+                    (v, k) for v, k in reversed(arcs[u]) if level[v] == up and residual[k]
+                ]
+            while left and (level[left[-1][0]] is None or not residual[left[-1][1]]):
+                left.pop()
+            if left:
+                v, k = left[-1]
+                stack.append(v)
+                path.append(k)
+            else:
+                level[u] = None
+                stack.pop()
+                del path[-1:]
+        return []
+
+    # each path takes a source and a sink of its own
+    flow, bound = 0, min(len(g.A), len(g.B))
     while True:
-        prev = search()
-        if prev[sink] is None:
+        prev, level, reached = search()
+        if level[sink] is None:
             break
         path = []
         v = sink
         while v != source:
-            path.append(prev[v])
-            v = head[prev[v] ^ 1]
-        push = min(residual[k] for k in path)
-        for k in path:
-            residual[k] -= push
-            residual[k ^ 1] += push
+            u = prev[v]
+            for w, k in arcs[u]:
+                if w == v:
+                    path.append(k)
+                    break
+            v = u
+        todo: dict[int, list[tuple[int, int]]] = {}
+        fresh = 2 * level[sink]
+        while path:
+            # every path leaves an in-node next, by an arc of residual at
+            # most 1, so each augmentation pushes one unit
+            for k in path:
+                residual[k] -= 1
+                residual[k ^ 1] += 1
+            flow += 1
+            path = level_path(level, todo, fresh) if flow < bound and fresh < reached else []
 
     # the last search reached every node the residual graph reaches
     separator = frozenset(
-        v for v in range(g.n) if prev[2 * v] is not None and prev[2 * v + 1] is None
+        v for i, v in enumerate(names) if level[2 * i] is not None and level[2 * i + 1] is None
     )
 
     # The flow on a forward (even) arc is the residual of its reverse.  A
     # vertex passes at most one unit, so one forward arc out of it has flow.
     # The source lists its arcs by head, so paths come out by first vertex.
     paths: list[Path] = []
-    for first, k in arcs[source]:
+    for v, k in arcs[source]:
         if not residual[k ^ 1]:
             continue
-        walk = [first // 2]
-        while True:
-            w = next(w for w, k in arcs[2 * walk[-1] + 1] if not k & 1 and residual[k ^ 1])
-            if w == sink:
-                break
-            walk.append(w // 2)
+        walk = []
+        while v != sink:
+            walk.append(names[v // 2])
+            v = next(w for w, k in arcs[v + 1] if not k & 1 and residual[k ^ 1])
         paths.append(tuple(walk))
     return MengerSystem(tuple(paths), separator)
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,23 @@ def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def run_limited(argv):
+    """Exit code and stdout of ``python -m orderlab.cli`` in a child process
+    whose address space is capped at 1 GiB, so that a command which
+    allocates per declared item ends in `MemoryError` (exit 70) instead of
+    taking the host's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orderlab.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap,
+    )
+    return proc.returncode, proc.stdout
 
 
 def chain_poset(tmp_path):
@@ -238,6 +256,21 @@ def test_barrier_star(tmp_path):
     }
 
 
+def test_barrier_star_of_a_uniform_fragment_wider_than_its_window(tmp_path):
+    """No block has more elements than the window, so the fragment is empty
+    however large ``uniform`` is."""
+    huge = write(tmp_path, "huge.json", {"uniform": 10**12, "window": 4})
+    wide = write(tmp_path, "wide.json", {"uniform": 5, "window": 4})
+    code, out = run_limited(["barrier", "star", "--frag", huge])
+    assert code == 0
+    report = json.loads(out)
+    assert report["details"] == {"window": 4, "blocks": []}
+    assert report["verdict"] == "pass"
+    assert report == json.loads(run(["barrier", "star", "--frag", wide])[1]) | {
+        "inputs": report["inputs"]
+    }
+
+
 def test_barrier_classify(tmp_path):
     frag = write(tmp_path, "frag.json", {"uniform": 1, "window": 3})
     arr = write(tmp_path, "arr.json", {"entries": [[[0], 0], [[1], 2], [[2], 1]]})
@@ -355,6 +388,21 @@ def test_menger_solve(tmp_path):
         "paths": [[0, 1]],
         "separator": [0],
     }
+
+
+@pytest.mark.parametrize("command", ["solve", "waves", "max-wave"])
+def test_menger_reads_only_the_vertices_its_graph_names(tmp_path, command):
+    """A 3-vertex path declared among 10**12 vertices reports as among 3,
+    but for the input hash."""
+    doc = {"edges": [[0, 1], [1, 2]], "A": [0], "B": [2]}
+    huge = write(tmp_path, "huge.json", {"vertices": 10**12, **doc})
+    small = write(tmp_path, "small.json", {"vertices": 3, **doc})
+    code, out = run_limited(["menger", command, "--graph", huge])
+    assert code == 0
+    report = json.loads(out)
+    want = json.loads(run(["menger", command, "--graph", small])[1])
+    assert report["inputs"]["graph"] != want["inputs"]["graph"]
+    assert report == want | {"inputs": report["inputs"]}
 
 
 def test_menger_encode_decode(tmp_path):

@@ -214,6 +214,10 @@ def test_menger_solve_matches_reference_on_all_small_graphs():
 
 
 def test_menger_solve_matches_reference_on_random_graphs():
+    """400 random graphs of 5 to 12 vertices; then graphs on which one
+    search is followed by further paths of the same length: 300 random
+    graphs of 13 to 40 vertices, and r x r grids (r = 5, 10, 20) from the
+    left column to the right one and between random sides of r vertices."""
     rng = random.Random("menger-reference")
     for _ in range(400):
         n = rng.randint(5, 12)
@@ -223,6 +227,36 @@ def test_menger_solve_matches_reference_on_random_graphs():
         b = rng.sample(range(n), rng.randint(0, n))
         g = graph(n, edges, a, b)
         assert menger_solve(g) == _reference_menger_solve(g), g
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(13, 40)
+        density = rng.uniform(0.05, 0.4)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        a = rng.sample(range(n), rng.randint(1, n))
+        b = rng.sample(range(n), rng.randint(1, n))
+        graphs.append(graph(n, edges, a, b))
+    for r in (5, 10, 20):
+        edges = [(i * r + j, i * r + j + 1) for i in range(r) for j in range(r - 1)]
+        edges += [(i * r + j, (i + 1) * r + j) for i in range(r - 1) for j in range(r)]
+        graphs.append(graph(r * r, edges, range(0, r * r, r), range(r - 1, r * r, r)))
+        graphs.append(graph(r * r, edges, rng.sample(range(r * r), r), rng.sample(range(r * r), r)))
+    for g in graphs:
+        assert menger_solve(g) == _reference_menger_solve(g), g
+
+
+def test_menger_solve_reads_only_the_named_vertices():
+    """Declared vertices that no edge or side names cost nothing and change
+    no answer."""
+    edges = [(0, 1), (1, 2), (3, 5), (5, 4)]
+    want = MengerSystem(((0, 1, 2), (3, 5, 4)), frozenset({0, 3}))
+    assert menger_solve(graph(6, edges, [0, 3], [2, 4])) == want
+    # 10**5 keeps a solver that allocates per declared vertex cheap to run;
+    # tests/test_cli.py declares 10**12 under a memory cap
+    wide = graph(10**5, edges, [0, 3], [2, 4, 10**5 - 1])
+    assert list(wide.adjacency.items()) == [
+        (0, (1,)), (1, (0, 2)), (2, (1,)), (3, (5,)), (4, (5,)), (5, (3, 4)), (10**5 - 1, ())
+    ]
+    assert menger_solve(wide) == want
 
 
 def test_menger_solve_large_grid():
