@@ -54,7 +54,8 @@ class BarrierFragment:
 def _fragment_problems(blocks: Iterable[Block], window: int):
     """Yield ``(error type, message)`` for each broken fragment rule, lazily:
     each block that is not strictly increasing or leaves the window, in the
-    order given, then each block range contained in another's."""
+    order given, then each block range contained in another's.  Blocks of
+    equal length never nest, so a block is tried only against longer ones."""
     inside: set[Block] = set()
     for block in blocks:
         if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
@@ -63,10 +64,11 @@ def _fragment_problems(blocks: Iterable[Block], window: int):
             yield InvalidFragment, f"block {block} leaves the window {window}"
         else:
             inside.add(block)
-    for b, c in itertools.permutations(inside, 2):
-        # distinct increasing blocks of equal length have distinct ranges
-        if len(b) < len(c) and set(b) <= set(c):
-            yield InvalidFragment, f"range of {b} is contained in range of {c}"
+    longer = {n: [c for c in inside if len(c) > n] for n in set(map(len, inside))}
+    for b in inside:
+        for c in longer[len(b)]:
+            if set(b) <= set(c):
+                yield InvalidFragment, f"range of {b} is contained in range of {c}"
 
 
 def fragment(blocks: Iterable[Sequence[int]], window: int) -> BarrierFragment:

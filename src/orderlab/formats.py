@@ -221,8 +221,8 @@ def raw_fragment_from_doc(doc: object, where: str = "fragment"):
 
     Listed blocks come back as written, unvalidated, so that
     `barrier.check_fragment` can report every problem.  The ``uniform``
-    shorthand comes back as the frozenset `uniform_fragment` builds, valid
-    by construction.
+    shorthand comes back as the blocks `uniform_fragment` builds; they are
+    checked like any others, in one pass, as no two have nested ranges.
     """
     from .barrier import uniform_fragment
     window = _size(doc, "window", where)
@@ -234,12 +234,8 @@ def raw_fragment_from_doc(doc: object, where: str = "fragment"):
 
 
 def fragment_from_doc(doc: object, where: str = "fragment") -> BarrierFragment:
-    from .barrier import BarrierFragment, fragment
-    blocks, window = raw_fragment_from_doc(doc, where)
-    if isinstance(blocks, frozenset):
-        # a uniform fragment is never validated again: containment is quadratic
-        return BarrierFragment(window, blocks)
-    return _built(fragment, where, blocks, window)
+    from .barrier import fragment
+    return _built(fragment, where, *raw_fragment_from_doc(doc, where))
 
 
 def array_from_doc(

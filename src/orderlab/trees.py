@@ -12,7 +12,6 @@ from math import lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
-    AlphabetMismatch,
     BadLetter,
     InvalidAutomaton,
     InvalidLasso,
@@ -29,24 +28,14 @@ class TreeAutomaton:
     """Deterministic partial automaton; its language is the tree's node set.
 
     Every state is treated as accepting, so the language is prefix closed.
-    ``delta`` maps ``(state, letter)`` to a state and may be partial.
+    ``delta`` maps ``(state, letter)`` to a state and may be partial.  A
+    plain record, which `automaton` validates.
     """
 
     alphabet_size: int
     states: int
     start: int
     delta: Mapping[tuple[int, int], int]
-
-    def __post_init__(self):
-        if self.states < 1:
-            raise InvalidAutomaton("an automaton needs at least one state")
-        if not 0 <= self.start < self.states:
-            raise InvalidAutomaton("start state out of range")
-        for (s, a), t in self.delta.items():
-            if not 0 <= s < self.states or not 0 <= t < self.states:
-                raise InvalidAutomaton(f"transition ({s},{a})->{t} leaves the state set")
-            if not 0 <= a < self.alphabet_size:
-                raise BadLetter(f"letter {a} is outside the alphabet")
 
     def step(self, state: int, letter: int) -> Optional[int]:
         if not 0 <= letter < self.alphabet_size:
@@ -65,13 +54,24 @@ class TreeAutomaton:
 def automaton(
     alphabet_size: int, states: int, start: int, transitions: Iterable[tuple[int, int, int]]
 ) -> TreeAutomaton:
-    """Build a `TreeAutomaton` from ``(state, letter, target)`` triples."""
+    """Validated `TreeAutomaton` from ``(state, letter, target)`` triples;
+    raises on the first conflict, then on the state count, the start and
+    each transition in the order given."""
     delta: dict[tuple[int, int], int] = {}
     for s, a, t in transitions:
         key = (s, a)
         if key in delta and delta[key] != t:
             raise InvalidAutomaton(f"conflicting transitions from state {s} on letter {a}")
         delta[key] = t
+    if states < 1:
+        raise InvalidAutomaton("an automaton needs at least one state")
+    if not 0 <= start < states:
+        raise InvalidAutomaton("start state out of range")
+    for (s, a), t in delta.items():
+        if not 0 <= s < states or not 0 <= t < states:
+            raise InvalidAutomaton(f"transition ({s},{a})->{t} leaves the state set")
+        if not 0 <= a < alphabet_size:
+            raise BadLetter(f"letter {a} is outside the alphabet")
     return TreeAutomaton(alphabet_size, states, start, delta)
 
 
@@ -252,8 +252,6 @@ def minimal_path(aut: TreeAutomaton, alphabet_order: Poset) -> LassoPath:
     """
     from . import lexcode  # deferred: the other tree commands never load lexcode
 
-    if alphabet_order.elements != frozenset(range(aut.alphabet_size)):
-        raise AlphabetMismatch("alphabet order must cover exactly the automaton's alphabet")
     code = lexcode.encode_order(alphabet_order)
     lifted = lexcode.lift_tree(code, aut)
     coded = leftmost_path(lifted)

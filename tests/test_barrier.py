@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from orderlab import oracles
 from orderlab.barrier import (
     BarrierFragment,
+    _fragment_problems,
     array_of,
     bad_array_violations,
     barrier_pair_homogeneous,
@@ -84,6 +85,48 @@ def test_fragment_raises_exactly_when_the_check_fails(blocks, window):
         assert str(exc) in report.problems
     else:
         assert report.verdict != "fail"
+
+
+def reference_fragment_problems(blocks, window):
+    """The fragment rules with containment tried on every ordered pair of
+    valid blocks: the quadratic pass `_fragment_problems` replaced."""
+    inside = set()
+    for block in blocks:
+        if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
+            yield NotIncreasing, f"block {block} is not strictly increasing"
+        elif block and (block[0] < 0 or block[-1] >= window):
+            yield InvalidFragment, f"block {block} leaves the window {window}"
+        else:
+            inside.add(block)
+    for b, c in itertools.permutations(inside, 2):
+        if len(b) < len(c) and set(b) <= set(c):
+            yield InvalidFragment, f"range of {b} is contained in range of {c}"
+
+
+def test_fragment_problems_come_in_the_reference_order():
+    kinds = ("not strictly increasing", "leaves the window", "is contained in")
+    rng = random.Random("fragment-problems")
+    faults = collections.Counter()
+    for _ in range(3000):
+        window = rng.randint(0, 7)
+        blocks = []
+        for _ in range(rng.randint(0, 10)):
+            block = tuple(sorted(rng.sample(range(-1, 9), rng.randint(0, 4))))
+            if len(block) > 1 and rng.random() < 0.15:
+                block = block[::-1]
+            blocks.append(block)
+        problems = list(_fragment_problems(blocks, window))
+        assert problems == list(reference_fragment_problems(blocks, window)), (blocks, window)
+        for _, message in problems:
+            faults[next(kind for kind in kinds if kind in message)] += 1
+        first = next(reference_fragment_problems({tuple(b) for b in blocks}, window), None)
+        if first is None:
+            assert fragment(blocks, window).blocks == frozenset(blocks)
+        else:
+            with pytest.raises(first[0]) as caught:
+                fragment(blocks, window)
+            assert (type(caught.value), str(caught.value)) == first
+    assert faults.keys() == set(kinds) and min(faults.values()) > 300, faults
 
 
 def test_base_and_restrict():

@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -492,6 +493,27 @@ def test_barrier_check_walks_a_long_block(tmp_path):
     uncovered = json.loads(out)["details"]["uncovered"]
     assert len(uncovered) == 8
     assert uncovered[0] == [*range(1498), 1499]
+
+
+@pytest.mark.parametrize(
+    "command, k, code, blocks",
+    # C(40, 3) = 9880 blocks are checked in both; star builds C(40, 3) from C(40, 2)
+    [("check", 3, 2, None), ("star", 2, 0, 9880)],
+)
+def test_barrier_on_a_wide_uniform_fragment(tmp_path, command, k, code, blocks):
+    """A uniform fragment is checked like any other, in one pass: blocks of
+    equal length are never tried for containment in each other."""
+    frag = write(tmp_path, "frag.json", {"uniform": k, "window": 40})
+    start = time.perf_counter()
+    got, out, _ = run(["barrier", command, "--frag", frag])
+    elapsed = time.perf_counter() - start
+    assert got == code
+    details = json.loads(out)["details"]
+    if blocks is None:
+        assert details["problems"] == [] and len(details["uncovered"]) == 8
+    else:
+        assert len(details["blocks"]) == blocks
+    assert elapsed < 3.0, elapsed
 
 
 def test_oracle_smoke():

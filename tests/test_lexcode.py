@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orderlab import lexcode, oracles, suites
+from orderlab.barrier import fragment, star_fragment, uniform_fragment
 from orderlab.errors import AlphabetMismatch, MalformedCode, UnknownTieBreak
 from orderlab.order import Poset, seq_less_by, validate_poset
 from orderlab.trees import TreeAutomaton, automaton
@@ -260,6 +261,24 @@ def test_encode_and_lift_match_reference_on_random_orders():
         spread = Poset(frozenset(ids), frozenset((ids[x], ids[y]) for x, y in poset.lt))
         for tie in lexcode.TIE_BREAKS:
             assert lexcode.encode_order(spread, tie).table == _reference_encode_order(spread, tie)
+
+
+def test_trusted_builders_pass_the_public_checks():
+    """`lift_tree` and `uniform_fragment` build their records unchecked:
+    `automaton` and `fragment` must give each back unchanged, as `fragment`
+    must the `star_fragment` of a uniform fragment."""
+    rng = random.Random("trusted-builders")
+    for _ in range(200):
+        poset = oracles.random_poset(rng, 6)
+        code = lexcode.encode_order(poset, rng.choice(lexcode.TIE_BREAKS))
+        for aut in (_random_automaton(rng, len(poset.elements)) for _ in range(2)):
+            lifted = lexcode.lift_tree(code, aut)
+            triples = [(s, a, t) for (s, a), t in lifted.delta.items()]
+            assert automaton(lifted.alphabet_size, lifted.states, lifted.start, triples) == lifted
+    for window in range(9):
+        for k in range(1, 4):
+            for frag in (uniform_fragment(k, window), star_fragment(uniform_fragment(k, window))):
+                assert fragment(frag.blocks, frag.window) == frag
 
 
 def test_tie_break_never_decides_on_the_suite_corpus():

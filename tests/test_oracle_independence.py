@@ -1,6 +1,7 @@
 """The oracles take only data types and checked constructors from the
 production modules, so a faster production routine cannot change what an
-oracle enumerates or answers."""
+oracle enumerates or answers.  `TreeAutomaton` is a data type, which
+checks nothing; `automaton` is its checked constructor."""
 
 import ast
 from pathlib import Path

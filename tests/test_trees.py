@@ -46,6 +46,36 @@ def test_automaton_validation():
         automaton(2, 1, 0, [(0, 0, 0), (0, 0, 5)])
 
 
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        # a conflict, no state, a bad start, a transition out of range
+        (
+            (1, 0, 3, [(0, 5, 9), (0, 5, 8)]),
+            InvalidAutomaton,
+            "conflicting transitions from state 0 on letter 5",
+        ),
+        ((1, 0, 3, [(0, 5, 9)]), InvalidAutomaton, "an automaton needs at least one state"),
+        ((1, 2, 2, [(0, 5, 9)]), InvalidAutomaton, "start state out of range"),
+        ((1, 2, -1, [(3, 0, 0)]), InvalidAutomaton, "start state out of range"),
+        # the first bad transition in the order given decides
+        (
+            (1, 2, 0, [(0, 0, 1), (1, 4, 0), (0, 0, 1), (0, 3, 7)]),
+            BadLetter,
+            "letter 4 is outside the alphabet",
+        ),
+        # a state outside the range before a letter outside it
+        ((1, 2, 0, [(2, 4, 0)]), InvalidAutomaton, "transition (2,4)->0 leaves the state set"),
+        ((1, 2, 0, [(0, -1, 5)]), InvalidAutomaton, "transition (0,-1)->5 leaves the state set"),
+    ],
+)
+def test_automaton_reports_the_first_problem(args, error, message):
+    with pytest.raises(error) as caught:
+        automaton(*args)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_node_membership():
     aut = loop_and_branch()
     assert aut.run(()) is not None
