@@ -7,6 +7,7 @@ ids so that searches can be bounded explicitly.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -191,11 +192,13 @@ class CompiledOrder:
         ``k >= j`` with ``x <= target[k]``, or the fail mark ``m + 1``, whose
         own row (the last) maps every id back to it.  Only the latest target
         is kept, keyed on a tuple copy so that a list changed between calls
-        is looked at afresh.  An item outside the universe raises KeyError.
+        is looked at afresh; a tuple is its own copy, so asking for the same
+        tuple again is settled by identity before any item is compared.  An
+        item outside the universe raises KeyError.
         """
         key = tuple(target)
         last_key, asked, rows = self._last
-        if key != last_key:
+        if key is not last_key and key != last_key:
             self._last = (key, 1, None)
             return None
         if rows is None:
@@ -239,6 +242,20 @@ class QuasiOrder:
         if not self.contains(x):
             raise UnknownElement(f"{x!r} is outside the universe of {self.name}")
 
+    def require_all(self, items: Sequence) -> None:
+        """`require` for each item in order, so the first one outside the
+        universe is reported.  On the natural families one C-level pass
+        settles a sequence of plain non-negative ints; any other sequence
+        takes the item-by-item loop.
+        """
+        contains = self.contains
+        if contains is _is_natural and set(map(type, items)) <= {int}:
+            if min(items, default=0) >= 0:
+                return
+        for x in items:
+            if not contains(x):
+                raise UnknownElement(f"{x!r} is outside the universe of {self.name}")
+
 
 def _is_natural(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
@@ -246,12 +263,12 @@ def _is_natural(x: object) -> bool:
 
 def natural_order() -> QuasiOrder:
     """The usual total order on the naturals."""
-    return QuasiOrder("natural-leq", lambda x, y: x <= y, _is_natural)
+    return QuasiOrder("natural-leq", operator.le, _is_natural)
 
 
 def natural_equality() -> QuasiOrder:
     """Equality on the naturals; the canonical infinite antichain."""
-    return QuasiOrder("natural-eq", lambda x, y: x == y, _is_natural)
+    return QuasiOrder("natural-eq", operator.eq, _is_natural)
 
 
 def divisibility() -> QuasiOrder:

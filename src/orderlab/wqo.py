@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .errors import InvalidNode, InvalidTree, NegativeCount, PreconditionViolation, UnknownElement
+from .errors import InvalidNode, InvalidTree, NegativeCount, PreconditionViolation
 from .order import QuasiOrder
 
 
@@ -20,11 +20,15 @@ def higman_leq(sigma: Sequence, tau: Sequence, q: QuasiOrder) -> bool:
     """Subsequence embedding: a strictly increasing index map with
     ``sigma[i] <= tau[f(i)]`` pointwise.
 
-    Every item of both sequences must lie in the universe.  A greedy
-    earliest-match scan decides it, and is complete: any embedding can be
-    pushed left one position at a time.  When a compiled quasi-order is asked
-    about the same ``tau`` many times in a row, the earliest matches are read
-    from the next-occurrence table of ``tau`` instead.
+    Every item of both sequences must lie in the universe: `QuasiOrder.require_all`
+    checks ``sigma`` and then ``tau``, in one C-level pass each on the
+    natural families, and reports the first item outside.  A greedy
+    earliest-match scan then decides it, and is complete: any embedding can
+    be pushed left one position at a time.  The scan walks one iterator over
+    ``tau``, so each item of ``sigma`` resumes just past the previous match.
+    When a compiled quasi-order is asked about the same ``tau`` many times in
+    a row, the earliest matches are read from the next-occurrence table of
+    ``tau`` instead.
     """
     compiled = q.compiled
     if compiled is not None:
@@ -38,21 +42,16 @@ def higman_leq(sigma: Sequence, tau: Sequence, q: QuasiOrder) -> bool:
                 return j != len(rows) - 1
         except (KeyError, TypeError):
             pass  # the scan below reports the first item outside the universe
-    contains = q.contains
-    for item in sigma:
-        if not contains(item):
-            raise UnknownElement(f"{item!r} is outside the universe of {q.name}")
-    for item in tau:
-        if not contains(item):
-            raise UnknownElement(f"{item!r} is outside the universe of {q.name}")
+    q.require_all(sigma)
+    q.require_all(tau)
     leq = q.leq
-    j, m = 0, len(tau)
+    rest = iter(tau)
     for x in sigma:
-        while j < m and not leq(x, tau[j]):
-            j += 1
-        if j == m:
+        for y in rest:
+            if leq(x, y):
+                break
+        else:
             return False
-        j += 1
     return True
 
 
@@ -61,14 +60,13 @@ def higman_lift(q: QuasiOrder) -> QuasiOrder:
     return QuasiOrder(
         f"seqs({q.name})",
         lambda s, t: higman_leq(s, t, q),
-        lambda s: isinstance(s, tuple) and all(q.contains(x) for x in s),
+        lambda s: isinstance(s, tuple) and all(map(q.contains, s)),
     )
 
 
 def is_bad(seq: Sequence, q: QuasiOrder) -> Optional[tuple[int, int]]:
     """First good pair ``i < j`` with ``seq[i] <= seq[j]``, or None if bad."""
-    for item in seq:
-        q.require(item)
+    q.require_all(seq)
     leq = q.leq
     n = len(seq)
     for i in range(n):
@@ -224,10 +222,8 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
             return s_up[sv] >> t_ids[tv] & 1
 
     else:
-        for lab in s_tree.labels:
-            q.require(lab)
-        for lab in t_tree.labels:
-            q.require(lab)
+        q.require_all(s_tree.labels)
+        q.require_all(t_tree.labels)
         leq, s_labels, t_labels = q.leq, s_tree.labels, t_tree.labels
 
         def dominated(sv: int, tv: int) -> bool:

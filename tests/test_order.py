@@ -133,6 +133,12 @@ def test_builtin_quasi_orders():
     assert not div.leq(12, 3)
     assert div.leq(5, 0) and not div.leq(0, 5) and div.leq(0, 0)
     assert div.contains(0) and not div.contains(-1) and not div.contains(True)
+    grid = (0, 1, 2, 7, 10**30, 10**30 + 1)
+    for x, y in itertools.product(grid, repeat=2):
+        assert leq.leq(x, y) == (x <= y) and eq.leq(x, y) == (x == y), (x, y)
+    # leq is the shared builtin comparator, not a fresh lambda per call, so
+    # two calls now build equal orders
+    assert natural_order() == leq and natural_equality() == eq
 
 
 def test_finite_quasi_order_enforces_axioms():

@@ -1,3 +1,4 @@
+import enum
 import itertools
 import random
 
@@ -191,6 +192,118 @@ def test_ktree_key_is_isomorphism_invariant():
 def test_higman_matches_injection_search(sigma, tau):
     leq = natural_order()
     assert higman_leq(sigma, tau, leq) == oracles.brute_higman(sigma, tau, leq)
+
+
+def _reference_higman(sigma, tau, q):
+    """Reference for `higman_leq` on an uncompiled order: a membership loop
+    per sequence, ``sigma`` first, then an index scan over ``tau``."""
+    for item in sigma:
+        if not q.contains(item):
+            raise UnknownElement(f"{item!r} is outside the universe of {q.name}")
+    for item in tau:
+        if not q.contains(item):
+            raise UnknownElement(f"{item!r} is outside the universe of {q.name}")
+    j, m = 0, len(tau)
+    for x in sigma:
+        while j < m and not q.leq(x, tau[j]):
+            j += 1
+        if j == m:
+            return False
+        j += 1
+    return True
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+FAMILIES = (natural_order(), natural_equality(), divisibility())
+
+
+def _below(x, q, rng):
+    """An item below ``x`` in ``q``, so that swapping it in keeps an embedding."""
+    if q.name == "natural-leq":
+        return rng.randint(0, x)
+    if q.name == "divides":
+        return rng.choice([d for d in range(1, x + 1) if x % d == 0]) if x else rng.randrange(9)
+    return x
+
+
+@pytest.mark.parametrize("q", FAMILIES, ids=lambda q: q.name)
+def test_family_higman_matches_the_reference(q):
+    rng = random.Random(f"family-scan-{q.name}")
+    verdicts = set()
+    for m in (0, 1, 2, 3, 10, 100, 1000, 3000):
+        tau = tuple(rng.randrange(12) for _ in range(m))
+        for n in sorted({0, 1, m // 2, m, m + 1, 2 * m + 3}):
+            picks = sorted(rng.sample(range(m), min(n, m)))
+            embedded = [_below(tau[i], q, rng) for i in picks]
+            sigmas = [tuple(embedded), tuple(rng.randrange(12) for _ in range(n))]
+            if embedded:
+                spoiled = list(embedded)
+                spoiled[rng.randrange(len(spoiled))] = 13
+                sigmas.append(tuple(spoiled))
+            for sigma in sigmas:
+                want = _reference_higman(sigma, tau, q)
+                assert higman_leq(sigma, tau, q) == want, (m, n)
+                assert higman_leq(list(sigma), list(tau), q) == want, (m, n)
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+class _Small(enum.IntEnum):
+    NEG = -2
+    TWO = 2
+
+
+# Items outside the naturals in every family.  A non-negative IntEnum member
+# is an int subclass other than bool, so it is a natural and is accepted.
+BAD_ITEMS = (True, -1, 2.0, "3", None, _Small.NEG)
+
+
+@pytest.mark.parametrize("q", FAMILIES, ids=lambda q: q.name)
+def test_family_higman_reports_the_first_bad_item(q):
+    long = tuple(range(1, 2001))
+    assert higman_leq((_Small.TWO,), (4, _Small.TWO), q)
+    assert higman_leq(long, long + (_Small.TWO,), q)
+    for bad, other in itertools.permutations(BAD_ITEMS, 2):
+        cases = [
+            ((bad,), ()),
+            ((), (bad,)),
+            ((1, bad, 2, other), (3,)),
+            ((2,), (3, bad, other)),
+            ((1, bad), (other, 4)),  # sigma's item is reported before tau's
+            (long + (bad,), long),
+            (long, long + (bad,) + long + (other,)),
+        ]
+        for sigma, tau in cases:
+            got = _outcome(higman_leq, sigma, tau, q)
+            assert got == _outcome(_reference_higman, sigma, tau, q), (sigma[-3:], tau[-3:])
+            assert got[0] is UnknownElement
+
+
+def test_is_bad_and_ktree_leq_report_the_first_bad_item():
+    nat = natural_order()
+    with pytest.raises(UnknownElement, match="^-1 is outside the universe of natural-leq$"):
+        is_bad((3, 1, -1, True), nat)
+    with pytest.raises(UnknownElement, match="^True is outside"):
+        is_bad(tuple(range(1000)) + (True, -1), nat)
+    assert is_bad((_Small.TWO, 1, 2), nat) == (0, 2)
+    good = KTree((-1, 0), (0, 1))
+    bad_source = KTree((-1, 0, 0), (1, 2.0, -3))
+    bad_target = KTree((-1, 0), (True, 0))
+    # source labels before target labels, each in node order
+    with pytest.raises(UnknownElement, match="^2.0 is outside the universe of natural-leq$"):
+        ktree_leq(bad_source, bad_target, nat)
+    with pytest.raises(UnknownElement, match="^True is outside the universe of natural-leq$"):
+        ktree_leq(good, bad_target, nat)
+    with pytest.raises(UnknownElement, match="^True is outside the universe of natural-leq$"):
+        ktree_leq(bad_target, bad_source, nat)
+    two = KTree((-1,), (_Small.TWO,))
+    assert ktree_leq(two, good, divisibility()) and not ktree_leq(two, KTree((-1,), (1,)), nat)
 
 
 QUASI_ORDERS = oracles.quasi_orders_upto(3)
