@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
+from ._record import record
 from .errors import (
     MAX_FAILURES,
     EmptyBlock,
@@ -40,7 +40,7 @@ def _require_block(b: Sequence[int]) -> Block:
     return block
 
 
-@dataclass(frozen=True)
+@record
 class BarrierFragment:
     """Blocks of a barrier restricted to entries below ``window``."""
 
@@ -135,7 +135,7 @@ def star_fragment(frag: BarrierFragment) -> BarrierFragment:
     return fragment({u for u in unions if u is not None}, frag.window)
 
 
-@dataclass(frozen=True)
+@record
 class FragmentCheck:
     verdict: str  # "pass" | "fail" | "inconclusive"
     problems: tuple[str, ...]
@@ -174,7 +174,7 @@ def check_fragment(blocks: Iterable[Sequence[int]], window: int) -> FragmentChec
     return FragmentCheck("pass", (), ())
 
 
-@dataclass(frozen=True)
+@record
 class PartialArray:
     """Finite enumeration of ``(block, value)`` pairs, in sequence order."""
 

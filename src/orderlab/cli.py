@@ -10,7 +10,6 @@ emitted sorted.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import sys
 from typing import Callable, NamedTuple, Optional
@@ -34,6 +33,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _digest(path: str) -> str:
+    import hashlib  # here, so that a call with no input file never loads it
+
     return hashlib.sha256(formats.read_bytes(path)).hexdigest()[:16]
 
 

@@ -9,10 +9,10 @@ the element of each block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ._record import record
 from .errors import AlphabetMismatch, MalformedCode, UnknownTieBreak
 
 if TYPE_CHECKING:
@@ -25,7 +25,7 @@ TIE_BREAKS = ("smallest-id", "largest-id")
 _GAP = 1 << 64
 
 
-@dataclass(frozen=True)
+@record
 class LexCode:
     """Code table for a finite strict order.
 

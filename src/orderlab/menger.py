@@ -11,9 +11,9 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from ._record import record
 from .errors import (
     InvalidGraph,
     InvalidSequence,
@@ -27,7 +27,7 @@ Path = tuple[int, ...]
 Label = tuple[int, object]
 
 
-@dataclass(frozen=True)
+@record
 class MengerGraph:
     """Finite undirected graph with source set ``A`` and sink set ``B``."""
 
@@ -127,7 +127,7 @@ def is_separator(g: MengerGraph, c: Iterable[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class Warp:
     """Vertex-disjoint paths from the sources, one per source vertex."""
 
@@ -252,7 +252,7 @@ def maximal_wave(g: MengerGraph) -> Warp:
     return collections.deque(_waves(g), maxlen=1)[0]
 
 
-@dataclass(frozen=True)
+@record
 class MengerSystem:
     """Disjoint source-sink paths and a separator of the same size, with the
     separator meeting each path exactly once."""

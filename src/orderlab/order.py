@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
+from ._record import record
 from .errors import CycleError, NotAQuasiOrder, UnknownElement
 
 Pair = tuple[int, int]
@@ -218,7 +218,7 @@ class CompiledOrder:
         return rows
 
 
-@dataclass(frozen=True)
+@record
 class QuasiOrder:
     """Decidable reflexive-transitive ``leq`` over a universe of values.
 
@@ -236,7 +236,24 @@ class QuasiOrder:
     leq: Callable[[Hashable, Hashable], bool]
     contains: Callable[[Hashable], bool]
     elements: Optional[tuple] = None
-    compiled: Optional[CompiledOrder] = field(default=None, compare=False, repr=False)
+    compiled: Optional[CompiledOrder] = None
+
+    # ``compiled`` restates ``leq``, so it is left out of these three
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.leq, self.contains, self.elements) == (
+                other.name, other.leq, other.contains, other.elements
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.leq, self.contains, self.elements))
+
+    def __repr__(self):
+        return (
+            f"QuasiOrder(name={self.name!r}, leq={self.leq!r}, "
+            f"contains={self.contains!r}, elements={self.elements!r})"
+        )
 
     def require(self, x: Hashable) -> None:
         if not self.contains(x):

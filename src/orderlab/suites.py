@@ -19,20 +19,20 @@ import contextlib
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from . import barrier, formats, lexcode, menger, oracles, trees, wqo
+from ._record import record
 from .errors import OrderlabError, WellFounded
 from .order import finite_quasi_order, seq_less_by
 
 
-@dataclass
+@record
 class SuiteResult:
     name: str
     verdict: str
     checked: int
     failures: tuple
-    notes: dict = field(default_factory=dict)
+    notes: dict
 
 
 SUITES: dict = {}

@@ -7,10 +7,10 @@ as lassos (finite prefix plus a repeating cycle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
+from ._record import record
 from .errors import (
     BadLetter,
     InvalidAutomaton,
@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from .order import Poset
 
 
-@dataclass(frozen=True)
+@record
 class TreeAutomaton:
     """Deterministic partial automaton; its language is the tree's node set.
 
@@ -106,7 +106,7 @@ def live_states(aut: TreeAutomaton) -> frozenset[int]:
     return frozenset([s for s, c in count.items() if c])
 
 
-@dataclass(frozen=True)
+@record
 class LassoPath:
     """Eventually periodic infinite sequence: ``prefix`` then ``cycle`` forever."""
 
@@ -203,14 +203,14 @@ def path_left_of(first: LassoPath, second: LassoPath, order: Poset) -> bool:
     return seq_less_by(map(first.item, range(bound)), map(second.item, range(bound)), order.less)
 
 
-@dataclass(frozen=True)
+@record
 class ChallengerEntry:
     challenger: LassoPath
     in_tree: bool
     left_of_witness: bool
 
 
-@dataclass(frozen=True)
+@record
 class ChallengerReport:
     witness: LassoPath
     entries: tuple[ChallengerEntry, ...]

@@ -9,9 +9,9 @@ meet-preserving, label-dominating node maps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
+from ._record import record
 from .errors import InvalidNode, InvalidTree, NegativeCount, PreconditionViolation
 from .order import QuasiOrder
 
@@ -141,7 +141,7 @@ def nash_williams_step(
     return tuple(entries[i] for i in range(i0)) + tuple(entries[k][:-1] for k in s_sorted)
 
 
-@dataclass(frozen=True)
+@record
 class KTree:
     """Finite rooted tree with labelled nodes, as a parent array.
 

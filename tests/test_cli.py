@@ -720,31 +720,38 @@ def test_negative_sizes_and_bools_are_parse_errors(tmp_path, argv, name, doc):
 # the golden command a group is probed with -> the orderlab submodules one
 # `python -m orderlab.cli` call of it loads
 LOADED = {
-    "order validate": {"errors", "formats", "order"},
-    "lexcode encode": {"errors", "formats", "order", "lexcode"},
-    "wqo higman": {"errors", "formats", "order", "wqo"},
-    "barrier check": {"errors", "formats", "barrier"},
-    "barrier tri": {"errors", "formats", "barrier"},
-    "barrier classify": {"errors", "formats", "order", "barrier"},
-    "tree live": {"errors", "formats", "trees"},
-    "tree leftmost": {"errors", "formats", "trees"},
-    "tree minimal": {"errors", "formats", "order", "trees", "lexcode"},
-    "menger solve": {"errors", "formats", "menger"},
+    "order validate": {"_record", "errors", "formats", "order"},
+    "lexcode encode": {"_record", "errors", "formats", "order", "lexcode"},
+    "wqo higman": {"_record", "errors", "formats", "order", "wqo"},
+    "barrier check": {"_record", "errors", "formats", "barrier"},
+    "barrier tri": {"_record", "errors", "formats", "barrier"},
+    "barrier classify": {"_record", "errors", "formats", "order", "barrier"},
+    "tree live": {"_record", "errors", "formats", "trees"},
+    "tree leftmost": {"_record", "errors", "formats", "trees"},
+    "tree minimal": {"_record", "errors", "formats", "order", "trees", "lexcode"},
+    "menger solve": {"_record", "errors", "formats", "menger"},
     "oracle star-law": {
-        "errors", "formats", "order", "lexcode", "trees", "wqo", "barrier", "menger",
+        "_record", "errors", "formats", "order", "lexcode", "trees", "wqo", "barrier", "menger",
         "oracles", "suites",
     },
 }
+# the commands of LOADED that read no input file, so digest none
+NO_INPUT_FILE = {"wqo higman", "barrier tri", "oracle star-law"}
 
 
-# runs `python -m orderlab.cli <args>`, then prints the loaded orderlab submodules
+# runs `python -m orderlab.cli <args>`, then prints the loaded orderlab
+# submodules and which of three costly standard modules the call added to a
+# bare interpreter's
 PROBE = """
-import runpy, sys
+import sys
+bare = set(sys.modules)
+import runpy
 try:
     runpy.run_module("orderlab.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
 print(*sorted(m for m in sys.modules if m.startswith("orderlab.")), file=sys.stderr)
+print(*sorted({"dataclasses", "inspect", "hashlib"} & (set(sys.modules) - bare)), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -759,8 +766,9 @@ def test_a_call_loads_only_the_modules_of_its_command(tmp_path, command):
         [sys.executable, "-c", PROBE, *fill(case["argv"])], capture_output=True, text=True, env=env
     )
     assert (proc.returncode, proc.stdout) == (case["exit"], case["stdout"])
-    loaded = proc.stderr.splitlines()[-1].split()
+    loaded, costly = (line.split() for line in proc.stderr.splitlines()[-2:])
     assert {m.removeprefix("orderlab.") for m in loaded} == LOADED[command]
+    assert costly == ([] if command in NO_INPUT_FILE else ["hashlib"])
 
 
 def outcome(argv):

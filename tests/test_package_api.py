@@ -79,14 +79,14 @@ def test_the_package_loads_a_submodule_on_first_use():
     )
     assert run_probe(probe).splitlines() == [
         "['orderlab']",
-        "['orderlab', 'orderlab.errors', 'orderlab.menger']",
+        "['orderlab', 'orderlab._record', 'orderlab.errors', 'orderlab.menger']",
     ]
     # a submodule loads only what it calls at import time, not what it annotates
     for module, loaded in {
-        "lexcode": {"errors", "lexcode"},
-        "trees": {"errors", "trees"},
-        "barrier": {"errors", "barrier"},
-        "wqo": {"errors", "order", "wqo"},
+        "lexcode": {"_record", "errors", "lexcode"},
+        "trees": {"_record", "errors", "trees"},
+        "barrier": {"_record", "errors", "barrier"},
+        "wqo": {"_record", "errors", "order", "wqo"},
     }.items():
         probe = "\n".join(
             [

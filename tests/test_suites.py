@@ -8,6 +8,7 @@ import re
 import types
 from pathlib import Path
 
+import pytest
 from test_acceptance import CHECKED
 
 from orderlab import suites
@@ -60,6 +61,13 @@ def test_result_notes_are_not_the_registered_dict():
     second = suites._run("a", planted(1, set()), notes)
     assert notes == {"trees": 286}
     assert second.notes == {"trees": 286}
+
+
+def test_a_result_is_frozen():
+    result = suites._run("a", planted(1, set()), {})
+    with pytest.raises(AttributeError):
+        result.verdict = "fail"
+    assert result.verdict == "pass"
 
 
 def readme_suite_table() -> dict[str, int]:
