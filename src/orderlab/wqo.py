@@ -198,14 +198,27 @@ class KTree:
             raise InvalidNode(f"node {v} is outside the tree")
 
 
+# What the outcome of a ktree_leq frame's sweep means: the whole answer, a
+# source child's greedy match, a step of an augmenting path, or a descent
+# into a target child.
+_ANSWER, _MATCH, _AUGMENT, _DESCEND = range(4)
+
+
 def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     """Tree embedding: an injective meet-preserving map with dominated labels.
 
     Such a map sends the source root to some node ``v`` with a dominating
     label and the root's child subtrees into distinct child subtrees of
-    ``v``; the search recurses on that shape with memoisation.  Each source
+    ``v``.  One loop decides that shape over an explicit stack of frames,
+    one per (source node, target node) pair it has to settle, with each
+    pair's answer memoised; a frame waiting on a pair re-reads the memo
+    when it resumes, so a deep tree meets no recursion limit.  Each source
     child takes the first free target child it embeds into, and only a
-    child with none left starts an augmenting-path search (Kuhn 1955).
+    child with none left starts an augmenting-path search (Kuhn 1955),
+    kept in its frame as a path of (child, position) entries.  Two cases
+    need no frame: a source leaf embeds wherever its label is dominated,
+    and a non-leaf never embeds into a target leaf.  A source node with one
+    child needs no matching, only some target child that takes the child.
     Labels are compared through the up-set bitmasks when ``q`` is compiled.
     """
     compiled = q.compiled
@@ -233,50 +246,85 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     t_children = t_tree._children
     m = len(t_children)
     memo: dict[int, bool] = {}
-
-    def embed(sv: int, tv: int) -> bool:
-        key = sv * m + tv
-        result = memo.get(key)
-        if result is None:
-            result = rooted(sv, tv)
-            if not result:
-                for tc in t_children[tv]:
-                    if embed(sv, tc):
-                        result = True
+    stack: list[tuple] = []
+    # The current frame settles the pair (sv, tv) by sweeps of the form
+    # "the first target node b drawn from ``it`` and not in ``skip`` that
+    # the source node ``a`` embeds into"; the stage says what a sweep's
+    # outcome means.  The outermost frame sweeps the target root alone.
+    sv = tv = left = right = i = assign = path = None
+    stage, a, it, skip = _ANSWER, s_tree.root, iter((t_tree.root,)), ()
+    while True:
+        while True:
+            a_leaf = not s_children[a]
+            for b in it:
+                if b in skip:
+                    continue
+                if a_leaf and dominated(a, b):
+                    known = True
+                    break
+                if t_children[b]:
+                    known = memo.get(a * m + b)
+                    if known is not False:  # True, or None: not settled yet
                         break
-            memo[key] = result
-        return result
-
-    def rooted(sv: int, tv: int) -> bool:
-        if not dominated(sv, tv):
-            return False
-        left = s_children[sv]
-        right = t_children[tv]
-        if len(left) > len(right):
-            return False
-        assign: dict[int, int] = {}
-        for l in left:
-            for r in right:
-                if r not in assign and embed(l, r):
-                    assign[r] = l
+            else:
+                b = None
+                break
+            if known:
+                break
+            # a frame for the pair (a, b), to resume this one when it is settled
+            stack.append((sv, tv, left, right, stage, i, a, it, skip, assign, path, b))
+            sv, tv = a, b
+            left, right = s_children[a], t_children[b]
+            if left and len(left) <= len(right) and dominated(a, b):
+                stage, i, a, it = _MATCH, 0, left[0], iter(right)
+                skip = assign = {} if len(left) > 1 else ()
+            else:
+                stage, it, skip = _DESCEND, iter(right), ()
+        while True:
+            if stage == _MATCH:
+                if b is None:
+                    if not i:  # with no target child taken, the sweep has tried them all
+                        stage, a, it, skip = _DESCEND, sv, iter(right), ()
+                    else:
+                        stage, it, skip, path = _AUGMENT, iter(right), set(), []
+                    break
+                i += 1
+                if i == len(left):
+                    result = True
+                else:
+                    assign[b] = a
+                    a, it = left[i], iter(right)
+                    break
+            elif stage == _DESCEND:
+                result = b is not None
+            elif stage == _AUGMENT:
+                if b is not None:
+                    skip.add(b)
+                    owner = assign.get(b)
+                    if owner is not None:
+                        path.append((a, it, b))
+                        a, it = owner, iter(right)
+                        break
+                    assign[b] = a
+                    for child, _, taken in path:
+                        assign[taken] = child
+                    i += 1
+                    if i < len(left):
+                        stage, a, it, skip = _MATCH, left[i], iter(right), assign
+                        break
+                    result = True
+                elif path:
+                    a, it, _ = path.pop()
+                    break
+                else:
+                    stage, a, it, skip = _DESCEND, sv, iter(right), ()
                     break
             else:
-                # with no target child taken, the sweep has tried them all
-                if not assign or not augment(l, right, assign, set()):
-                    return False
-        return True
-
-    def augment(l: int, right: tuple[int, ...], assign: dict[int, int], seen: set[int]) -> bool:
-        for r in right:
-            if r in seen or not embed(l, r):
-                continue
-            seen.add(r)
-            if r not in assign or augment(assign[r], right, assign, seen):
-                assign[r] = l
-                return True
-        return False
-
-    return embed(s_tree.root, t_tree.root)
+                return b is not None
+            memo[sv * m + tv] = result
+            sv, tv, left, right, stage, i, a, it, skip, assign, path, b = stack.pop()
+            if not result:
+                break
 
 
 def _preorder(tree: KTree, v: int) -> list[int]:

@@ -237,6 +237,16 @@ def test_wqo_min_bad():
     assert json.loads(out)["details"] == {"found": True, "seq": [0, 1, 2]}
 
 
+def test_wqo_kruskal_embeds_a_deep_path_into_itself(tmp_path):
+    """A 5,000-node path is far deeper than the interpreter's default
+    recursion limit, and a fresh interpreter decides it with exit 0."""
+    n = 5000
+    path = write(tmp_path, "path.json", {"parent": [-1, *range(n - 1)], "labels": [0] * n})
+    code, out = run_limited(["wqo", "kruskal", "--q", "nat-leq", "--left", path, "--right", path])
+    assert code == 0
+    assert json.loads(out)["details"] == {"embeds": True}
+
+
 def test_wqo_nw_step(tmp_path):
     seqs = write(tmp_path, "seqs.json", {"seqs": [[0, 1, 1], [2, 1], [3, 1]]})
     code, out, _ = run(["wqo", "nw-step", "--q", "nat-eq", "--seqs", seqs, "--s", "1,2"])

@@ -167,9 +167,147 @@ def test_ktree_leq_reassigns_a_greedy_child():
 
 
 def test_ktree_leq_deep_path_into_itself():
-    # two frames per level when every child finds a free target child
-    path = KTree((-1,) + tuple(range(399)), (0,) * 400)
+    # 5,000 levels, far past the interpreter's recursion limit: the search
+    # keeps its one frame per level on a list
+    path = KTree((-1,) + tuple(range(4999)), (0,) * 5000)
     assert ktree_leq(path, path, natural_order())
+
+
+def test_ktree_leq_deep_path_under_a_high_root():
+    # the source root's label is above every target label, so the search
+    # descends the whole target path, one frame per level, before it answers
+    target = KTree((-1,) + tuple(range(4999)), (0,) * 5000)
+    source = KTree(target.parent, (1,) + (0,) * 4999)
+    assert not ktree_leq(source, target, natural_order())
+
+
+def _reference_ktree_leq(s_tree, t_tree, q):
+    """Reference for `ktree_leq`: its earlier recursive search, word for
+    word.  It decides the same embeddings, but a tree deeper than the
+    interpreter's recursion limit ends it in `RecursionError`."""
+    compiled = q.compiled
+    if compiled is not None:
+        ids, up = compiled.ids, compiled.up
+        try:
+            s_up = [up[ids[lab]] for lab in s_tree.labels]
+            t_ids = [ids[lab] for lab in t_tree.labels]
+        except (KeyError, TypeError):
+            compiled = None  # the checks below report the first bad label
+    if compiled is not None:
+
+        def dominated(sv: int, tv: int) -> bool:
+            return s_up[sv] >> t_ids[tv] & 1
+
+    else:
+        q.require_all(s_tree.labels)
+        q.require_all(t_tree.labels)
+        leq, s_labels, t_labels = q.leq, s_tree.labels, t_tree.labels
+
+        def dominated(sv: int, tv: int) -> bool:
+            return leq(s_labels[sv], t_labels[tv])
+
+    s_children = s_tree._children
+    t_children = t_tree._children
+    m = len(t_children)
+    memo: dict[int, bool] = {}
+
+    def embed(sv: int, tv: int) -> bool:
+        key = sv * m + tv
+        result = memo.get(key)
+        if result is None:
+            result = rooted(sv, tv)
+            if not result:
+                for tc in t_children[tv]:
+                    if embed(sv, tc):
+                        result = True
+                        break
+            memo[key] = result
+        return result
+
+    def rooted(sv: int, tv: int) -> bool:
+        if not dominated(sv, tv):
+            return False
+        left = s_children[sv]
+        right = t_children[tv]
+        if len(left) > len(right):
+            return False
+        assign: dict[int, int] = {}
+        for l in left:
+            for r in right:
+                if r not in assign and embed(l, r):
+                    assign[r] = l
+                    break
+            else:
+                # with no target child taken, the sweep has tried them all
+                if not assign or not augment(l, right, assign, set()):
+                    return False
+        return True
+
+    def augment(l: int, right: tuple[int, ...], assign: dict[int, int], seen: set[int]) -> bool:
+        for r in right:
+            if r in seen or not embed(l, r):
+                continue
+            seen.add(r)
+            if r not in assign or augment(assign[r], right, assign, seen):
+                assign[r] = l
+                return True
+        return False
+
+    return embed(s_tree.root, t_tree.root)
+
+
+def _random_ktree(rng, n, labels, shape):
+    if shape == "path":
+        parent = (-1, *range(n - 1))
+    elif shape == "star":
+        parent = (-1, *(0,) * (n - 1))
+    elif shape == "bushy":
+        parent = (-1, *(rng.randrange(min(i, 3)) for i in range(1, n)))
+    else:
+        parent = (-1, *(rng.randrange(i) for i in range(1, n)))
+    return KTree(parent, tuple(rng.choice(labels) for _ in range(n)))
+
+
+def _ktree_pairs(rng, orders, labels):
+    """Seeded (order, source, target) triples: 3,000 of random, bushy, path
+    and star shapes with up to 9 and 14 nodes, then 1,000 stars into stars
+    with up to two spare leaves, where greedy matches block each other and
+    the augmenting search has to move them."""
+    shapes = ("random", "bushy", "path", "star")
+    for k in range(4000):
+        q = rng.choice(orders)
+        items = sorted(q.elements) if labels is None else labels
+        if k < 3000:
+            s_shape, t_shape = rng.choice(shapes), rng.choice(shapes)
+            s_size, t_size = rng.randint(1, 9), rng.randint(1, 14)
+        else:
+            s_shape = t_shape = "star"
+            s_size = rng.randint(3, 7)
+            t_size = s_size + rng.randint(0, 2)
+        yield (
+            q,
+            _random_ktree(rng, s_size, items, s_shape),
+            _random_ktree(rng, t_size, items, t_shape),
+        )
+
+
+@pytest.mark.parametrize(
+    "orders, labels",
+    [
+        (oracles.quasi_orders_upto(3), None),
+        ([natural_order()], range(4)),
+        ([divisibility()], range(1, 7)),
+    ],
+    ids=["compiled-upto-3", "natural-leq", "divides"],
+)
+def test_ktree_leq_matches_the_recursive_reference(orders, labels):
+    rng = random.Random(f"ktree-reference-{orders[0].name}")
+    verdicts = set()
+    for q, s_tree, t_tree in _ktree_pairs(rng, orders, labels):
+        want = _reference_ktree_leq(s_tree, t_tree, q)
+        assert ktree_leq(s_tree, t_tree, q) is want, (s_tree, t_tree, q.name)
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_subtree_renumbers_in_preorder():
