@@ -23,19 +23,27 @@ if TYPE_CHECKING:
 
 
 def tally(checks) -> tuple[int, list]:
-    """Run the generator ``checks``, which yields None for a passing check
-    and a failure record otherwise, until it ends or yields its
+    """Run the generator ``checks`` until it ends or yields its
     `MAX_FAILURES`-th failure record, then close it.  Returns the number of
-    checks made and the failure records."""
-    checked = 0
+    checks made and the failure records.
+
+    Each item the generator yields is None for one passing check, a
+    positive int ``k`` for ``k`` passing checks, or a failure record.  A
+    generator that yields the count of the passes before each failure thus
+    stops at the same ``checked`` count as one that yields None per pass.
+    """
+    checked = counted = 0  # counted: what the ints add beyond one item each
     failures: list = []
     with contextlib.closing(checks):
         for checked, record in enumerate(checks, 1):
             if record is not None:
+                if record.__class__ is int:
+                    counted += record - 1
+                    continue
                 failures.append(record)
                 if len(failures) == MAX_FAILURES:
                     break
-    return checked, failures
+    return checked + counted, failures
 
 
 def read_bytes(path: str) -> bytes:

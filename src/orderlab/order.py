@@ -165,57 +165,80 @@ def validate_poset(pairs: Iterable[Pair], elements: Iterable[int]) -> Poset:
 
 
 class CompiledOrder:
-    """Dense form of a finite quasi-order.
+    """Dense form of a finite quasi-order, with a one-slot memo of Higman
+    tables.
 
     ``ids`` numbers the universe ``0..n-1`` in the order of ``elements``;
     bit ``j`` of ``up[i]`` is set when element ``i`` is below element ``j``.
+    ``target`` is the latest target `next_table` was asked about, as a
+    tuple, ``asked`` how many times in a row it was asked for, and
+    ``table`` its table once built, else None.  `wqo.higman_leq` reads
+    ``table`` in place when its target is ``target`` itself, and hands
+    every other call to `next_table`.
     """
 
-    __slots__ = ("ids", "up", "scans_before_table", "_last")
+    __slots__ = ("ids", "up", "scans_before_table", "target", "asked", "table")
 
     def __init__(self, ids: dict, up: tuple[int, ...]):
         self.ids = ids
         self.up = up
-        # A table costs about 4 + n/4 scans to build (measured at 3 to 256
-        # elements, BENCH_3.json "table_policy").  Scanning that many times
+        # A table of a target of up to 16 items costs about 4 + n/4 scans to
+        # build (measured at 3 to 256 elements, BENCH_3.json "table_policy",
+        # and for the columns, BENCH_25.json "table_policy"; a longer target
+        # costs more, alike for rows and columns).  Scanning that many times
         # first keeps a run of queries against one target within twice the
         # cost of its cheaper plan; building on the second query did not.
         self.scans_before_table = 4 + len(up) // 4
-        self._last: tuple = (None, 0, None)
+        self.target = self.table = None
+        self.asked = 0
 
-    def next_table(self, target: Sequence) -> Optional[list[list[int]]]:
+    def next_table(self, target: Sequence) -> Optional[dict[Hashable, list[int]]]:
         """Subsequence automaton of ``target`` (Baeza-Yates 1991), or None
         while ``target`` has been asked for at most ``scans_before_table``
         times in a row.
 
-        With ``m = len(target)``, ``rows[j][x]`` is ``1 + k`` for the least
-        ``k >= j`` with ``x <= target[k]``, or the fail mark ``m + 1``, whose
-        own row (the last) maps every id back to it.  Only the latest target
-        is kept, keyed on a tuple copy so that a list changed between calls
-        is looked at afresh; a tuple is its own copy, so asking for the same
-        tuple again is settled by identity before any item is compared.  An
-        item outside the universe raises KeyError.
+        The table holds one column per element.  With ``m = len(target)``,
+        ``table[x][j]`` is ``1 + k`` for the least ``k >= j`` with
+        ``x <= target[k]``, or the fail mark ``m + 1``, which every column
+        maps back to itself.  A column depends only on which items of
+        ``target`` its element lies below, so elements that agree there
+        share one column.  Only the latest target is kept, as a tuple copy,
+        so that a list changed between calls is looked at afresh; a tuple is
+        its own copy, so asking for the same tuple again is settled by
+        identity before any item is compared.  An item outside the universe
+        raises KeyError, or TypeError when it is unhashable.
         """
         key = tuple(target)
-        last_key, asked, rows = self._last
-        if key is not last_key and key != last_key:
-            self._last = (key, 1, None)
+        if key is not self.target and key != self.target:
+            self.target, self.asked, self.table = key, 1, None
             return None
-        if rows is None:
-            if asked < self.scans_before_table:
-                self._last = (key, asked + 1, None)
-                return None
-            ids = self.ids
-            fail = len(key) + 1
-            row = [fail] * len(self.up)
-            rows = [row, row]
-            for k in range(len(key) - 1, -1, -1):
-                bit = 1 << ids[key[k]]
-                row = [k + 1 if mask & bit else nxt for mask, nxt in zip(self.up, row)]
-                rows.append(row)
-            rows.reverse()
-            self._last = (key, asked, rows)
-        return rows
+        if self.table is not None:
+            return self.table
+        if self.asked < self.scans_before_table:
+            self.asked += 1
+            return None
+        ids = self.ids
+        fail = len(key) + 1
+        at = [ids[x] for x in key]
+        present = 0
+        for i in at:
+            present |= 1 << i
+        marks = list(range(1, fail))  # one int object per mark, however many columns hold it
+        shared: dict[int, list[int]] = {}
+        table = {}
+        for x, i in ids.items():
+            below = self.up[i] & present
+            column = shared.get(below)
+            if column is None:
+                column = shared[below] = [fail] * (fail + 1)
+                nxt = fail
+                for k in range(len(at) - 1, -1, -1):
+                    if below >> at[k] & 1:
+                        nxt = marks[k]
+                    column[k] = nxt
+            table[x] = column
+        self.table = table
+        return table
 
 
 @record
@@ -256,21 +279,32 @@ class QuasiOrder:
         )
 
     def require(self, x: Hashable) -> None:
-        if not self.contains(x):
+        """`require_all` for one item."""
+        try:
+            inside = self.contains(x)
+        except TypeError:
+            inside = False
+        if not inside:
             raise UnknownElement(f"{x!r} is outside the universe of {self.name}")
 
     def require_all(self, items: Sequence) -> None:
-        """`require` for each item in order, so the first one outside the
-        universe is reported.  On the natural families one C-level pass
-        settles a sequence of plain non-negative ints; any other sequence
-        takes the item-by-item loop.
+        """Raise `UnknownElement` for the first item, in order, outside the
+        universe.  On the natural families one C-level pass settles a
+        sequence of plain non-negative ints; any other sequence takes the
+        item-by-item loop.  An item for which ``contains`` raises TypeError,
+        as a finite universe's dict lookup does for an unhashable item, is
+        outside.
         """
         contains = self.contains
         if contains is _is_natural and set(map(type, items)) <= {int}:
             if min(items, default=0) >= 0:
                 return
         for x in items:
-            if not contains(x):
+            try:
+                inside = contains(x)
+            except TypeError:
+                inside = False
+            if not inside:
                 raise UnknownElement(f"{x!r} is outside the universe of {self.name}")
 
 

@@ -1,13 +1,16 @@
 """Named oracle suites: each compares a production route against an
 independent reference at a documented scale.
 
-A suite is written as a generator function of ``seed`` that yields one item
-per check: ``None`` when the check passes, or a failure record (a dict
-naming the counterexample) when it fails.  `_suite` registers it in
-`SUITES` and binds its name to a function ``seed -> SuiteResult``; that
-function hands the generator to `formats.tally`, which counts the checks,
-keeps the failure records and stops at the eighth failure, closing the
-generator.  ``checked`` is then the number of checks made.
+A suite is written as a generator function of ``seed`` that yields, per
+check, ``None`` when the check passes or a failure record (a dict naming
+the counterexample) when it fails.  A suite may also yield a positive int
+``k`` for ``k`` passing checks; it then yields the count of the passes
+before each failure record, so that a run stops at the same count.
+`_suite` registers it in `SUITES` and binds its name to a function
+``seed -> SuiteResult``; that function hands the generator to
+`formats.tally`, which counts the checks, keeps the failure records and
+stops at the eighth failure, closing the generator.  ``checked`` is then
+the number of checks made.
 
 Suites are deterministic given ``seed``.  The registry `SUITES`, in
 definition order, is what the command line exposes.
@@ -258,18 +261,25 @@ def leftmost_exact(seed):
 @_suite("higman-agreement")
 def higman_agreement(seed):
     """higman_leq equals the injection-search oracle on every sequence pair
-    of length ≤ 6 over every quasi-order with ≤ 3 elements."""
+    of length ≤ 6 over every quasi-order with ≤ 3 elements.  It yields
+    the passes against each ``tau`` as one count, split at each failure."""
     for q in oracles.quasi_orders_upto(3):
         items = sorted(q.elements)
         seqs = oracles.all_seqs(items, 6)
         impl = wqo.higman_leq
         for tau in seqs:
             down = oracles.higman_down_set(tau, q, items)
+            passed = 0
             for sigma in seqs:
                 if impl(sigma, tau, q) == (sigma in down):
-                    yield None
-                else:
-                    yield {"q": q.name, "sigma": list(sigma), "tau": list(tau)}
+                    passed += 1
+                    continue
+                if passed:
+                    yield passed
+                    passed = 0
+                yield {"q": q.name, "sigma": list(sigma), "tau": list(tau)}
+            if passed:
+                yield passed
 
 
 @_suite("kruskal-agreement", trees=286)

@@ -22,29 +22,38 @@ def higman_leq(sigma: Sequence, tau: Sequence, q: QuasiOrder) -> bool:
 
     Every item of both sequences must lie in the universe: `QuasiOrder.require_all`
     checks ``sigma`` and then ``tau``, in one C-level pass each on the
-    natural families, and reports the first item outside.  A greedy
-    earliest-match scan then decides it, and is complete: any embedding can
-    be pushed left one position at a time.  The scan walks one iterator over
-    ``tau``, so each item of ``sigma`` resumes just past the previous match.
-    When a compiled quasi-order is asked about the same ``tau`` many times in
-    a row, the earliest matches are read from the next-occurrence table of
-    ``tau`` instead.
+    natural families, and reports the first item outside.  The greedy scan
+    `_embeds` then decides it.  When a compiled quasi-order is asked about
+    the same ``tau`` many times in a row, the earliest matches are read from
+    the next-occurrence table of ``tau`` instead, one column lookup per item
+    of ``sigma``.  A call whose ``tau`` is the very tuple the table was built
+    for reads it in place; any other call asks `CompiledOrder.next_table`.
     """
     compiled = q.compiled
     if compiled is not None:
         try:
-            rows = compiled.next_table(tau)
-            if rows is not None:
-                ids = compiled.ids
+            table = compiled.table
+            if tau is not compiled.target or table is None:
+                table = compiled.next_table(tau)
+            if table is not None:
                 j = 0
                 for x in sigma:
-                    j = rows[j][ids[x]]
-                return j != len(rows) - 1
+                    j = table[x][j]
+                return j != len(tau) + 1
         except (KeyError, TypeError):
-            pass  # the scan below reports the first item outside the universe
+            pass  # the checks below report the first item outside the universe
     q.require_all(sigma)
     q.require_all(tau)
-    leq = q.leq
+    return _embeds(sigma, tau, q.leq)
+
+
+def _embeds(sigma: Sequence, tau: Sequence, leq) -> bool:
+    """The embedding decision for items already known to be in the universe.
+
+    A greedy earliest-match scan, which is complete: any embedding can be
+    pushed left one position at a time.  It walks one iterator over ``tau``,
+    so each item of ``sigma`` resumes just past the previous match.
+    """
     rest = iter(tau)
     for x in sigma:
         for y in rest:
@@ -56,10 +65,18 @@ def higman_leq(sigma: Sequence, tau: Sequence, q: QuasiOrder) -> bool:
 
 
 def higman_lift(q: QuasiOrder) -> QuasiOrder:
-    """Finite sequences over ``q`` quasi-ordered by subsequence embedding."""
+    """Finite sequences over ``q`` quasi-ordered by subsequence embedding.
+
+    Its ``contains`` checks every item of a sequence.  Its ``leq`` decides
+    members only, as `operator.le` does for `natural_order`: it runs the
+    scan of `higman_leq` without the membership checks, which `is_bad` and
+    `barrier.bad_array_violations` have already made once per entry through
+    ``contains``.
+    """
+    leq = q.leq
     return QuasiOrder(
         f"seqs({q.name})",
-        lambda s, t: higman_leq(s, t, q),
+        lambda s, t: _embeds(s, t, leq),
         lambda s: isinstance(s, tuple) and all(map(q.contains, s)),
     )
 

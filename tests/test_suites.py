@@ -1,9 +1,10 @@
 """The suite runner and the suite registry.
 
-The runner tests feed `suites._run` synthetic generators of checks; none of
-them is registered in `SUITES`.
+The runner tests feed `formats.tally` and `suites._run` synthetic
+generators of checks; none of them is registered in `SUITES`.
 """
 
+import itertools
 import re
 import types
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 from test_acceptance import CHECKED
 
-from orderlab import suites
+from orderlab import formats, oracles, suites, wqo
+from orderlab.errors import MAX_FAILURES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,6 +54,76 @@ def test_runner_keeps_every_failure_below_the_cap():
     assert result.verdict == "fail"
     assert result.checked == 50
     assert result.failures == ({"at": 4}, {"at": 40})
+
+
+def test_tally_counts_nones_ints_and_records():
+    assert formats.tally(planted(37, set())) == (37, [])
+    assert formats.tally(planted(0, set())) == (0, [])
+
+    def mixed():
+        yield None
+        yield 5
+        yield {"at": 7}
+        yield None
+        yield 1
+        yield {"at": 10}
+        yield 3
+
+    assert formats.tally(mixed()) == (13, [{"at": 7}, {"at": 10}])
+
+
+def test_tally_stops_at_the_last_record_with_the_count_before_it():
+    closed = {"done": False}
+
+    def counted():
+        try:
+            for k in itertools.count(1):
+                yield k  # k passing checks, then one failure
+                yield {"at": k}
+        finally:
+            closed["done"] = True
+
+    checked, failures = formats.tally(counted())
+    assert failures == [{"at": k} for k in range(1, MAX_FAILURES + 1)]
+    assert checked == sum(range(1, MAX_FAILURES + 1)) + MAX_FAILURES
+    assert closed["done"]
+
+
+def _per_check_higman_agreement(seed):
+    """higman-agreement with one None per passing check, as a reference for
+    the suite, which yields its passes as counts."""
+    for q in oracles.quasi_orders_upto(3):
+        items = sorted(q.elements)
+        seqs = oracles.all_seqs(items, 6)
+        impl = wqo.higman_leq
+        for tau in seqs:
+            down = oracles.higman_down_set(tau, q, items)
+            for sigma in seqs:
+                if impl(sigma, tau, q) == (sigma in down):
+                    yield None
+                else:
+                    yield {"q": q.name, "sigma": list(sigma), "tau": list(tau)}
+
+
+def _negate_every_1000th_higman_call(monkeypatch):
+    calls = itertools.count(1)
+    higman_leq = wqo.higman_leq
+
+    def faulty(sigma, tau, q):
+        answer = higman_leq(sigma, tau, q)
+        return not answer if next(calls) % 1000 == 0 else answer
+
+    monkeypatch.setattr(wqo, "higman_leq", faulty)
+
+
+def test_higman_agreement_stops_where_the_per_check_form_stops(monkeypatch):
+    _negate_every_1000th_higman_call(monkeypatch)
+    result = suites.higman_agreement(0)
+    monkeypatch.undo()
+    _negate_every_1000th_higman_call(monkeypatch)  # the call count starts again
+    checked, failures = formats.tally(_per_check_higman_agreement(0))
+    assert (result.verdict, result.checked, len(result.failures)) == ("fail", 8000, MAX_FAILURES)
+    assert (result.checked, list(result.failures)) == (checked, failures)
 
 
 def test_result_notes_are_not_the_registered_dict():

@@ -14,6 +14,7 @@ from orderlab.errors import (
     UnknownElement,
 )
 from orderlab.order import (
+    QuasiOrder,
     divisibility,
     finite_quasi_order,
     natural_equality,
@@ -518,11 +519,48 @@ def test_higman_table_after_the_scans():
     tau = (2, 5, 5, 8)
     for _ in range(compiled.scans_before_table):
         assert compiled.next_table(tau) is None
-    rows = compiled.next_table(tau)
-    assert rows is compiled.next_table(list(tau))
-    assert rows[0] == [1, 1, 1, 2, 2, 2, 4, 4, 4]
-    assert rows[-1] == [5] * 9
+    table = compiled.next_table(tau)
+    assert table is compiled.next_table(list(tau))
+    # one column per element, over the positions 0..4 and the fail mark 5
+    assert list(table) == list(range(9))
+    assert all(len(column) == 6 for column in table.values())
+    assert [table[x][0] for x in range(9)] == [1, 1, 1, 2, 2, 2, 4, 4, 4]
+    assert [table[x][5] for x in range(9)] == [5] * 9
+    assert table[5] == [2, 2, 3, 4, 5, 5] and table[8] == [4, 4, 4, 4, 5, 5]
     assert compiled.next_table((2, 5)) is None
+
+
+def test_higman_table_for_an_equal_tuple_and_a_changed_list():
+    q = chain2()
+    tau = (0, 1, 1)
+    for _ in range(_warm(q)):
+        higman_leq((1,), tau, q)
+    table = q.compiled.table
+    assert table is not None and q.compiled.target is tau
+    # an equal tuple that is another object reads the cached table
+    twin = tuple(list(tau))
+    assert twin is not tau
+    assert q.compiled.next_table(twin) is table
+    assert higman_leq((1, 1), twin, q) and not higman_leq((1, 1, 1), twin, q)
+    assert q.compiled.target is tau and q.compiled.table is table
+    # a list is copied on every call, so a change between calls is seen
+    items = list(tau)
+    assert q.compiled.next_table(items) is table
+    items[2] = 0
+    assert q.compiled.next_table(items) is None
+    assert not higman_leq((1, 1), items, q)
+    assert q.compiled.target == (0, 1, 0) and q.compiled.table is None
+
+
+def test_higman_true_over_zero_and_one_reads_as_one():
+    # True == 1 and hash(True) == hash(1): a finite order over {0, 1} takes
+    # True for 1, in the scan and in the table alike
+    pairs = [((True,), (0, 1)), ((True,), (0, 0)), ((0, True), (1, 1)), ((1,), (0, True))]
+    for q, answers in ((chain2(), [True, False, True, True]), (anti2(), [True, False, False, True])):
+        for (sigma, tau), want in zip(pairs, answers):
+            for _ in range(_warm(q) + 2):
+                assert higman_leq(sigma, tau, q) is want, (q.name, sigma, tau)
+            assert q.compiled.table is not None
 
 
 def test_compiled_form_matches_leq():
@@ -588,6 +626,51 @@ def test_ktree_leq_checks_labels():
         ktree_leq(bad, tree, chain2())
     with pytest.raises(UnknownElement, match="5 is outside the universe of chain2"):
         ktree_leq(tree, bad, chain2())
+
+
+def test_an_unhashable_item_is_outside_a_finite_universe():
+    q = chain2()
+    message = r"^\[1\] is outside the universe of chain2$"
+    tau = (0, 1, 1)
+    for _ in range(_warm(q)):
+        with pytest.raises(UnknownElement, match=message):
+            higman_leq(([1],), tau, q)
+        assert higman_leq((1,), tau, q)
+    # the table is built now, and a lookup of [1] raises TypeError in it
+    assert q.compiled.target is tau and q.compiled.table is not None
+    with pytest.raises(UnknownElement, match=message):
+        higman_leq((0, [1]), tau, q)
+    with pytest.raises(UnknownElement, match=message):
+        higman_leq((0,), (0, [1]), q)
+    with pytest.raises(UnknownElement, match=message):
+        ktree_leq(KTree((-1, 0), (0, [1])), KTree((-1,), (1,)), q)
+    with pytest.raises(UnknownElement, match=message):
+        ktree_leq(KTree((-1,), (0,)), KTree((-1, 0), (1, [1])), q)
+    with pytest.raises(UnknownElement, match=message):
+        is_bad((1, [1]), q)
+    with pytest.raises(UnknownElement, match=message):
+        q.require([1])
+    with pytest.raises(UnknownElement, match=r"^\(\[1\],\) is outside the universe of seqs\(chain2\)$"):
+        is_bad(((0,), ([1],)), higman_lift(q))
+
+
+def test_is_bad_over_a_lifted_order_checks_each_entry_once(monkeypatch):
+    passes = []
+    require_all = QuasiOrder.require_all
+
+    def counted(self, items):
+        passes.append(self.name)
+        return require_all(self, items)
+
+    monkeypatch.setattr(QuasiOrder, "require_all", counted)
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    lifted = higman_lift(divisibility())
+    for n in (10, 40):
+        passes.clear()
+        # no prime divides another, so no pair is good and every pair is asked
+        assert is_bad([(p,) * 3 for p in primes[:n]], lifted) is None
+        assert len(passes) <= n, (n, len(passes))
+    assert is_bad([(2, 3), (5,), (4, 9, 7)], lifted) == (0, 2)
 
 
 def _scan_children(tree, v):
