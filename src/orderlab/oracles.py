@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 from .menger import MengerGraph
 from .order import Poset, QuasiOrder, finite_quasi_order
 from .trees import LassoPath, TreeAutomaton, automaton, canonical_lasso
-from .wqo import KTree, ktree_key
+from .wqo import KTree
 
 # ---------------------------------------------------------------- orders
 
@@ -187,18 +187,35 @@ def brute_ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     return place(0)
 
 
+def _relabelled(parent: tuple, labels: tuple, perm: tuple) -> tuple[tuple, tuple]:
+    """The tree with node ``i`` renamed ``perm[i]``, as ``(parent, labels)``."""
+    new_parent, new_labels = [-1] * len(parent), [None] * len(parent)
+    for i, p in enumerate(parent):
+        if p != -1:
+            new_parent[perm[i]] = perm[p]
+        new_labels[perm[i]] = labels[i]
+    return tuple(new_parent), tuple(new_labels)
+
+
 def all_ktrees(max_nodes: int, labels: Sequence) -> list[KTree]:
-    """Labelled rooted trees up to isomorphism, on ≤ ``max_nodes`` nodes."""
+    """Labelled rooted trees up to isomorphism, on ≤ ``max_nodes`` nodes.
+
+    Parent arrays are enumerated with the root at 0, and two of them with
+    labels are isomorphic exactly when some renaming of the nodes that
+    keeps the root at 0 maps one onto the other.  So the least
+    ``(parent, labels)`` pair over those renamings is a normal form, and
+    the first tree of each form is kept.
+    """
     out, seen = [], set()
     for n in range(1, max_nodes + 1):
+        perms = [(0,) + rest for rest in itertools.permutations(range(1, n))]
         for parents in itertools.product(*[range(i) for i in range(1, n)]):
             parent = (-1,) + parents
             for labs in itertools.product(labels, repeat=n):
-                tree = KTree(parent, labs)
-                key = ktree_key(tree)
+                key = min(_relabelled(parent, labs, perm) for perm in perms)
                 if key not in seen:
                     seen.add(key)
-                    out.append(tree)
+                    out.append(KTree(parent, labs))
     return out
 
 

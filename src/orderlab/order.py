@@ -174,10 +174,11 @@ class CompiledOrder:
     tuple, ``asked`` how many times in a row it was asked for, and
     ``table`` its table once built, else None.  `wqo.higman_leq` reads
     ``table`` in place when its target is ``target`` itself, and hands
-    every other call to `next_table`.
+    every other call to `next_table`.  ``down`` is the transpose of ``up``,
+    built on first use.
     """
 
-    __slots__ = ("ids", "up", "scans_before_table", "target", "asked", "table")
+    __slots__ = ("ids", "up", "scans_before_table", "target", "asked", "table", "_down")
 
     def __init__(self, ids: dict, up: tuple[int, ...]):
         self.ids = ids
@@ -189,8 +190,21 @@ class CompiledOrder:
         # first keeps a run of queries against one target within twice the
         # cost of its cheaper plan; building on the second query did not.
         self.scans_before_table = 4 + len(up) // 4
-        self.target = self.table = None
+        self.target = self.table = self._down = None
         self.asked = 0
+
+    @property
+    def down(self) -> tuple[int, ...]:
+        """Down-set rows: bit ``i`` of ``down[j]`` is set when element ``i``
+        is below element ``j``."""
+        if self._down is None:
+            rows = [0] * len(self.up)
+            for i, row in enumerate(self.up):
+                bit = 1 << i
+                for j in compress(range(len(rows)), bit_flags(row)):
+                    rows[j] |= bit
+            self._down = tuple(rows)
+        return self._down
 
     def next_table(self, target: Sequence) -> Optional[dict[Hashable, list[int]]]:
         """Subsequence automaton of ``target`` (Baeza-Yates 1991), or None

@@ -8,12 +8,16 @@ meet-preserving, label-dominating node maps.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import Hashable, Iterable, Optional, Sequence
 
 from ._record import record
 from .errors import InvalidNode, InvalidTree, NegativeCount, PreconditionViolation
-from .order import QuasiOrder
+from .order import CompiledOrder, QuasiOrder, natural_order
+
+_NATURAL = natural_order()
 
 
 def higman_leq(sigma: Sequence, tau: Sequence, q: QuasiOrder) -> bool:
@@ -164,7 +168,9 @@ class KTree:
 
     ``parent[i]`` is the parent of node ``i``; exactly one node is the root,
     marked with ``-1``.  Node order below any node is the ancestor chain, so
-    meets (deepest common ancestors) always exist.
+    meets (deepest common ancestors) always exist.  The per-node arrays that
+    `ktree_leq` reads are built on first use and kept; equality, hashing and
+    ``repr`` ignore them.
     """
 
     parent: tuple[int, ...]
@@ -214,6 +220,59 @@ class KTree:
         if not 0 <= v < len(self.parent):
             raise InvalidNode(f"node {v} is outside the tree")
 
+    @functools.cached_property
+    def _shape(self) -> tuple[list[int], list[int], list[int]]:
+        """The non-root nodes, each after every node below it, then each
+        node's subtree size and height (the nodes on its longest downward
+        path), summed up in that order."""
+        below, parent = _preorder(self, self._root), self.parent
+        below.reverse()
+        below.pop()
+        size, height = [1] * len(parent), [1] * len(parent)
+        for v in below:
+            p = parent[v]
+            size[p] += size[v]
+            if height[p] <= height[v]:
+                height[p] = height[v] + 1
+        return below, size, height
+
+    @functools.cached_property
+    def _maxima(self) -> list:
+        """The greatest label in each node's subtree; read under
+        `natural_order` only, once the labels are checked."""
+        top, parent = list(self.labels), self.parent
+        for v in self._shape[0]:
+            p = parent[v]
+            if top[p] < top[v]:
+                top[p] = top[v]
+        return top
+
+    @functools.cached_property
+    def _by_order(self) -> dict:
+        """`_compiled_labels` for each compiled order the tree has met."""
+        return {}
+
+    def _compiled_labels(self, compiled: CompiledOrder) -> tuple[list[int], ...]:
+        """Per node, under ``compiled``: its label's up-set row and bit, the
+        OR of the label bits in its subtree, and the complement of the OR of
+        their down-set rows.  Built once per order; a label outside the
+        universe raises KeyError, or TypeError when it is unhashable.
+        """
+        data = self._by_order.get(compiled)
+        if data is None:
+            ids, up, parent = compiled.ids, compiled.up, self.parent
+            at = [ids[lab] for lab in self.labels]
+            down = compiled.down
+            bits = [1 << i for i in at]
+            mask, cover = bits[:], [down[i] for i in at]
+            for v in self._shape[0]:
+                p = parent[v]
+                mask[p] |= mask[v]
+                cover[p] |= cover[v]
+            data = [up[i] for i in at], bits, mask, [~c for c in cover]
+            self._by_order[compiled] = data
+        return data
+
 
 # What the outcome of a ktree_leq frame's sweep means: the whole answer, a
 # source child's greedy match, a step of an augmenting path, or a descent
@@ -236,29 +295,41 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     need no frame: a source leaf embeds wherever its label is dominated,
     and a non-leaf never embeds into a target leaf.  A source node with one
     child needs no matching, only some target child that takes the child.
-    Labels are compared through the up-set bitmasks when ``q`` is compiled.
+
+    Before a frame opens for a pair (a, b), three necessary conditions
+    rule it out: a's subtree has no more nodes and no greater height than
+    b's, and every label in a's subtree lies below some label in b's.  The
+    label condition is one bit test when ``q`` is compiled and compares
+    subtree maxima under `natural_order`; other orders get the size and
+    height tests only.  The arrays behind them are built once per tree, and
+    per order for the compiled ones.  The tests cut adversarial shapes
+    only, such as a path that does not embed into a path: inputs that pass
+    them all still settle Θ(|S|·|T|) pairs, as Chung's bipartite-matching
+    recursion does (1987).  Labels are compared through the up-set bitmasks
+    when ``q`` is compiled.  Every label is checked, the source's first,
+    before any test can answer.
     """
     compiled = q.compiled
     if compiled is not None:
-        ids, up = compiled.ids, compiled.up
         try:
-            s_up = [up[ids[lab]] for lab in s_tree.labels]
-            t_ids = [ids[lab] for lab in t_tree.labels]
+            s_labels, _, s_key, _ = s_tree._compiled_labels(compiled)
+            _, t_labels, _, t_key = t_tree._compiled_labels(compiled)
         except (KeyError, TypeError):
             compiled = None  # the checks below report the first bad label
     if compiled is not None:
-
-        def dominated(sv: int, tv: int) -> bool:
-            return s_up[sv] >> t_ids[tv] & 1
-
+        # a label's up-set row and bit meet when it is dominated, and the
+        # subtree bits and the complemented cover meet when a pair is dead
+        leq = beyond = operator.and_
     else:
         q.require_all(s_tree.labels)
         q.require_all(t_tree.labels)
-        leq, s_labels, t_labels = q.leq, s_tree.labels, t_tree.labels
-
-        def dominated(sv: int, tv: int) -> bool:
-            return leq(s_labels[sv], t_labels[tv])
-
+        leq, s_labels, t_labels, beyond = q.leq, s_tree.labels, t_tree.labels, operator.gt
+        if q == _NATURAL:
+            s_key, t_key = s_tree._maxima, t_tree._maxima
+        else:
+            s_key, t_key = [0] * len(s_labels), [0] * len(t_labels)
+    _, s_size, s_height = s_tree._shape
+    _, t_size, t_height = t_tree._shape
     s_children = s_tree._children
     t_children = t_tree._children
     m = len(t_children)
@@ -276,12 +347,19 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
             for b in it:
                 if b in skip:
                     continue
-                if a_leaf and dominated(a, b):
+                if a_leaf and leq(s_labels[a], t_labels[b]):
                     known = True
                     break
                 if t_children[b]:
                     known = memo.get(a * m + b)
-                    if known is not False:  # True, or None: not settled yet
+                    if known is None:  # not settled yet: open a frame unless the pair is dead
+                        if (
+                            s_size[a] <= t_size[b]
+                            and s_height[a] <= t_height[b]
+                            and not beyond(s_key[a], t_key[b])
+                        ):
+                            break
+                    elif known:
                         break
             else:
                 b = None
@@ -292,7 +370,7 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
             stack.append((sv, tv, left, right, stage, i, a, it, skip, assign, path, b))
             sv, tv = a, b
             left, right = s_children[a], t_children[b]
-            if left and len(left) <= len(right) and dominated(a, b):
+            if left and len(left) <= len(right) and leq(s_labels[a], t_labels[b]):
                 stage, i, a, it = _MATCH, 0, left[0], iter(right)
                 skip = assign = {} if len(left) > 1 else ()
             else:

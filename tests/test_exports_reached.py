@@ -17,9 +17,10 @@ import orderlab
 
 PACKAGE = Path(orderlab.__file__).parent
 ROOTS = ("cli", "suites")
-# The benchmark times `subtree` on its own (wqo.subtree.self_s and the
-# scale-cliffs probes); no command or suite needs it.
-EXCEPTIONS = {"subtree"}
+# The benchmark times `subtree` and `ktree_key` on their own
+# (wqo.subtree.self_s, wqo.ktree_key.self_s and the scale-cliffs probes); no
+# command or suite needs them.
+EXCEPTIONS = {"subtree", "ktree_key"}
 
 
 def _definitions(tree: ast.Module) -> dict[str, ast.AST]:

@@ -17,9 +17,9 @@ ALLOWED = {
     "trees": {"LassoPath", "TreeAutomaton", "automaton"},
     "wqo": {"KTree"},
 }
-# Production normal forms that still deduplicate the tree and lasso corpora,
-# allowed until the oracles get normal forms of their own.
-EXCEPTIONS = {("wqo", "ktree_key"), ("trees", "canonical_lasso")}
+# A production normal form that still deduplicates the lasso corpus,
+# allowed until the oracles get a normal form of their own.
+EXCEPTIONS = {("trees", "canonical_lasso")}
 
 
 def production_imports(source: str) -> list[tuple[str, str]]:

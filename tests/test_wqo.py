@@ -1,6 +1,8 @@
 import enum
 import itertools
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -298,8 +300,10 @@ def _ktree_pairs(rng, orders, labels):
         (oracles.quasi_orders_upto(3), None),
         ([natural_order()], range(4)),
         ([divisibility()], range(1, 7)),
+        # 0 is the top of divisibility, so no rule on label maxima holds there
+        ([divisibility()], range(0, 7)),
     ],
-    ids=["compiled-upto-3", "natural-leq", "divides"],
+    ids=["compiled-upto-3", "natural-leq", "divides", "divides-with-0"],
 )
 def test_ktree_leq_matches_the_recursive_reference(orders, labels):
     rng = random.Random(f"ktree-reference-{orders[0].name}")
@@ -309,6 +313,104 @@ def test_ktree_leq_matches_the_recursive_reference(orders, labels):
         assert ktree_leq(s_tree, t_tree, q) is want, (s_tree, t_tree, q.name)
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def _chain(n):
+    return finite_quasi_order(range(n), [(x, y) for x in range(n) for y in range(x, n)], f"chain{n}")
+
+
+def _path(labels):
+    return KTree((-1,) + tuple(range(len(labels) - 1)), tuple(labels))
+
+
+def _star(labels):
+    return KTree((-1,) + (0,) * (len(labels) - 1), tuple(labels))
+
+
+@pytest.mark.parametrize(
+    "q, low, mid, high",
+    [(_chain(3), 0, 1, 2), (natural_order(), 0, 1, 2), (divisibility(), 1, 2, 3)],
+    ids=["compiled", "natural-leq", "divides"],
+)
+def test_each_filter_alone_rules_out_a_pair(q, low, mid, high):
+    # At the root pair exactly one condition fails: the source has more
+    # nodes, or more height, or a label below no target label.  The label
+    # rule applies to the compiled order and natural-leq only.
+    cases = [
+        (_star((low,) * 4), _path((mid,) * 3), _star((mid,) * 4)),  # larger
+        (_path((low,) * 3), _star((mid,) * 5), _path((mid,) * 3)),  # taller
+        (_path((high,)), _path((low, mid, low, mid)), _path((low, mid, high))),  # label above
+    ]
+    for s_tree, dead, alive in cases:
+        assert _reference_ktree_leq(s_tree, dead, q) is False
+        assert ktree_leq(s_tree, dead, q) is False
+        assert _reference_ktree_leq(s_tree, alive, q) is True
+        assert ktree_leq(s_tree, alive, q) is True
+
+
+@pytest.mark.parametrize("q", [chain2(), natural_order(), divisibility()], ids=lambda q: q.name)
+def test_a_bad_label_raises_before_the_filters(q):
+    # the source is larger than the target, so the size test alone would say False
+    small = KTree((-1,), (1,))
+    for bad in (-1, [1]):
+        message = f"^{re.escape(repr(bad))} is outside the universe of {q.name}$"
+        with pytest.raises(UnknownElement, match=message):
+            ktree_leq(KTree((-1, 0, 0), (1, 1, bad)), small, q)
+        with pytest.raises(UnknownElement, match=message):
+            ktree_leq(KTree((-1, 0, 0), (1, 1, 1)), KTree((-1,), (bad,)), q)
+
+
+def test_ktree_identity_ignores_the_cached_arrays():
+    warm = KTree((-1, 0, 0, 1), (0, 1, 1, 0))
+    cold = KTree(warm.parent, warm.labels)
+    for q in (chain2(), anti2(), natural_order(), divisibility()):
+        assert ktree_leq(warm, warm, q)
+    assert len(vars(warm)) > len(vars(cold))
+    # one tree under two compiled orders keeps the label data of both
+    assert len(warm._by_order) == 2
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+
+
+def _dead_pair(shape, n, rng):
+    """A source of ``n`` nodes whose one label 10, on its last node, is
+    above every label of a target of ``3n/2`` nodes with the same shape:
+    a path, or a bushy tree whose nodes hang off one of the three nodes
+    before them."""
+    def tree(labels):
+        if shape == "path":
+            return _path(labels)
+        parent = (-1,) + tuple(rng.randrange(max(0, i - 3), i) for i in range(1, len(labels)))
+        return KTree(parent, tuple(labels))
+
+    target = tree([rng.randrange(10) for _ in range(n * 3 // 2)])
+    return tree([rng.randrange(10) for _ in range(n - 1)] + [10]), target
+
+
+@pytest.mark.parametrize("shape", ["path", "bushy"])
+@pytest.mark.parametrize("q", [natural_order(), _chain(11)], ids=lambda q: q.name)
+def test_a_dead_5000_node_source_is_ruled_out_at_the_root(q, shape):
+    # The label rule answers at the root pair, before any label comparison.
+    # Without it the search settled every pair, for tens of seconds on the path.
+    s_tree, t_tree = _dead_pair(shape, 5000, random.Random(f"dead-{shape}"))
+    start = time.perf_counter()
+    assert not ktree_leq(s_tree, t_tree, q)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_size_and_height_cut_the_leq_calls_on_a_dead_bushy_source():
+    # An order that is neither compiled nor natural-leq gets no label rule,
+    # only the size and height tests, so the search still runs; the count
+    # is of its leq calls: 269 here, and 11,964 without the tests.
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return x <= y
+
+    q = QuasiOrder("counted-leq", counted, natural_order().contains)
+    s_tree, t_tree = _dead_pair("bushy", 600, random.Random("counted"))
+    assert not ktree_leq(s_tree, t_tree, q)
+    assert len(calls) <= 1000
 
 
 def test_subtree_renumbers_in_preorder():
@@ -604,6 +706,7 @@ def test_compiled_form_comes_from_the_rows():
         for x, y in itertools.product(q.elements, repeat=2):
             bit = compiled.up[compiled.ids[x]] >> compiled.ids[y] & 1
             assert bool(bit) == q.leq(x, y) == ((x, y) in rel)
+            assert compiled.down[compiled.ids[y]] >> compiled.ids[x] & 1 == bit
 
 
 def test_higman_over_a_large_poset_agrees_with_the_oracle():
