@@ -342,38 +342,42 @@ def brute_bad_array_violations(
     frag_blocks: Iterable[tuple[int, ...]],
     q: QuasiOrder,
 ) -> list[str]:
-    """Bad-partial-array clauses checked from the definitions, with the tri
-    relation decided by extension search and domination by injection search."""
+    """Bad-partial-array clauses checked from the definitions and worded as
+    `barrier.bad_array_violations` words them, with the tri relation decided
+    by extension search and domination by injection search."""
     problems = []
     bound = 2 * window
     for i in range(len(entries) - 1):
         if max(entries[i][0]) > max(entries[i + 1][0]):
-            problems.append(f"maxima-decrease at {i}")
+            problems.append(f"maxima-decrease at entries {i},{i + 1}")
     for i, (b, v) in enumerate(entries):
         for j, (c, w) in enumerate(entries):
             if i != j and brute_block_tri(b, c, bound) and brute_higman(v, w, q):
-                problems.append(f"dominated at {i},{j}")
+                problems.append(f"dominated-tri-pair at entries {i},{j}")
     if entries:
         enumerated = {b for b, _ in entries[:-1]}
         covered = {x for b, _ in entries for x in b}
         frontier = max(entries[-1][0])
         for b in sorted(frag_blocks):
             if b and set(b) <= covered and max(b) < frontier and b not in enumerated:
-                problems.append(f"missing {b}")
+                problems.append(f"missing-block {b}")
     return problems
 
 
-def planted_bad_seqs(rng: random.Random, q: QuasiOrder, items: Sequence) -> list[tuple]:
-    """A bad sequence of sequences with a shared final item: strictly
-    decreasing lengths block every embedding outright."""
-    count = rng.randint(3, 6)
+def _shrinking_bodies(rng: random.Random, count: int, items: Sequence, max_base: int) -> list:
+    """``count`` sequences over ``items`` with strictly decreasing lengths,
+    which block every embedding outright, and one shared final item."""
     final = rng.choice(items)
-    base = rng.randint(1, 3)
-    out = []
-    for i in range(count):
-        body = tuple(rng.choice(items) for _ in range(base + count - i))
-        out.append(body + (final,))
-    return out
+    base = rng.randint(1, max_base)
+    return [
+        tuple(rng.choice(items) for _ in range(base + count - i)) + (final,)
+        for i in range(count)
+    ]
+
+
+def planted_bad_seqs(rng: random.Random, q: QuasiOrder, items: Sequence) -> list[tuple]:
+    """A bad sequence of 3 to 6 shrinking sequences (`_shrinking_bodies`)."""
+    return _shrinking_bodies(rng, rng.randint(3, 6), items, 3)
 
 
 def uniform_blocks_in_order(k: int, window: int) -> list[tuple[int, ...]]:
@@ -386,16 +390,10 @@ def planted_bad_array(
     rng: random.Random, k: int, window: int, items: Sequence
 ) -> list[tuple[tuple[int, ...], tuple]]:
     """A bad partial array over the uniform fragment: blocks in max-order,
-    values with strictly decreasing lengths and one shared final item."""
+    valued by shrinking sequences (`_shrinking_bodies`)."""
     blocks = uniform_blocks_in_order(k, window)
     count = rng.randint(max(2, k + 1), len(blocks))
-    final = rng.choice(items)
-    base = rng.randint(1, 2)
-    out = []
-    for i, block in enumerate(blocks[:count]):
-        body = tuple(rng.choice(items) for _ in range(base + count - i))
-        out.append((block, body + (final,)))
-    return out
+    return list(zip(blocks, _shrinking_bodies(rng, count, items, 2)))
 
 
 # ---------------------------------------------------------------- graphs

@@ -69,25 +69,30 @@ def _poset_corpus(rng: random.Random) -> list:
     return oracles.all_posets(4) + [oracles.random_poset(rng, 8) for _ in range(500)]
 
 
+def _coded_corpus(seed: int):
+    """``(poset, tie, code)``: each poset of the seed's corpus, coded under
+    each tie-break policy."""
+    for poset in _poset_corpus(random.Random(seed)):
+        for tie in lexcode.TIE_BREAKS:
+            yield poset, tie, lexcode.encode_order(poset, tie)
+
+
 @_suite("claim-monotone")
 def claim_monotone(seed):
     """Strict pairs must map to lexicographically increasing stem codes,
     under both tie-break policies, over the full poset corpus."""
-    rng = random.Random(seed)
-    for poset in _poset_corpus(rng):
-        for tie in lexcode.TIE_BREAKS:
-            code = lexcode.encode_order(poset, tie)
-            for x, y in poset.lt:
-                if seq_less_by(code.table[x], code.table[y], int.__lt__):
-                    yield None
-                else:
-                    yield {
-                        "poset": formats.poset_to_doc(poset),
-                        "tie_break": tie,
-                        "below": x,
-                        "above": y,
-                        "codes": [list(code.table[x]), list(code.table[y])],
-                    }
+    for poset, tie, code in _coded_corpus(seed):
+        for x, y in poset.lt:
+            if seq_less_by(code.table[x], code.table[y], int.__lt__):
+                yield None
+            else:
+                yield {
+                    "poset": formats.poset_to_doc(poset),
+                    "tie_break": tie,
+                    "below": x,
+                    "above": y,
+                    "codes": [list(code.table[x]), list(code.table[y])],
+                }
 
 
 def _roundtrip_cases(rng: random.Random):
@@ -129,22 +134,19 @@ def prefix_free(seed):
     """No element's prefix-free code word is a prefix of another's, under
     both tie-break policies, over the full poset corpus; one check per
     ordered pair of distinct elements."""
-    rng = random.Random(seed)
-    for poset in _poset_corpus(rng):
-        for tie in lexcode.TIE_BREAKS:
-            code = lexcode.encode_order(poset, tie)
-            words = [(x, lexcode.encode_element(code, x)) for x in poset.sorted_elements()]
-            for (x, u), (y, w) in itertools.permutations(words, 2):
-                if w[: len(u)] != u:
-                    yield None
-                else:
-                    yield {
-                        "poset": formats.poset_to_doc(poset),
-                        "tie_break": tie,
-                        "prefix": x,
-                        "of": y,
-                        "words": [list(u), list(w)],
-                    }
+    for poset, tie, code in _coded_corpus(seed):
+        words = [(x, lexcode.encode_element(code, x)) for x in poset.sorted_elements()]
+        for (x, u), (y, w) in itertools.permutations(words, 2):
+            if w[: len(u)] != u:
+                yield None
+            else:
+                yield {
+                    "poset": formats.poset_to_doc(poset),
+                    "tie_break": tie,
+                    "prefix": x,
+                    "of": y,
+                    "words": [list(u), list(w)],
+                }
 
 
 # ------------------------------------------------------------ automata
@@ -338,6 +340,19 @@ def refine_step(seed):
         yield {**witness, "problems": problems} if problems else None
 
 
+def _planted_arrays(rng: random.Random):
+    """``(round, k, window, q, entries, frag)`` for 100 rounds: a planted bad
+    array over the singleton fragment in even rounds and over the 2-subset
+    fragment in odd ones, drawn from ``rng`` between the caller's draws."""
+    pool = oracles.quasi_orders_upto(3)
+    for round_ in range(100):
+        k = 1 + round_ % 2
+        window = rng.randint(k + 1, 5)
+        q = rng.choice(pool)
+        entries = oracles.planted_bad_array(rng, k, window, list(q.elements))
+        yield round_, k, window, q, entries, barrier.uniform_fragment(k, window)
+
+
 @_suite("array-step")
 def array_step(seed):
     """nwt_improvement_step output is a bad partial array again (checked
@@ -350,14 +365,7 @@ def array_step(seed):
     are outside the lemma and can break badness, so none are planted.
     """
     rng = random.Random(seed)
-    pool = oracles.quasi_orders_upto(3)
-    for round_ in range(100):
-        k = 1 + round_ % 2
-        window = rng.randint(k + 1, 5)
-        q = rng.choice(pool)
-        items = list(q.elements)
-        entries = oracles.planted_bad_array(rng, k, window, items)
-        frag = barrier.uniform_fragment(k, window)
+    for round_, k, window, q, entries, frag in _planted_arrays(rng):
         covered = set().union(*[set(b) for b, _ in entries])
         if k == 1:
             s = {b[0] for b, _ in entries[rng.randrange(len(entries)):]}
@@ -393,17 +401,6 @@ def array_step(seed):
         yield {**witness, "problems": problems} if problems else None
 
 
-def _production_clause(clause: str) -> str:
-    """A clause of `oracles.brute_bad_array_violations` in the words of
-    `barrier.bad_array_violations`."""
-    if clause.startswith("maxima-decrease at "):
-        i = int(clause.removeprefix("maxima-decrease at "))
-        return f"maxima-decrease at entries {i},{i + 1}"
-    if clause.startswith("dominated at "):
-        return "dominated-tri-pair at entries " + clause.removeprefix("dominated at ")
-    return "missing-block " + clause.removeprefix("missing ")
-
-
 def _broken_arrays(rng: random.Random, entries: list, window: int):
     """``(break, entries)``: a planted bad array as planted, then copies of
     it broken one way each: two adjacent entries swapped, their blocks
@@ -435,18 +432,11 @@ def array_violations(seed):
     same order, on 100 planted bad arrays over singleton and 2-subset
     fragments and on copies of each broken one way."""
     rng = random.Random(seed)
-    pool = oracles.quasi_orders_upto(3)
-    for round_ in range(100):
-        k = 1 + round_ % 2
-        window = rng.randint(k + 1, 5)
-        q = rng.choice(pool)
-        planted = oracles.planted_bad_array(rng, k, window, list(q.elements))
-        frag = barrier.uniform_fragment(k, window)
+    for _, _, window, q, planted, frag in _planted_arrays(rng):
         for kind, entries in _broken_arrays(rng, planted, window):
             arr = barrier.array_of(entries)
             got = list(barrier.bad_array_violations(arr, frag, wqo.higman_lift(q)))
-            brute = oracles.brute_bad_array_violations(entries, window, frag.blocks, q)
-            expected = [_production_clause(c) for c in brute]
+            expected = oracles.brute_bad_array_violations(entries, window, frag.blocks, q)
             if got == expected:
                 yield None
             else:
@@ -582,13 +572,13 @@ def pair_homogeneous(seed):
 # ------------------------------------------------------------ graphs
 
 
-def _exhaustive_graphs() -> list:
-    out = []
+def _small_graphs(sides):
+    """The connected graphs on 1 to 5 vertices, each under every side
+    assignment ``(A, B)`` that ``sides(n)`` lists for its vertex count."""
     for n in range(1, 6):
         for edges in oracles.connected_edge_sets(n):
-            for a, b in oracles.side_assignments(n):
-                out.append(menger.graph(n, edges, a, b))
-    return out
+            for a, b in sides(n):
+                yield menger.graph(n, edges, a, b)
 
 
 @_suite("path-system")
@@ -597,7 +587,8 @@ def path_system(seed):
     mask-search disjoint-path count, the separator separates, and each
     path meets it exactly once; exhaustive small graphs plus 500 random."""
     rng = random.Random(seed)
-    instances = _exhaustive_graphs() + [oracles.random_graph(rng, 8) for _ in range(500)]
+    instances = [*_small_graphs(oracles.side_assignments)]
+    instances += [oracles.random_graph(rng, 8) for _ in range(500)]
     for g in instances:
         system = menger.menger_solve(g)
         problems = []
@@ -633,16 +624,9 @@ def path_system(seed):
 def wave_coding(seed):
     """Wave coding is injective and invertible, and larger waves get
     sequence-smaller codes, over all waves of the small connected graphs.
-    One check per wave and one per ordered pair of comparable waves."""
-    instances = []
-    for n in range(1, 6):
-        for edges in oracles.connected_edge_sets(n):
-            assignments = [({0}, {n - 1})]
-            if n >= 3:
-                assignments.append(({0, 1}, {n - 1}))
-            for a, b in assignments:
-                instances.append(menger.graph(n, edges, a, b))
-    for g in instances:
+    One check per wave and one per ordered pair of comparable waves; the
+    sources are the first vertex, and also the first two from 3 vertices on."""
+    for g in _small_graphs(lambda n: [({0}, {n - 1})] + [({0, 1}, {n - 1})] * (n >= 3)):
         waves = menger.enumerate_waves(g).waves
         coded = []
         seen: dict = {}
@@ -710,12 +694,10 @@ def cli_determinism(seed):
         arr = write("arr.json", {"entries": [[[0], 3], [[1], 5]]})
         seqarr = write("seqarr.json", {"entries": [[[0], [2, 1]], [[1], [1]]]})
         chal = write("chal.json", {"challengers": [{"prefix": [], "cycle": [0]}]})
-        graph_file = write(
-            "graph.json",
-            {"vertices": 3, "edges": [[0, 1], [1, 2]], "A": [0], "B": [2]},
-        )
+        graph_doc = {"vertices": 3, "edges": [[0, 1], [1, 2]], "A": [0], "B": [2]}
+        graph_file = write("graph.json", graph_doc)
         wave_file = write("wave.json", {"paths": [[0, 1]]})
-        g = formats.graph_from_doc(json.load(open(graph_file, encoding="utf-8")))
+        g = formats.graph_from_doc(graph_doc)
         labels = menger.encode_wave(g, menger.warp_of([(0, 1)]))
         seq_file = write("seq.json", {"labels": formats.labels_to_doc(labels)})
 

@@ -105,7 +105,9 @@ def min_bad_sequence(
 
     Depth-first search in ascending item order extends only bad prefixes, and
     every prefix of a bad sequence is bad, so the first sequence it completes
-    is the least.  Raises `NegativeCount` when ``universe_bound`` or
+    is the least.  The search keeps one iterator over the universe per
+    position of the prefix on an explicit stack, so no length reaches the
+    recursion limit.  Raises `NegativeCount` when ``universe_bound`` or
     ``length`` is negative.
     """
     for name, count in (("universe_bound", universe_bound), ("length", length)):
@@ -113,19 +115,20 @@ def min_bad_sequence(
             raise NegativeCount(f"{name} must be at least 0, got {count}")
     universe = [x for x in range(universe_bound) if q.contains(x)]
     leq = q.leq
-
-    def dfs(prefix: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if len(prefix) == length:
-            return prefix
-        for v in universe:
-            if any(leq(p, v) for p in prefix):
-                continue
-            found = dfs(prefix + (v,))
-            if found is not None:
-                return found
-        return None
-
-    return dfs(())
+    prefix: list[int] = []
+    pending = [iter(universe)]
+    while len(prefix) < length:
+        for v in pending[-1]:
+            if not any(leq(p, v) for p in prefix):
+                prefix.append(v)
+                pending.append(iter(universe))
+                break
+        else:
+            pending.pop()
+            if not prefix:
+                return None
+            prefix.pop()
+    return tuple(prefix)
 
 
 def nash_williams_step(

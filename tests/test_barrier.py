@@ -373,6 +373,22 @@ def reference_nwt_step(arr, s, frag, q):
     )
 
 
+def test_the_oracle_words_each_clause_as_the_report_does():
+    """One sequence-valued array per clause kind: a dominated tri pair, a
+    maxima decrease and a missing block."""
+    q = natural_equality()
+    singletons, pairs = uniform_fragment(1, 3), uniform_fragment(2, 4)
+    cases = [
+        (singletons, [((0,), (1,)), ((1,), (1, 2))], "dominated-tri-pair at entries 0,1"),
+        (singletons, [((2,), (5,)), ((0,), (3,))], "maxima-decrease at entries 0,1"),
+        (pairs, [((0, 1), (3,)), ((1, 2), (2,)), ((0, 3), (1,))], "missing-block (0, 2)"),
+    ]
+    for frag, entries, clause in cases:
+        got = list(bad_array_violations(array_of(entries), frag, higman_lift(q)))
+        brute = oracles.brute_bad_array_violations(entries, frag.window, frag.blocks, q)
+        assert brute == got == [clause]
+
+
 def test_nwt_improvement_step_matches_the_classifying_reference():
     rng = random.Random(2009)
     pool = oracles.quasi_orders_upto(3)

@@ -1,9 +1,11 @@
 """No function of the package calls itself, directly or through other
 functions of its module, so a legal input deep enough to pass the
-interpreter's recursion limit never ends in `RecursionError`.  The
-searches that ROADMAP item 4 still lists are the one allowance."""
+interpreter's recursion limit never ends in `RecursionError`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import orderlab
@@ -11,8 +13,8 @@ import orderlab
 PACKAGE = Path(orderlab.__file__).parent
 # reference code, run only at oracle scale
 EXEMPT = {"oracles.py"}
-# ROADMAP item 4: recursive searches still waiting for an explicit stack
-ALLOWED = {"wqo.min_bad_sequence.dfs"}
+# recursive searches still waiting for an explicit stack
+ALLOWED: set[str] = set()
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 SCOPES = (*FUNCTIONS, ast.ClassDef)
 
@@ -113,3 +115,23 @@ def test_the_guard_flags_a_recursive_closure():
         "m.caller",
         "m.caller.helper",
     }
+
+
+def test_min_bad_sequence_runs_below_a_small_recursion_limit():
+    """A bad sequence longer than the recursion limit is found in a fresh
+    interpreter whose limit is 100."""
+    probe = "\n".join(
+        [
+            "import sys",
+            "from orderlab.order import natural_equality",
+            "from orderlab.wqo import min_bad_sequence",
+            "sys.setrecursionlimit(100)",
+            "print(min_bad_sequence(natural_equality(), 150, 120) == tuple(range(120)))",
+        ]
+    )
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
