@@ -193,7 +193,7 @@ def _require_entry(b: Block, v: Hashable, frag: BarrierFragment, q: QuasiOrder) 
     """Raise unless block ``b`` is in ``frag`` and value ``v`` is in ``q``."""
     if b not in frag.blocks:
         raise InvalidArray(f"block {b} is not in the fragment")
-    q.require(v)
+    q.require_all((v,))
 
 
 def _tri_pairs(entries: Sequence[tuple[Block, Hashable]]):

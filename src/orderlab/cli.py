@@ -2,15 +2,16 @@
 
 Every command prints one canonical JSON report on stdout and a one-line
 summary on stderr.  Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage
-error, 65 malformed input, 70 internal error.  Reports are
-byte-deterministic: inputs are recorded as content digests and all sets are
-emitted sorted.
+error, 65 malformed input, 70 internal error, 74 stdout closed before the
+report was written.  Reports are byte-deterministic: inputs are recorded
+as content digests and all sets are emitted sorted.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -19,6 +20,7 @@ from .errors import OrderlabError, ParseError
 
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_IOERR = 74
 # report verdict -> exit code; an "error" report is a fault of the program (EX_SOFTWARE)
 _EXITS = {"pass": 0, "fail": 1, "inconclusive": 2, "error": 70}
 
@@ -586,7 +588,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    print(formats.canonical_dumps(report))
+    try:
+        print(formats.canonical_dumps(report), flush=True)
+    except BrokenPipeError:
+        # the reader is gone: point stdout at nothing, so the flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output error: stdout was closed before the report was written", file=sys.stderr)
+        return EXIT_IOERR
     print(f"{report['command']}: {report['verdict']}", file=sys.stderr)
     return _EXITS[report["verdict"]]
 

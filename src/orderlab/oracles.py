@@ -8,6 +8,7 @@ the production algorithms so each suite compares two independent routes.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from typing import Iterable, Optional, Sequence
 
@@ -316,15 +317,14 @@ def strided_automata(states: int, alphabet: int, quota: int) -> list[TreeAutomat
 
 
 def brute_block_tri(b: Sequence[int], c: Sequence[int], entry_bound: int) -> bool:
-    """Existence search for a common strictly increasing extension."""
+    """Existence search, below ``entry_bound``, for a strictly increasing
+    extension ``d`` of block ``b`` whose tail ``d[1:]`` extends block ``c``:
+    ``b`` followed by each increasing run of naturals above its last entry."""
     b, c = tuple(b), tuple(c)
-    length = max(len(b), len(c) + 1)
-    if length > entry_bound:
-        return False
-    for cand in itertools.combinations(range(entry_bound), length):
-        if cand[: len(b)] == b and cand[1 : len(c) + 1] == c:
-            return True
-    return False
+    start = b[-1] + 1 if b else 0
+    runs = itertools.combinations(range(start, entry_bound), max(len(b), len(c) + 1) - len(b))
+    tails = map(operator.itemgetter(slice(1, len(c) + 1)), map(b.__add__, runs))
+    return start <= entry_bound and c in tails
 
 
 def first_monochromatic_triple(n: int, red: set) -> Optional[tuple[int, int, int]]:

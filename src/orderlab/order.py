@@ -292,15 +292,6 @@ class QuasiOrder:
             f"contains={self.contains!r}, elements={self.elements!r})"
         )
 
-    def require(self, x: Hashable) -> None:
-        """`require_all` for one item."""
-        try:
-            inside = self.contains(x)
-        except TypeError:
-            inside = False
-        if not inside:
-            raise UnknownElement(f"{x!r} is outside the universe of {self.name}")
-
     def require_all(self, items: Sequence) -> None:
         """Raise `UnknownElement` for the first item, in order, outside the
         universe.  On the natural families one C-level pass settles a

@@ -510,40 +510,12 @@ def tri_agreement(seed):
     """block_tri equals brute-force extension search: exhaustively for all
     block pairs in windows ≤ 5, and for all pairs of length ≤ 4 in
     windows 6 to 8, searching extensions with entries below 2×window."""
-
-    def blocks_of(window: int, max_len: int) -> list[tuple[int, ...]]:
-        return [
-            b
-            for r in range(1, max_len + 1)
-            for b in itertools.combinations(range(window), r)
-        ]
-
-    for window in range(1, 6):
-        blocks = blocks_of(window, window)
+    for window in range(1, 9):
+        longest = window if window <= 5 else 4
+        blocks = [b for r in range(1, longest + 1) for b in itertools.combinations(range(window), r)]
         for b in blocks:
             for c in blocks:
                 if barrier.block_tri(b, c) == oracles.brute_block_tri(b, c, 2 * window):
-                    yield None
-                else:
-                    yield {"window": window, "b": list(b), "c": list(c)}
-    for window in range(6, 9):
-        blocks = blocks_of(window, 4)
-        # Bucket candidate extensions by their first entries so each pair
-        # scans only extensions that already agree with b.
-        by_prefix: dict[tuple[int, tuple[int, ...]], list] = {}
-        bound = 2 * window
-        for length in range(1, 6):
-            for cand in itertools.combinations(range(bound), length):
-                for cut in range(1, min(length, 4) + 1):
-                    by_prefix.setdefault((length, cand[:cut]), []).append(cand)
-        for b in blocks:
-            for c in blocks:
-                length = max(len(b), len(c) + 1)
-                found = any(
-                    cand[1 : len(c) + 1] == c
-                    for cand in by_prefix.get((length, b), ())
-                )
-                if barrier.block_tri(b, c) == found:
                     yield None
                 else:
                     yield {"window": window, "b": list(b), "c": list(c)}

@@ -144,6 +144,29 @@ def test_union_block_is_the_range_union_exactly_on_tri_pairs():
                 union_block(b, c)
 
 
+def full_enumeration_tri(b, c, entry_bound):
+    """The tri reference by every increasing sequence below the bound."""
+    length = max(len(b), len(c) + 1)
+    return any(
+        cand[: len(b)] == b and cand[1 : len(c) + 1] == c
+        for cand in itertools.combinations(range(entry_bound), length)
+    )
+
+
+def test_the_tri_oracle_searches_as_the_full_enumeration_does():
+    """Searching only the extensions of b answers as trying every increasing
+    sequence does, on the empty block and on blocks that end just below the
+    bound or at it."""
+    for window in range(7):
+        bound = 2 * window
+        blocks = [b for r in range(4) for b in itertools.combinations(range(window + 1), r)]
+        if window:
+            blocks += [(bound - 1,), (window - 1, bound - 1), (0, bound)]
+        for b, c in itertools.product(blocks, repeat=2):
+            want = full_enumeration_tri(b, c, bound)
+            assert oracles.brute_block_tri(b, c, bound) == want, (b, c, bound)
+
+
 @pytest.mark.parametrize(
     "blocks, window, starred",
     [

@@ -32,6 +32,12 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
+def child_env():
+    """The environment for a child interpreter that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def run_limited(argv):
     """Exit code and stdout of ``python -m orderlab.cli`` in a child process
     whose address space is capped at 1 GiB, so that a command which
@@ -40,11 +46,9 @@ def run_limited(argv):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "orderlab.cli", *argv],
-        capture_output=True, text=True, env=env, preexec_fn=cap,
+        capture_output=True, text=True, env=child_env(), preexec_fn=cap,
     )
     return proc.returncode, proc.stdout
 
@@ -77,6 +81,28 @@ def test_tri_fail_exit():
     assert report["verdict"] == "fail"
     assert report["details"] == {"tri": False}
     assert report["counters"]["failures"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["barrier", "tri", "--left", "0,2", "--right", "2,5"],
+        ["wqo", "min-bad", "--q", "nat-eq", "--bound", "300", "--length", "290"],
+    ],
+)
+def test_a_closed_stdout_is_an_output_error(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "orderlab.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 74
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "output error: stdout was closed before the report was written\n"
 
 
 def test_inconclusive_exit(tmp_path):
@@ -770,10 +796,9 @@ sys.exit(code)
 def test_a_call_loads_only_the_modules_of_its_command(tmp_path, command):
     golden, fill = golden_battery(tmp_path)
     (case,) = [c for c in golden["commands"] if " ".join(c["argv"][:2]) == command]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *fill(case["argv"])], capture_output=True, text=True, env=env
+        [sys.executable, "-c", PROBE, *fill(case["argv"])],
+        capture_output=True, text=True, env=child_env(),
     )
     assert (proc.returncode, proc.stdout) == (case["exit"], case["stdout"])
     loaded, costly = (line.split() for line in proc.stderr.splitlines()[-2:])

@@ -752,7 +752,7 @@ def test_an_unhashable_item_is_outside_a_finite_universe():
     with pytest.raises(UnknownElement, match=message):
         is_bad((1, [1]), q)
     with pytest.raises(UnknownElement, match=message):
-        q.require([1])
+        q.require_all(([1],))
     with pytest.raises(UnknownElement, match=r"^\(\[1\],\) is outside the universe of seqs\(chain2\)$"):
         is_bad(((0,), ([1],)), higman_lift(q))
 
