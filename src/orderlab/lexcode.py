@@ -21,9 +21,6 @@ if TYPE_CHECKING:
 
 TIE_BREAKS = ("smallest-id", "largest-id")
 
-# Spacing of encode_order's ranks: 64 fresh words fit into one gap
-_GAP = 1 << 64
-
 
 @record
 class LexCode:
@@ -56,10 +53,11 @@ def encode_order(order: Poset, tie_break: str = "smallest-id") -> LexCode:
     order, not by comparing words, which on a descending chain share ever
     longer runs of zeros; finding it costs one lookup per candidate.  A
     fresh word sits directly below its anchor's word, and a word ``(2c+1,)``
-    above every word issued before it, so the ranks form an
-    order-maintenance list (Dietz & Sleator 1987): a fresh rank is the
-    midpoint of its gap, and when a gap closes the whole list is spaced
-    out again.
+    above every word issued before it.  Ranks start ``2 << n`` apart for
+    ``n`` elements, a power of two, and a fresh word below an anchor takes
+    the midpoint of its gap, halving it, or sits one spacing below the
+    least word.  At most ``n - 1`` words are placed below an anchor, so
+    every gap stays a power of two no smaller than 4 and none ever closes.
     """
     from .order import bit_flags
     if tie_break not in TIE_BREAKS:
@@ -71,7 +69,7 @@ def encode_order(order: Poset, tie_break: str = "smallest-id") -> LexCode:
     rank = [0] * len(elems)
     # the index whose word is next below, None under the least word
     below: list[int | None] = [None] * len(elems)
-    top = None
+    top, gap = None, 2 << len(elems)
     for y, row in enumerate(order.rows):
         above = row & ((1 << y) - 1)
         if above:
@@ -81,21 +79,12 @@ def encode_order(order: Poset, tie_break: str = "smallest-id") -> LexCode:
             # the fresh word goes directly below word
             z = below[x]
             below[x], below[y] = y, z
-            if z is None:
-                rank[y] = rank[x] - _GAP
-            elif rank[x] - rank[z] > 1:
-                rank[y] = (rank[x] + rank[z]) // 2
-            else:
-                # the gap is closed: space out the whole list from the top
-                v, r = top, 0
-                while v is not None:
-                    rank[v] = r
-                    v, r = below[v], r - _GAP
+            rank[y] = rank[x] - gap if z is None else (rank[x] + rank[z]) // 2
         else:
             stem = ()
             # (2c+1,) goes above every word
             below[y] = top
-            rank[y] = 0 if top is None else rank[top] + _GAP
+            rank[y] = 0 if top is None else rank[top] + gap
             top = y
         count = issued.get(stem, 0)
         issued[stem] = count + 1

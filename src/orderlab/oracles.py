@@ -8,13 +8,14 @@ the production algorithms so each suite compares two independent routes.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from typing import Iterable, Optional, Sequence
 
 from .menger import MengerGraph
 from .order import Poset, QuasiOrder, finite_quasi_order
-from .trees import LassoPath, TreeAutomaton, automaton, canonical_lasso
+from .trees import LassoPath, TreeAutomaton, automaton
 from .wqo import KTree
 
 # ---------------------------------------------------------------- orders
@@ -269,16 +270,25 @@ def brute_lasso_in_tree(aut: TreeAutomaton, lasso: LassoPath) -> bool:
 
 
 def all_lassos(alphabet: int, max_total: int) -> list[LassoPath]:
-    """Canonical lassos with ``|prefix| + |cycle| <= max_total``."""
-    seen: set[LassoPath] = set()
+    """One lasso per sequence with ``|prefix| + |cycle| <= max_total``: the
+    first met in order of total length, its unique shortest lasso.
+
+    Such a sequence is periodic from letter ``max_total`` on, with a period
+    dividing ``lcm(1..max_total)``, so that many letters past the first
+    ``max_total`` tell two of them apart.
+    """
+    letters = max_total + math.lcm(*range(1, max_total + 1))
+    seen: set[tuple[int, ...]] = set()
     out = []
     for total in range(1, max_total + 1):
         for word in itertools.product(range(alphabet), repeat=total):
             for cut in range(total):
-                lasso = canonical_lasso(LassoPath(word[:cut], word[cut:]))
-                if lasso not in seen:
-                    seen.add(lasso)
-                    out.append(lasso)
+                cycle = word[cut:]
+                # the sequence's first letters: the word, then its cycle again
+                key = (word + cycle * (letters // len(cycle)))[:letters]
+                if key not in seen:
+                    seen.add(key)
+                    out.append(LassoPath(word[:cut], cycle))
     return out
 
 

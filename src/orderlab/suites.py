@@ -629,6 +629,59 @@ def wave_coding(seed):
 # ------------------------------------------------------------ CLI
 
 
+# The documents and commands of the cli-determinism battery.  An argv item
+# ``{name}`` stands for the path of the document ``name``, and ``{seed}`` for
+# the suite seed.  ``seq`` is the coded form of the wave ``[[0, 1]]``.
+CLI_FILES = {
+    "poset": {"elements": ["a", "b", "c"], "lt": [["c", "b"], ["b", "a"], ["c", "a"]]},
+    "alporder": {"elements": [0], "lt": []},
+    "aut": {"alphabet": 1, "states": 1, "start": 0, "delta": [[0, 0, 0]]},
+    "tree1": {"parent": [-1], "labels": [3]},
+    "tree2": {"parent": [-1, 0], "labels": [5, 1]},
+    "seqs": {"seqs": [[0, 1, 1], [2, 1], [3, 1]]},
+    "frag": {"window": 2, "blocks": [[0], [1]]},
+    "unifrag": {"window": 4, "uniform": 2},
+    "unifrag1": {"window": 2, "uniform": 1},
+    "arr": {"entries": [[[0], 3], [[1], 5]]},
+    "seqarr": {"entries": [[[0], [2, 1]], [[1], [1]]]},
+    "chal": {"challengers": [{"prefix": [], "cycle": [0]}]},
+    "graph": {"vertices": 3, "edges": [[0, 1], [1, 2]], "A": [0], "B": [2]},
+    "wave": {"paths": [[0, 1]]},
+    "seq": {"labels": [[1, [0]], [2, [0, 1]], [1, [0, 1]], [0, 0], [0, 0], [0, 0]]},
+}
+CLI_BATTERY = [
+    ["order", "validate", "--poset", "{poset}"],
+    ["order", "seq-less", "--poset", "{poset}", "--left", "c", "--right", "a"],
+    ["lexcode", "encode", "--poset", "{poset}"],
+    ["lexcode", "decode", "--poset", "{poset}", "--coded", "1,0"],
+    ["lexcode", "check-claims", "--poset", "{poset}"],
+    ["wqo", "higman", "--q", "nat-leq", "--left", "1,2", "--right", "0,1,3"],
+    ["wqo", "kruskal", "--q", "nat-leq", "--left", "{tree1}", "--right", "{tree2}"],
+    ["wqo", "bad", "--q", "divides", "--seq", "12,6,3"],
+    ["wqo", "min-bad", "--q", "nat-eq", "--bound", "5", "--length", "3"],
+    ["wqo", "nw-step", "--q", "nat-eq", "--seqs", "{seqs}", "--s", "1,2"],
+    ["barrier", "check", "--frag", "{frag}"],
+    ["barrier", "tri", "--left", "0,2", "--right", "2,5"],
+    ["barrier", "star", "--frag", "{unifrag}"],
+    ["barrier", "classify", "--frag", "{unifrag1}", "--array", "{arr}", "--q", "nat-leq"],
+    ["barrier", "array-check", "--frag", "{unifrag1}", "--array", "{seqarr}", "--q", "nat-eq"],
+    ["barrier", "nwt-step", "--frag", "{unifrag1}", "--array", "{seqarr}", "--q", "nat-eq", "--s", "0,1"],
+    ["tree", "live", "--aut", "{aut}"],
+    ["tree", "leftmost", "--aut", "{aut}"],
+    ["tree", "minimal", "--aut", "{aut}", "--order", "{alporder}"],
+    [
+        "tree", "challenge", "--aut", "{aut}", "--order", "{alporder}",
+        "--prefix", "", "--cycle", "0", "--challengers", "{chal}",
+    ],
+    ["menger", "solve", "--graph", "{graph}"],
+    ["menger", "waves", "--graph", "{graph}"],
+    ["menger", "max-wave", "--graph", "{graph}"],
+    ["menger", "encode", "--graph", "{graph}", "--wave", "{wave}"],
+    ["menger", "decode", "--graph", "{graph}", "--seq", "{seq}"],
+    ["oracle", "star-law", "--seed", "{seed}"],
+]
+
+
 @_suite("cli-determinism")
 def cli_determinism(seed):
     """Every subcommand, run twice with identical inputs and seeds, must
@@ -641,69 +694,11 @@ def cli_determinism(seed):
     from . import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-
-        def write(name: str, doc) -> str:
-            path = os.path.join(tmp, name)
-            with open(path, "w", encoding="utf-8") as fh:
+        paths = {"seed": str(seed)}
+        for name, doc in CLI_FILES.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-            return path
-
-        poset = write(
-            "poset.json",
-            {"elements": ["a", "b", "c"], "lt": [["c", "b"], ["b", "a"], ["c", "a"]]},
-        )
-        alporder = write("alporder.json", {"elements": [0], "lt": []})
-        aut = write(
-            "aut.json",
-            {"alphabet": 1, "states": 1, "start": 0, "delta": [[0, 0, 0]]},
-        )
-        tree1 = write("tree1.json", {"parent": [-1], "labels": [3]})
-        tree2 = write("tree2.json", {"parent": [-1, 0], "labels": [5, 1]})
-        seqs = write("seqs.json", {"seqs": [[0, 1, 1], [2, 1], [3, 1]]})
-        frag = write("frag.json", {"window": 2, "blocks": [[0], [1]]})
-        unifrag = write("unifrag.json", {"window": 4, "uniform": 2})
-        unifrag1 = write("unifrag1.json", {"window": 2, "uniform": 1})
-        arr = write("arr.json", {"entries": [[[0], 3], [[1], 5]]})
-        seqarr = write("seqarr.json", {"entries": [[[0], [2, 1]], [[1], [1]]]})
-        chal = write("chal.json", {"challengers": [{"prefix": [], "cycle": [0]}]})
-        graph_doc = {"vertices": 3, "edges": [[0, 1], [1, 2]], "A": [0], "B": [2]}
-        graph_file = write("graph.json", graph_doc)
-        wave_file = write("wave.json", {"paths": [[0, 1]]})
-        g = formats.graph_from_doc(graph_doc)
-        labels = menger.encode_wave(g, menger.warp_of([(0, 1)]))
-        seq_file = write("seq.json", {"labels": formats.labels_to_doc(labels)})
-
-        battery = [
-            ["order", "validate", "--poset", poset],
-            ["order", "seq-less", "--poset", poset, "--left", "c", "--right", "a"],
-            ["lexcode", "encode", "--poset", poset],
-            ["lexcode", "decode", "--poset", poset, "--coded", "1,0"],
-            ["lexcode", "check-claims", "--poset", poset],
-            ["wqo", "higman", "--q", "nat-leq", "--left", "1,2", "--right", "0,1,3"],
-            ["wqo", "kruskal", "--q", "nat-leq", "--left", tree1, "--right", tree2],
-            ["wqo", "bad", "--q", "divides", "--seq", "12,6,3"],
-            ["wqo", "min-bad", "--q", "nat-eq", "--bound", "5", "--length", "3"],
-            ["wqo", "nw-step", "--q", "nat-eq", "--seqs", seqs, "--s", "1,2"],
-            ["barrier", "check", "--frag", frag],
-            ["barrier", "tri", "--left", "0,2", "--right", "2,5"],
-            ["barrier", "star", "--frag", unifrag],
-            ["barrier", "classify", "--frag", unifrag1, "--array", arr, "--q", "nat-leq"],
-            ["barrier", "array-check", "--frag", unifrag1, "--array", seqarr, "--q", "nat-eq"],
-            ["barrier", "nwt-step", "--frag", unifrag1, "--array", seqarr, "--q", "nat-eq", "--s", "0,1"],
-            ["tree", "live", "--aut", aut],
-            ["tree", "leftmost", "--aut", aut],
-            ["tree", "minimal", "--aut", aut, "--order", alporder],
-            [
-                "tree", "challenge", "--aut", aut, "--order", alporder,
-                "--prefix", "", "--cycle", "0", "--challengers", chal,
-            ],
-            ["menger", "solve", "--graph", graph_file],
-            ["menger", "waves", "--graph", graph_file],
-            ["menger", "max-wave", "--graph", graph_file],
-            ["menger", "encode", "--graph", graph_file, "--wave", wave_file],
-            ["menger", "decode", "--graph", graph_file, "--seq", seq_file],
-            ["oracle", "star-law", "--seed", str(seed)],
-        ]
 
         def run(argv: list[str]) -> tuple[int, str]:
             out, err = io.StringIO(), io.StringIO()
@@ -711,7 +706,8 @@ def cli_determinism(seed):
                 code = cli.main(argv)
             return code, out.getvalue()
 
-        for argv in battery:
+        for template in CLI_BATTERY:
+            argv = [paths[a[1:-1]] if a.startswith("{") else a for a in template]
             first = run(argv)
             second = run(argv)
             if first != second:

@@ -171,9 +171,10 @@ class KTree:
 
     ``parent[i]`` is the parent of node ``i``; exactly one node is the root,
     marked with ``-1``.  Node order below any node is the ancestor chain, so
-    meets (deepest common ancestors) always exist.  The per-node arrays that
-    `ktree_leq` reads are built on first use and kept; equality, hashing and
-    ``repr`` ignore them.
+    meets (deepest common ancestors) always exist.  Construction keeps the
+    breadth-first node order of its validation walk, parents before
+    children; the per-node arrays that `ktree_leq` reads are built on first
+    use and kept.  Equality, hashing and ``repr`` ignore both.
     """
 
     parent: tuple[int, ...]
@@ -196,15 +197,14 @@ class KTree:
             children[p].append(i)
         # Every node has one parent and only the root has none, so the nodes
         # the root does not reach are exactly those on or above a cycle.
-        reached, stack = 1, [roots[0]]
-        while stack:
-            below = children[stack.pop()]
-            reached += len(below)
-            stack.extend(below)
-        if reached != n:
+        order = [roots[0]]
+        for v in order:
+            order += children[v]
+        if len(order) != n:
             raise InvalidTree("parent array contains a cycle")
         object.__setattr__(self, "_root", roots[0])
         object.__setattr__(self, "_children", tuple(map(tuple, children)))
+        object.__setattr__(self, "_order", order)
 
     @property
     def size(self) -> int:
@@ -228,9 +228,7 @@ class KTree:
         """The non-root nodes, each after every node below it, then each
         node's subtree size and height (the nodes on its longest downward
         path), summed up in that order."""
-        below, parent = _preorder(self, self._root), self.parent
-        below.reverse()
-        below.pop()
+        below, parent = self._order[:0:-1], self.parent
         size, height = [1] * len(parent), [1] * len(parent)
         for v in below:
             p = parent[v]
@@ -425,8 +423,9 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
                 break
 
 
-def _preorder(tree: KTree, v: int) -> list[int]:
-    """Nodes of the subtree at ``v`` in preorder, children by ascending id."""
+def subtree(tree: KTree, v: int) -> KTree:
+    """Subtree rooted at ``v``, renumbered in preorder (children by id)."""
+    tree.require(v)
     children = tree._children
     order: list[int] = []
     stack = [v]
@@ -434,13 +433,6 @@ def _preorder(tree: KTree, v: int) -> list[int]:
         node = stack.pop()
         order.append(node)
         stack.extend(reversed(children[node]))
-    return order
-
-
-def subtree(tree: KTree, v: int) -> KTree:
-    """Subtree rooted at ``v``, renumbered in preorder (children by id)."""
-    tree.require(v)
-    order = _preorder(tree, v)
     index = {old: new for new, old in enumerate(order)}
     parent = tuple(
         -1 if old == v else index[tree.parent[old]] for old in order
@@ -452,10 +444,11 @@ def ktree_key(tree: KTree):
     """Canonical structure key; equal keys mean isomorphic labelled trees.
 
     The key of a node is its label's repr with the sorted keys of its
-    children; reversed preorder builds every child's key before its parent's.
+    children; the tree's node order, reversed, builds every child's key
+    before its parent's.
     """
     children, labels = tree._children, tree.labels
     keys: dict[int, tuple] = {}
-    for v in reversed(_preorder(tree, tree.root)):
+    for v in reversed(tree._order):
         keys[v] = (repr(labels[v]), tuple(sorted(keys[c] for c in children[v])))
     return keys[tree.root]

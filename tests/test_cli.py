@@ -595,6 +595,22 @@ def test_golden_battery_is_byte_identical(tmp_path):
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
+def test_cli_determinism_runs_the_golden_battery():
+    """The cli-determinism suite's documents and commands are the golden
+    battery's, with ``{seed}`` at 0, and its ``seq`` document is the coded
+    form of the wave ``[[0, 1]]`` on its graph."""
+    from orderlab import menger, suites
+
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert suites.CLI_FILES == {name: golden["files"][name] for name in suites.CLI_FILES}
+    assert len(suites.CLI_FILES) == 15
+    battery = [["0" if a == "{seed}" else a for a in argv] for argv in suites.CLI_BATTERY]
+    assert battery == [case["argv"] for case in golden["commands"]]
+    g = formats.graph_from_doc(suites.CLI_FILES["graph"])
+    labels = menger.encode_wave(g, menger.warp_of([(0, 1)]))
+    assert suites.CLI_FILES["seq"] == {"labels": formats.labels_to_doc(labels)}
+
+
 def test_golden_malformed_documents_keep_the_exit_contract(tmp_path):
     """The battery's malformed documents and its unreadable file end in a
     contract exit code, with one canonical report whenever the exit code

@@ -18,8 +18,8 @@ import orderlab
 PACKAGE = Path(orderlab.__file__).parent
 ROOTS = ("cli", "suites")
 # The benchmark times `subtree` and `ktree_key` on their own
-# (wqo.subtree.self_s, wqo.ktree_key.self_s and the scale-cliffs probes); no
-# command or suite needs them.
+# (wqo.subtree.self_s, wqo.ktree_key.self_s and the scale-cliffs probes), and
+# tests/test_wqo.py checks them; no command or suite needs them.
 EXCEPTIONS = {"subtree", "ktree_key"}
 
 

@@ -302,10 +302,10 @@ def test_long_descending_chain_gets_zero_runs():
 
 def test_fan_below_one_element_spaces_out_its_ranks():
     # 200 pairwise incomparable elements below 0 all anchor on the word of
-    # 0, so each fresh word lands between the previous one and (1,): far
-    # more than the 64 that fit into one gap of encode_order's ranks.  Then
-    # each of 201..260 lies below two neighbours of the fan, and anchors on
-    # the smaller word, which only the ranks tell apart.
+    # 0, so each fresh word lands between the previous one and (1,): the
+    # gap under the rank of 0 is halved 199 times over.  Then each of
+    # 201..260 lies below two neighbours of the fan, and anchors on the
+    # smaller word, which only the ranks tell apart.
     n = 201
     pairs = [(i, 0) for i in range(1, n)]
     pairs += [(n + k, m) for k in range(60) for m in (140 + k, 141 + k)]
@@ -315,6 +315,22 @@ def test_fan_below_one_element_spaces_out_its_ranks():
     assert _reference_encode_order(fan) == want
     for tie in lexcode.TIE_BREAKS:
         assert lexcode.encode_order(fan, tie).table == want
+
+
+@pytest.mark.parametrize("m", [20, 100, 300])
+def test_one_gap_halved_almost_n_times_stays_open(m):
+    # The fan 1..m below 0 halves the gap under the rank of 0 m - 1 times;
+    # u below m, then w below u, halve the gap under the rank of m twice
+    # more.  That is m + 1 of the n - 1 possible halvings, all on one run of
+    # gaps.  With ranks spaced 1 << (n - 5) apart, u and m would share a
+    # rank, and w would anchor on the word of m instead of the smaller u.
+    u, w = m + 1, m + 2
+    pairs = [(i, 0) for i in range(1, m + 1)] + [(u, m), (w, u), (w, m)]
+    poset = validate_poset(pairs, range(m + 3))
+    want = {0: (1,), **{i: (0, 2 * i - 1) for i in range(1, m + 1)}}
+    want.update({u: (0, 2 * m - 2, 1), w: (0, 2 * m - 2, 0, 1)})
+    assert _reference_encode_order(poset) == want
+    assert lexcode.encode_order(poset).table == want
 
 
 def test_encode_matches_reference_on_random_orders_of_20_to_60_elements():

@@ -416,6 +416,16 @@ def test_size_and_height_cut_the_leq_calls_on_a_dead_bushy_source():
 def test_subtree_renumbers_in_preorder():
     t = KTree((-1, 0, 0, 2), (3, 1, 4, 1))
     assert subtree(t, 2).labels == (4, 1)
+    # a bushy tree numbered breadth first, each node labelled by its id
+    bushy = KTree((-1, 0, 0, 0, 1, 1, 2, 4, 3, 3), tuple(range(10)))
+    whole = subtree(bushy, 0)
+    assert whole.labels == (0, 1, 4, 7, 5, 2, 6, 3, 8, 9)
+    assert whole.parent == (-1, 0, 1, 2, 1, 0, 5, 0, 7, 7)
+    assert subtree(bushy, 1) == KTree((-1, 0, 1, 0), (1, 4, 7, 5))
+    assert subtree(bushy, 9) == KTree((-1,), (9,))
+    for v in (-1, 10):
+        with pytest.raises(InvalidNode):
+            subtree(bushy, v)
 
 
 def test_ktree_key_is_isomorphism_invariant():
@@ -423,6 +433,42 @@ def test_ktree_key_is_isomorphism_invariant():
     b = KTree((-1, 0, 0), (0, 2, 1))
     assert ktree_key(a) == ktree_key(b)
     assert ktree_key(a) != ktree_key(KTree((-1, 0, 1), (0, 1, 2)))
+
+
+def test_ktree_key_separates_the_oracle_trees_under_any_numbering():
+    """The oracle's trees are pairwise non-isomorphic, so their keys are
+    distinct; renumbering a tree's nodes, root kept at 0, keeps its key."""
+    trees = oracles.all_ktrees(5, (0, 1))
+    keys = [ktree_key(t) for t in trees]
+    assert len(trees) == len(set(keys)) == 286
+    rng = random.Random("ktree-key-renumbering")
+    for tree, key in zip(trees, keys):
+        for _ in range(3):
+            rest = rng.sample(range(1, tree.size), tree.size - 1)
+            new = (0, *rest)
+            parent, labels = [-1] * tree.size, [None] * tree.size
+            for v, p in enumerate(tree.parent):
+                parent[new[v]] = -1 if p == -1 else new[p]
+                labels[new[v]] = tree.labels[v]
+            assert ktree_key(KTree(tuple(parent), tuple(labels))) == key
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True)
+def test_ktree_key_of_two_equal_deep_child_paths():
+    """ROADMAP item 4: the key is built without recursing, but sorting two
+    equal deep child keys compares the nested tuples recursively in C.
+    Paths of 6,000 nodes nest that comparison 12,000 deep, past the
+    recursion limits of CPython 3.10 to 3.13 (1,500 nodes suffice on 3.10
+    and 3.11).  Remove the mark when item 4 lands."""
+    m = 6000
+    parent = (-1, 0, *range(1, m), 0, *range(m + 1, 2 * m))
+    key = ktree_key(KTree(parent, (0,) * (2 * m + 1)))
+    assert key[0] == "0" and len(key[1]) == 2
+    for child in key[1]:
+        for _ in range(m - 1):
+            assert child[0] == "0" and len(child[1]) == 1
+            child = child[1][0]
+        assert child == ("0", ())
 
 
 @settings(derandomize=True, max_examples=40)
