@@ -110,8 +110,7 @@ def read_block(code: LexCode, coded: tuple[int, ...], i: int) -> tuple[int, int]
 
     A block is a run of even digits, one odd digit, then the element id,
     and must equal that element's prefix-free code exactly.  This is the
-    one reader of blocks: `decode_path` and the lasso decoder of
-    `trees.minimal_path` both call it.
+    one reader of blocks, which `decode_path` loops over.
     """
     n = len(coded)
     j = i
@@ -139,6 +138,14 @@ def decode_path(code: LexCode, coded: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def letter_words(code: LexCode, aut: TreeAutomaton) -> dict[int, tuple[int, ...]]:
+    """Each letter of the tree's alphabet with its prefix-free code; raises
+    `AlphabetMismatch` unless the alphabet is the coded order's elements."""
+    if frozenset(range(aut.alphabet_size)) != code.order.elements:
+        raise AlphabetMismatch("tree alphabet must equal the coded order's elements")
+    return {a: encode_element(code, a) for a in range(aut.alphabet_size)}
+
+
 def lift_tree(code: LexCode, aut: TreeAutomaton) -> TreeAutomaton:
     """Automaton for the prefix closure of the coded image of the tree.
 
@@ -147,9 +154,7 @@ def lift_tree(code: LexCode, aut: TreeAutomaton) -> TreeAutomaton:
     covers every digit that occurs in a prefix-free code.
     """
     from .trees import TreeAutomaton
-    if frozenset(range(aut.alphabet_size)) != code.order.elements:
-        raise AlphabetMismatch("tree alphabet must equal the coded order's elements")
-    words = {a: encode_element(code, a) for a in range(aut.alphabet_size)}
+    words = letter_words(code, aut)
     alphabet = max((d for w in words.values() for d in w), default=-1) + 1
     delta: dict[tuple[int, int], int] = {}
     fresh = aut.states

@@ -128,7 +128,7 @@ class LassoPath:
 
 def _primitive(cycle: tuple[int, ...]) -> tuple[int, ...]:
     n = len(cycle)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and cycle[:d] * (n // d) == cycle:
             return cycle[:d]
     return cycle
@@ -164,30 +164,37 @@ def lasso_in_tree(aut: TreeAutomaton, lasso: LassoPath) -> bool:
     return True
 
 
-def leftmost_path(aut: TreeAutomaton) -> LassoPath:
-    """Greedy least-letter infinite path, staying inside the live states.
+def _greedy_path(aut: TreeAutomaton, letters: Iterable[int]) -> LassoPath:
+    """Infinite path that takes, at each state, the first letter of
+    ``letters`` that leads to a live state.
 
-    Deterministic automata make the greedy walk revisit a state within
-    ``states`` steps, which closes the lasso.  Raises `WellFounded` when the
-    start state is dead.
+    Deterministic automata make the walk revisit a state within ``states``
+    steps, which closes the lasso.  Raises `WellFounded` when the start
+    state is dead.
     """
     live = live_states(aut)
     if aut.start not in live:
         raise WellFounded("the tree has no infinite path")
     state = aut.start
     seen = {state: 0}
-    letters: list[int] = []
+    path: list[int] = []
     while True:
-        for a in range(aut.alphabet_size):
+        for a in letters:
             t = aut.delta.get((state, a))
             if t is not None and t in live:
-                letters.append(a)
+                path.append(a)
                 state = t
                 break
         if state in seen:
             cut = seen[state]
-            return canonical_lasso(LassoPath(tuple(letters[:cut]), tuple(letters[cut:])))
-        seen[state] = len(letters)
+            return canonical_lasso(LassoPath(tuple(path[:cut]), tuple(path[cut:])))
+        seen[state] = len(path)
+
+
+def leftmost_path(aut: TreeAutomaton) -> LassoPath:
+    """Greedy least-letter infinite path, staying inside the live states;
+    raises `WellFounded` when the start state is dead."""
+    return _greedy_path(aut, range(aut.alphabet_size))
 
 
 def path_left_of(first: LassoPath, second: LassoPath, order: Poset) -> bool:
@@ -247,43 +254,12 @@ def minimal_path(aut: TreeAutomaton, alphabet_order: Poset) -> LassoPath:
     """Least infinite path under the sequence extension of ``alphabet_order``.
 
     Implemented by the coding reduction: encode the alphabet order into
-    integer sequences, lift the tree to coded words, take the leftmost path
-    of the lift, and decode it block by block.
+    prefix-free integer words, under which the least path is the leftmost
+    path of the coded tree.  That path takes, at each state, the live
+    letter with the least word, because no word is a prefix of another; so
+    the walk tries letters in word order and never builds the coded tree.
     """
     from . import lexcode  # deferred: the other tree commands never load lexcode
 
-    code = lexcode.encode_order(alphabet_order)
-    lifted = lexcode.lift_tree(code, aut)
-    coded = leftmost_path(lifted)
-    return _decode_lasso(code, coded)
-
-
-def _decode_lasso(code, coded: LassoPath) -> LassoPath:
-    """Decode a lasso of coded symbols into a lasso of order elements.
-
-    Block boundaries eventually revisit a phase of the coded lasso, at which
-    point the decoded sequence repeats as well.  A block has at most
-    ``longest`` digits and a phase repeats within ``clen + 1`` boundaries
-    in the cycle, so `lexcode.read_block` never reads past the first
-    ``plen + (clen + 1) * longest`` digits.  The digits are unrolled on
-    demand, doubling the whole cycles held, so at most twice the digits
-    actually read are ever built.
-    """
-    from .lexcode import read_block
-
-    longest = max(map(len, code.table.values()), default=0) + 1
-    plen, clen = len(coded.prefix), len(coded.cycle)
-    digits = coded.prefix + coded.cycle
-    elems: list[int] = []
-    boundaries: dict[int, int] = {}
-    i = 0
-    while True:
-        phase = i if i < plen else plen + (i - plen) % clen
-        if phase in boundaries:
-            cut = boundaries[phase]
-            return canonical_lasso(LassoPath(tuple(elems[:cut]), tuple(elems[cut:])))
-        boundaries[phase] = len(elems)
-        while len(digits) < i + longest:
-            digits += digits[plen:]
-        elem, i = read_block(code, digits, i)
-        elems.append(elem)
+    words = lexcode.letter_words(lexcode.encode_order(alphabet_order), aut)
+    return _greedy_path(aut, sorted(words, key=words.__getitem__))

@@ -414,6 +414,82 @@ def test_tree_challenge(tmp_path):
     assert details["entries"][0]["left_of_witness"] is False
 
 
+ERROR_DOCS = {
+    "aut": {"alphabet": 1, "states": 1, "start": 0, "delta": [[0, 0, 0]]},
+    "one": {"elements": ["x"], "lt": []},
+    "two": {"elements": ["x", "y"], "lt": []},
+    "chal": {"challengers": [{"prefix": [], "cycle": [3]}]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, report",
+    [
+        (
+            ["tree", "minimal", "--aut", "{aut}", "--order", "{two}"],
+            65,
+            "two.json: order has 2 elements, alphabet has 1",
+        ),
+        (
+            ["tree", "challenge", "--aut", "{aut}", "--order", "{one}", "--cycle", "",
+             "--challengers", "{chal}"],
+            65,
+            "cycle: must be non-empty",
+        ),
+        (
+            ["tree", "challenge", "--aut", "{aut}", "--order", "{one}", "--cycle", "0",
+             "--challengers", "{chal}"],
+            1,
+            {"error": "BadLetter", "message": "letter 3 is outside the alphabet"},
+        ),
+        (
+            ["wqo", "min-bad", "--q", "nat-eq", "--bound", "abc", "--length", "3"],
+            64,
+            "argument --bound: 'abc' is not a non-negative integer",
+        ),
+        (["barrier", "tri", "--left", "0,x", "--right", "1"], 65, "left: 'x' is not an integer"),
+        (
+            ["barrier", "tri", "--left=-1,2", "--right", "3"],
+            1,
+            {"error": "NotIncreasing", "message": "(-1, 2) has negative entries"},
+        ),
+    ],
+    ids=[
+        "order-size", "empty-cycle", "challenger-letter", "bound-text", "block-item",
+        "negative-block",
+    ],
+)
+def test_error_branches(tmp_path, argv, code, report):
+    """An input error (65) or usage error (64) writes no report and names
+    the problem on stderr; a domain error is a failing report (exit 1)."""
+    paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in ERROR_DOCS.items()}
+    argv = [paths[a[1:-1]] if a.startswith("{") else a for a in argv]
+    result, out, err = run(argv)
+    assert result == code
+    if isinstance(report, str):
+        assert out == "" and report in err
+    else:
+        assert json.loads(out)["details"] == report
+
+
+@pytest.mark.parametrize("bound, searched", [(10, 3), (2, 2)])
+def test_wqo_min_bad_bounds_a_poset_file_by_its_size(tmp_path, monkeypatch, bound, searched):
+    from orderlab import wqo
+
+    bounds = []
+    search = wqo.min_bad_sequence
+
+    def recording(q, bound, length):
+        bounds.append(bound)
+        return search(q, bound, length)
+
+    monkeypatch.setattr(wqo, "min_bad_sequence", recording)
+    argv = ["wqo", "min-bad", "--q", chain_poset(tmp_path), "--bound", str(bound), "--length", "2"]
+    code, out, _ = run(argv)
+    assert bounds == [searched]
+    assert code == 0 and len(json.loads(out)["details"]["seq"]) == 2
+
+
 def test_menger_solve(tmp_path):
     g = write(
         tmp_path, "graph.json", {"vertices": 2, "edges": [[0, 1]], "A": [0], "B": [1]}

@@ -19,8 +19,12 @@ PACKAGE = Path(orderlab.__file__).parent
 ROOTS = ("cli", "suites")
 # The benchmark times `subtree` and `ktree_key` on their own
 # (wqo.subtree.self_s, wqo.ktree_key.self_s and the scale-cliffs probes), and
-# tests/test_wqo.py checks them; no command or suite needs them.
-EXCEPTIONS = {"subtree", "ktree_key"}
+# tests/test_wqo.py checks them; no command or suite needs them.  The same
+# holds for `lift_tree` (lexcode.lift_tree.self_s and the scale-cliffs probe
+# `lexcode.lift_tree chain4000`), which tests/test_lexcode.py and
+# tests/test_trees.py check: `minimal_path` walks the tree in code-word order
+# and no longer builds the lifted automaton.
+EXCEPTIONS = {"subtree", "ktree_key", "lift_tree"}
 
 
 def _definitions(tree: ast.Module) -> dict[str, ast.AST]:

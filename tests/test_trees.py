@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -9,15 +10,13 @@ from orderlab.errors import (
     InvalidAutomaton,
     InvalidLasso,
     InvalidWitness,
-    MalformedCode,
     WellFounded,
 )
-from orderlab.lexcode import encode_order
+from orderlab import lexcode, oracles, suites
 from orderlab.order import validate_poset
 from orderlab.trees import (
     LassoPath,
     TreeAutomaton,
-    _decode_lasso,
     automaton,
     canonical_lasso,
     challenger_check,
@@ -202,41 +201,90 @@ def test_minimal_path_prefers_order_not_ids():
     assert minimal_path(aut, anti) == LassoPath((), (0,))
 
 
-def test_decode_lasso_reads_blocks_across_the_seam():
-    # prefix-free codes: 0 -> (1, 0) and 1 -> (0, 1, 1)
-    code = encode_order(validate_poset([(1, 0)], [0, 1]))
-    # the first block (1, 0) crosses the seam, so the cycle starts inside a
-    # block and is no concatenation of whole blocks
-    assert _decode_lasso(code, LassoPath((1,), (0, 1, 0, 1))) == LassoPath((), (0,))
-    assert _decode_lasso(code, LassoPath((1,), (0, 0, 1, 1, 1))) == LassoPath((), (0, 1))
-    assert _decode_lasso(code, LassoPath((0, 1, 1), (1, 0))) == LassoPath((1,), (0,))
-    # 1 0 1 0 0 1 0 ...: the third block (0, 1, 0) is no element's code
-    with pytest.raises(MalformedCode):
-        _decode_lasso(code, LassoPath((1,), (0, 1, 0)))
-    # no odd digit ever ends a block
-    with pytest.raises(MalformedCode):
-        _decode_lasso(code, LassoPath((), (0,)))
+# The reference route for `minimal_path` is the coding reduction taken
+# literally: the leftmost path of `lexcode.lift_tree`, decoded by the lasso
+# decoder below.
 
 
-def test_decode_lasso_unrolls_only_the_digits_it_reads(monkeypatch):
-    # a descending chain gives its least letter the word 0^(n-1) 1, so the
-    # coded self-loop is one block of n + 1 digits; the span bound
-    # plen + (clen + 1) * longest would be about (n + 1)^2 digits
-    from orderlab import lexcode
+def _decode_lasso(code, coded: LassoPath) -> LassoPath:
+    """Decode a lasso of coded symbols into a lasso of order elements.
 
-    n = 1000
-    chain = validate_poset([(i + 1, i) for i in range(n - 1)], list(range(n)))
-    aut = automaton(n, 1, 0, [(0, n - 1, 0)])
-    widest = []
-    read_block = lexcode.read_block
+    Block boundaries eventually revisit a phase of the coded lasso, at which
+    point the decoded sequence repeats as well.  A block has at most
+    ``longest`` digits and a phase repeats within ``clen + 1`` boundaries
+    in the cycle, so `lexcode.read_block` never reads past the first
+    ``plen + (clen + 1) * longest`` digits.  The digits are unrolled on
+    demand, doubling the whole cycles held, so at most twice the digits
+    actually read are ever built.
+    """
+    from orderlab.lexcode import read_block
 
-    def recording_read_block(code, coded, i):
-        widest.append(len(coded))
-        return read_block(code, coded, i)
+    longest = max(map(len, code.table.values()), default=0) + 1
+    plen, clen = len(coded.prefix), len(coded.cycle)
+    digits = coded.prefix + coded.cycle
+    elems: list[int] = []
+    boundaries: dict[int, int] = {}
+    i = 0
+    while True:
+        phase = i if i < plen else plen + (i - plen) % clen
+        if phase in boundaries:
+            cut = boundaries[phase]
+            return canonical_lasso(LassoPath(tuple(elems[:cut]), tuple(elems[cut:])))
+        boundaries[phase] = len(elems)
+        while len(digits) < i + longest:
+            digits += digits[plen:]
+        elem, i = read_block(code, digits, i)
+        elems.append(elem)
 
-    monkeypatch.setattr(lexcode, "read_block", recording_read_block)
-    assert minimal_path(aut, chain) == LassoPath((), (n - 1,))
-    assert widest and max(widest) <= 10 * (n + 1)
+
+def lifted_minimal_path(aut, alphabet_order):
+    code = lexcode.encode_order(alphabet_order)
+    return _decode_lasso(code, leftmost_path(lexcode.lift_tree(code, aut)))
+
+
+def outcome(route, aut, order):
+    """The lasso ``route`` returns, or the type of the error it raises."""
+    try:
+        return route(aut, order)
+    except (AlphabetMismatch, WellFounded) as err:
+        return type(err)
+
+
+def random_pair(rng):
+    """A random automaton of 1-60 states over 1-8 letters, with a random
+    order on its alphabet, or one time in twenty on one more letter."""
+    states, letters = rng.randint(1, 60), rng.randint(1, 8)
+    density = rng.random()
+    delta = {
+        (s, a): rng.randrange(states)
+        for s in range(states)
+        for a in range(letters)
+        if rng.random() < density
+    }
+    aut = TreeAutomaton(letters, states, rng.randrange(states), delta)
+    k = letters + (rng.random() < 0.05)
+    rank = list(range(k))
+    rng.shuffle(rank)
+    p = rng.random()
+    pairs = [(x, y) for x in range(k) for y in range(k) if rank[x] < rank[y] and rng.random() < p]
+    return aut, validate_poset(pairs, range(k))
+
+
+def test_minimal_path_matches_the_lift_and_decode_route():
+    pairs = [
+        (aut, poset)
+        for aut in suites._automaton_corpus()
+        for poset in oracles.posets_on(aut.alphabet_size)
+    ]
+    rng = random.Random(0)
+    pairs += [random_pair(rng) for _ in range(3000)]
+    kinds = set()
+    for aut, poset in pairs:
+        got = outcome(minimal_path, aut, poset)
+        assert got == outcome(lifted_minimal_path, aut, poset), (aut, poset.rows)
+        kinds.add(got if isinstance(got, type) else len(got.prefix) > 0)
+    # both errors, and lassos with and without a prefix
+    assert kinds == {AlphabetMismatch, WellFounded, False, True}
 
 
 def test_minimal_path_requires_matching_alphabet():
