@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from ._record import record
@@ -33,7 +34,7 @@ Block = tuple[int, ...]
 
 def _require_block(b: Sequence[int]) -> Block:
     block = tuple(b)
-    if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
+    if any(map(operator.ge, block, block[1:])):
         raise NotIncreasing(f"{block} is not strictly increasing")
     if block and block[0] < 0:
         raise NotIncreasing(f"{block} has negative entries")
@@ -97,23 +98,38 @@ def base_of(frag: BarrierFragment) -> frozenset[int]:
     return frozenset(x for b in frag.blocks for x in b)
 
 
-def _tri_union(b: Block, c: Block) -> Optional[Block]:
-    """The union of the ranges of two valid blocks when ``b`` ◁ ``c``, else
-    None.
+def _tri_partners(b: Block, blocks: Sequence[Block]) -> list[int]:
+    """The positions ``j``, ascending, with ``b`` ◁ ``blocks[j]``, for valid
+    blocks.
 
     ``b`` ◁ ``c`` when some increasing ``d`` extends ``b`` while its tail
     extends ``c``.  Such a ``d`` is pinned on all positions except possibly
     the first: position ``i`` carries ``b[i]`` and position ``i+1`` carries
     ``c[i]``.  So the two must agree where they overlap, and whatever ``c``
     adds past ``b`` must lie above ``b``'s last entry; with ``b`` empty the
-    first position only needs a natural below ``c[0]``.
+    first position only needs a natural below ``c[0]``.  One call tests
+    ``b`` against every block, so the parts of ``b`` are taken once.
     """
     if not b:
-        return c if not c or c[0] > 0 else None
+        return [j for j, c in enumerate(blocks) if not c or c[0] > 0]
     k = len(b) - 1
-    if b[1 : 1 + len(c)] == c[:k] and (len(c) <= k or b[-1] < c[k]):
-        return b + c[k:]
-    return None
+    tail, last = b[1:], b[-1]
+    found = []
+    for j, c in enumerate(blocks):
+        if len(c) > k:
+            if c[k] > last and c[:k] == tail:
+                found.append(j)
+        elif c == tail[: len(c)]:
+            found.append(j)
+    return found
+
+
+def _tri_union(b: Block, c: Block) -> Optional[Block]:
+    """The union of the ranges of two valid blocks when ``b`` ◁ ``c``, else
+    None: ``d`` itself, which is ``b`` followed by what ``c`` adds past it."""
+    if not _tri_partners(b, (c,)):
+        return None
+    return b + c[len(b) - 1 :] if b else c
 
 
 def block_tri(b: Sequence[int], c: Sequence[int]) -> bool:
@@ -183,8 +199,8 @@ class PartialArray:
 
 def array_of(entries: Iterable[tuple[Sequence[int], Hashable]]) -> PartialArray:
     """Validated array: increasing blocks, each at most once."""
-    out = tuple((_require_block(b), v) for b, v in entries)
-    if len({b for b, _ in out}) != len(out):
+    out = tuple([(_require_block(b), v) for b, v in entries])
+    if len(set([b for b, _ in out])) != len(out):
         raise InvalidArray("array blocks must be distinct to form a map")
     return PartialArray(out)
 
@@ -197,31 +213,54 @@ def _require_entry(b: Block, v: Hashable, frag: BarrierFragment, q: QuasiOrder) 
 
 
 def _tri_pairs(entries: Sequence[tuple[Block, Hashable]]):
+    """``(i, j, v, w)`` for each ordered pair of entries ``(b, v)`` and
+    ``(c, w)`` with ``b`` ◁ ``c``, in order."""
+    blocks = [b for b, _ in entries]
     for i, (b, v) in enumerate(entries):
-        for j, (c, w) in enumerate(entries):
-            if i != j and _tri_union(b, c) is not None:
-                yield i, j, v, w
+        for j in _tri_partners(b, blocks):
+            if j != i:
+                yield i, j, v, entries[j][1]
+
+
+# classify_array's verdict by whether some tri pair is dominated and whether
+# some is not, so each call returns one of four shared sets
+_VERDICTS = {
+    (False, False): frozenset({"bad", "perfect"}),
+    (True, False): frozenset({"good", "perfect"}),
+    (False, True): frozenset({"bad"}),
+    (True, True): frozenset({"good", "mixed"}),
+}
 
 
 def classify_array(arr: PartialArray, frag: BarrierFragment, q: QuasiOrder) -> frozenset[str]:
     """Good/bad/perfect/mixed verdicts over the tri-related entry pairs.
 
     With no tri-related pair at all the array is vacuously bad and perfect
-    at once, and both labels are reported.
+    at once, and both labels are reported.  A compiled order answers each
+    pair from its up-set rows.
     """
-    for b, v in arr.entries:
-        _require_entry(b, v, frag, q)
+    entries = arr.entries
+    blocks = [b for b, _ in entries]
+    values = [v for _, v in entries]
+    if not frag.blocks.issuperset(blocks):
+        for b, v in entries:
+            _require_entry(b, v, frag, q)
+    q.require_all(values)
+    compiled = q.compiled
     total = hits = 0
-    for _, _, v, w in _tri_pairs(arr.entries):
-        total += 1
-        hits += bool(q.leq(v, w))
-    if total == 0:
-        return frozenset({"bad", "perfect"})
-    if hits == total:
-        return frozenset({"good", "perfect"})
-    if hits == 0:
-        return frozenset({"bad"})
-    return frozenset({"good", "mixed"})
+    if compiled is None:
+        for _, _, v, w in _tri_pairs(entries):
+            total += 1
+            hits += bool(q.leq(v, w))
+    else:
+        at = [compiled.ids[v] for v in values]
+        for i, b in enumerate(blocks):
+            row = compiled.up[at[i]]
+            for j in _tri_partners(b, blocks):
+                if j != i:
+                    total += 1
+                    hits += row >> at[j] & 1
+    return _VERDICTS[hits > 0, hits < total]
 
 
 def bad_array_violations(
@@ -271,7 +310,7 @@ def barrier_pair_homogeneous(
     for subset in itertools.combinations(base, target):
         keep = set(subset)
         inside = [b for b in blocks if keep.issuperset(b)]
-        tri = ((b, c) for b in inside for c in inside if _tri_union(b, c) is not None)
+        tri = ((b, inside[j]) for b in inside for j in _tri_partners(b, inside))
         colors = set()
         for b, c in tri:
             colors.add(coloring(b, c))

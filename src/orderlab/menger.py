@@ -26,6 +26,9 @@ from .errors import (
 Path = tuple[int, ...]
 Label = tuple[int, object]
 
+_PLAIN_INT = frozenset({int})
+_BLANK = (0, 0)
+
 
 @record
 class MengerGraph:
@@ -54,6 +57,12 @@ class MengerGraph:
         found = [p for a in sorted(self.A) for p in _simple_paths(adj, a) if p[-1] in self.B]
         found.sort(key=lambda p: (len(p), p))
         return tuple(found)
+
+    @functools.cached_property
+    def _warp_path_verdicts(self) -> dict[Path, bool]:
+        """Whether each path of plain ints met so far is a warp path, as
+        `_check_path_label` fills it in."""
+        return {}
 
 
 def _named(g: MengerGraph) -> list[int]:
@@ -156,10 +165,13 @@ def warp_of(paths: Iterable[Sequence[int]]) -> Warp:
 
 def _path_problem(g: MengerGraph, p: Path) -> Optional[str]:
     """The first rule ``p`` breaks as a path of a warp of ``g``, or None:
-    warp paths are non-empty simple paths along edges of ``g`` that start
-    at a source and never meet the source set again."""
+    warp paths are non-empty simple paths of plain ints (no bools) along
+    edges of ``g`` that start at a source and never meet the source set
+    again."""
     if not p:
         return "warp paths are non-empty"
+    if not _PLAIN_INT.issuperset(map(type, p)):
+        return f"path {p} has a vertex that is not an int"
     if p[0] not in g.A:
         return f"path {p} does not start at a source"
     if min(p) < 0 or max(p) >= g.n:
@@ -226,8 +238,10 @@ def _waves(g: MengerGraph) -> Iterator[Warp]:
         elif len(acc) < len(sources):
             paths = _simple_paths(g.adjacency, sources[len(acc)], g.A.union(*acc))
             stack.append(map(acc.__add__, zip(paths)))
-        elif is_separator(g, terminals(Warp(acc))):
-            yield Warp(acc)
+        else:
+            wave = Warp(acc)
+            if is_separator(g, terminals(wave)):
+                yield wave
 
 
 def enumerate_waves(g: MengerGraph, cap: Optional[int] = None) -> WaveEnumeration:
@@ -452,17 +466,10 @@ def encode_wave(g: MengerGraph, wave: Warp) -> tuple[Label, ...]:
     covered = wave.vertices
     prefixes = _path_prefixes(wave)
     top = max(g.n, len(paths))
-    out: list[Label] = []
-    for i in range(top):
-        if i < g.n and i in covered:
-            out.append((1, prefixes[i]))
-        else:
-            out.append((0, 0))
-        if i < len(paths):
-            out.append((i + 2, frozenset(paths[i]) & covered))
-        else:
-            out.append((0, 0))
-    return tuple(out)
+    covers = [(1, prefixes[i]) if i in prefixes else _BLANK for i in range(top)]
+    meets = [(i, covered.intersection(p)) for i, p in enumerate(paths, 2)]
+    meets += [_BLANK] * (top - len(paths))
+    return tuple(itertools.chain.from_iterable(zip(covers, meets)))
 
 
 def _label_shape(label: Label) -> str:
@@ -490,64 +497,82 @@ def label_less(d: Label, e: Label) -> bool:
 
 
 def _check_path_label(g: MengerGraph, q: Path, end: int) -> bool:
-    return bool(q) and q[-1] == end and _path_problem(g, q) is None
+    """Whether ``q`` is a warp path ending at ``end``.  A path holding
+    anything but plain ints never is; any other is checked once per graph."""
+    if not q or q[-1] != end or not _PLAIN_INT.issuperset(map(type, q)):
+        return False
+    verdicts = g._warp_path_verdicts
+    ok = verdicts.get(q)
+    if ok is None:
+        ok = verdicts[q] = _path_problem(g, q) is None
+    return ok
 
 
 def _coding_covers(g: MengerGraph, seq: Sequence[Label]) -> Optional[dict[int, Path]]:
-    """The cover labels of ``seq`` by vertex when ``seq`` is a node of the
-    wave-coding tree, or None when it is not.
+    """The longest cover label from each source, by source, when ``seq`` is
+    a node of the wave-coding tree, or None when it is not.
 
     Even slot ``2v`` holds a blank or a warp-path prefix ending at ``v``.
     Odd slot ``2i+1`` holds a blank past the path enumeration, and before
-    it a non-empty subset of path ``i`` labelled ``i + 2``.  Labels are
-    read left to right, so a malformed one is reported only if every slot
-    before it fits.
+    it a non-empty subset of path ``i`` labelled ``i + 2``.  Covers that
+    share a vertex are prefixes one of the other, so the covers from one
+    source form a chain and those from different sources are disjoint.  The
+    sources and every vertex a label names are covered once their slot is
+    present, and in a complete coding every meet holds the end of a longest
+    cover.  Labels are read left to right, so a malformed one is reported
+    only if every slot before it fits.
     """
     paths = g.ab_paths
-    top = max(g.n, len(paths))
-    if len(seq) > 2 * top:
+    n, m = g.n, len(paths)
+    if len(seq) > 2 * max(n, m):
         return None
     covers: dict[int, Path] = {}
-    meets: dict[int, frozenset[int]] = {}
+    meets: list[set[int] | frozenset[int]] = []
     for k, label in enumerate(seq):
-        shape = _label_shape(label)
         i = k // 2
-        if shape == "blank":
-            if k % 2 and i < len(paths):
-                return None
-        elif k % 2 == 0:
-            if shape != "cover" or i >= g.n or not _check_path_label(g, label[1], i):
-                return None
-            covers[i] = label[1]
-        else:
-            if i >= len(paths) or shape != "meet" or label[0] != i + 2:
-                return None
-            chosen = frozenset(label[1])
-            if not chosen or not chosen <= set(paths[i]):
-                return None
-            meets[i] = chosen
-    # pairwise coherence of the covering paths
-    for i, j in itertools.combinations(sorted(covers), 2):
-        qi, qj = covers[i], covers[j]
-        if set(qi) & set(qj):
-            if qi != qj[: len(qi)] and qj != qi[: len(qj)]:
-                return None
-    # the sources and every vertex a label names are covered, where present
-    named = set(g.A).union(*covers.values(), *meets.values())
-    if any(2 * v < len(seq) and seq[2 * v] == (0, 0) for v in named):
+        pair = isinstance(label, tuple) and len(label) == 2
+        if k % 2 == 0:
+            if pair and label[0] == 1 and isinstance(label[1], tuple):
+                if i >= n or not _check_path_label(g, label[1], i):
+                    return None
+                covers[i] = label[1]
+                continue
+            if pair and label == _BLANK:
+                continue
+        elif i < m:
+            meet = pair and isinstance(label[0], int) and isinstance(label[1], (set, frozenset))
+            if meet and label[0] == i + 2:
+                if not label[1] or not label[1].issubset(paths[i]):
+                    return None
+                meets.append(label[1])
+                continue
+        elif pair and label == _BLANK:
+            continue
+        _label_shape(label)  # raises unless the label is well formed
         return None
-    if len(seq) == 2 * top:
-        ends = _maximal_covers(covers)
-        if any(chosen.isdisjoint(ends) for chosen in meets.values()):
+    # each cover extends the longest one from its source so far, or lies
+    # inside it, and the longest covers of different sources are disjoint
+    longest: dict[int, Path] = {}
+    for q in covers.values():
+        best = longest.setdefault(q[0], q)
+        if len(q) > len(best):
+            if q[: len(best)] != best:
+                return None
+            longest[q[0]] = q
+        elif best[: len(q)] != q:
             return None
-    return covers
-
-
-def _maximal_covers(covers: dict[int, Path]) -> dict[int, Path]:
-    """The covers that no other cover extends, by end vertex: the paths of
-    the wave a complete coding describes."""
-    inner = {q[:i] for q in covers.values() for i in range(1, len(q))}
-    return {v: q for v, q in covers.items() if q not in inner}
+    covered = set().union(*longest.values())
+    if len(covered) != sum(map(len, longest.values())):
+        return None
+    # the sources and every vertex a label names are covered, where present
+    bare = covered.union(g.A, *meets).difference(covers)
+    if bare and 2 * min(bare) < len(seq):
+        return None
+    if len(seq) == 2 * max(n, m):
+        ends = {q[-1] for q in longest.values()}
+        if any(map(ends.isdisjoint, meets)):
+            return None
+    return longest
 
 
 def wave_seq_valid(g: MengerGraph, seq: Sequence[Label]) -> bool:
@@ -561,12 +586,16 @@ def wave_seq_valid(g: MengerGraph, seq: Sequence[Label]) -> bool:
 
 
 def decode_wave(g: MengerGraph, seq: Sequence[Label]) -> Warp:
-    """Rebuild the wave from a complete valid coding sequence."""
+    """Rebuild the wave from a complete valid coding sequence.
+
+    The longest covers form a wave with no further check.  Every source is
+    covered, and covers that share a vertex form one chain per source, so
+    the longest covers are disjoint warp paths, one from each source.  Every
+    A-B path holds its non-empty meet set, and that set holds the end of a
+    longest cover, so those ends separate the sources from the sinks.
+    """
     complete = len(seq) == 2 * max(g.n, len(g.ab_paths))
-    covers = _coding_covers(g, seq) if complete else None
-    if covers is None:
+    longest = _coding_covers(g, seq) if complete else None
+    if longest is None:
         raise InvalidSequence("not a complete valid wave coding")
-    wave = warp_of(_maximal_covers(covers).values())
-    if not is_wave(g, wave):
-        raise InvalidSequence("decoded warp is not a wave")
-    return wave
+    return warp_of(longest.values())

@@ -6,9 +6,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlab import oracles
+from orderlab import barrier, oracles
 from orderlab.barrier import (
     BarrierFragment,
+    PartialArray,
     _fragment_problems,
     array_of,
     bad_array_violations,
@@ -33,7 +34,7 @@ from orderlab.errors import (
     OrderlabError,
     PreconditionViolation,
 )
-from orderlab.order import QuasiOrder, natural_equality, natural_order
+from orderlab.order import QuasiOrder, divisibility, natural_equality, natural_order
 from orderlab.wqo import higman_lift
 
 
@@ -286,6 +287,81 @@ def test_classify_array_reads_backward_tri_pairs():
     # the verdict; the forward pair 1 ◁ 2 (3 <= 9) alone would be perfect
     mixed = array_of([((2,), 7), ((0,), 3), ((1,), 9)])
     assert classify_array(mixed, singles, leq) == frozenset({"good", "mixed"})
+
+
+def reference_tri_union(b, c):
+    """`_tri_union` before the relation moved into `_tri_partners`."""
+    if not b:
+        return c if not c or c[0] > 0 else None
+    k = len(b) - 1
+    if b[1 : 1 + len(c)] == c[:k] and (len(c) <= k or b[-1] < c[k]):
+        return b + c[k:]
+    return None
+
+
+def reference_classify_array(arr, frag, q):
+    """The all-pairs `classify_array` through ``q.leq`` that the compiled
+    rows replaced."""
+    for b, v in arr.entries:
+        if b not in frag.blocks:
+            raise InvalidArray(f"block {b} is not in the fragment")
+        q.require_all((v,))
+    total = hits = 0
+    for i, (b, v) in enumerate(arr.entries):
+        for j, (c, w) in enumerate(arr.entries):
+            if i != j and reference_tri_union(b, c) is not None:
+                total += 1
+                hits += bool(q.leq(v, w))
+    if total == 0:
+        return frozenset({"bad", "perfect"})
+    if hits == total:
+        return frozenset({"good", "perfect"})
+    if hits == 0:
+        return frozenset({"bad"})
+    return frozenset({"good", "mixed"})
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except OrderlabError as exc:
+        return type(exc), str(exc)
+
+
+def test_tri_union_matches_the_reference_on_every_pair_of_small_blocks():
+    blocks = [b for r in range(5) for b in itertools.combinations(range(7), r)]
+    rows = {b: barrier._tri_partners(b, blocks) for b in blocks}
+    for b, c in itertools.product(blocks, repeat=2):
+        want = reference_tri_union(b, c)
+        assert barrier._tri_union(b, c) == want, (b, c)
+        assert (blocks.index(c) in rows[b]) == (want is not None), (b, c)
+
+
+def test_classify_array_matches_the_all_pairs_reference():
+    """Seeded arrays of mixed block lengths, the empty block included, over
+    every quasi-order of at most 3 elements (compiled rows) and the three
+    natural families (``leq``): the same verdict, or the same exception
+    type and message when a block is outside the fragment or a value
+    outside the universe."""
+    rng = random.Random("classify-reference")
+    pool = [b for r in range(4) for b in itertools.combinations(range(6), r)]
+    orders = oracles.quasi_orders_upto(3) + [natural_order(), natural_equality(), divisibility()]
+    verdicts = collections.Counter()
+    for _ in range(3000):
+        q = rng.choice(orders)
+        items = list(q.elements) if q.elements is not None else list(range(7))
+        frag = BarrierFragment(6, frozenset(rng.sample(pool, rng.randint(1, 20))))
+        entries = []
+        for b in rng.sample(pool, rng.randint(0, 7)):
+            if b in frag.blocks or rng.random() < 0.03:
+                v = rng.choice(items) if rng.random() > 0.03 else rng.choice(["zz", -1, [0]])
+                entries.append((b, v))
+        arr = PartialArray(tuple(entries))
+        got = outcome(classify_array, arr, frag, q)
+        assert got == outcome(reference_classify_array, arr, frag, q), (q, frag, arr)
+        verdicts[tuple(sorted(got)) if isinstance(got, frozenset) else got[0].__name__] += 1
+    assert len(verdicts) == 6, verdicts
 
 
 def test_bad_array_clauses():

@@ -687,6 +687,36 @@ def test_cli_determinism_runs_the_golden_battery():
     assert suites.CLI_FILES["seq"] == {"labels": formats.labels_to_doc(labels)}
 
 
+# Runs the cli-determinism battery in process over the documents in the
+# directory argv[1], printing each command's exit code and stdout.
+BATTERY_CHILD = """
+import contextlib, io, os, sys
+from orderlab import cli, suites
+paths = {name: os.path.join(sys.argv[1], name + ".json") for name in suites.CLI_FILES}
+paths["seed"] = "0"
+for template in suites.CLI_BATTERY:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([paths[a[1:-1]] if a.startswith("{") else a for a in template])
+    sys.stdout.write(f"{code} {out.getvalue()}")
+"""
+
+
+def test_golden_battery_prints_the_same_bytes_under_two_hash_seeds(tmp_path):
+    """The battery's element names are strings, whose set order follows the
+    hash seed, and `menger encode` and `decode` print set-valued meet
+    labels: two interpreters under different ``PYTHONHASHSEED`` values
+    print the golden bytes."""
+    golden, _ = golden_battery(tmp_path)
+    expected = "".join(f"{case['exit']} {case['stdout']}" for case in golden["commands"])
+    for seed in ("1", "98765"):
+        proc = subprocess.run(
+            [sys.executable, "-c", BATTERY_CHILD, str(tmp_path)],
+            capture_output=True, text=True, env=dict(child_env(), PYTHONHASHSEED=seed),
+        )
+        assert (proc.returncode, proc.stdout) == (0, expected), seed
+
+
 def test_golden_malformed_documents_keep_the_exit_contract(tmp_path):
     """The battery's malformed documents and its unreadable file end in a
     contract exit code, with one canonical report whenever the exit code

@@ -15,6 +15,7 @@ from orderlab.errors import (
     MalformedLabel,
     NegativeCount,
     NotAWave,
+    OrderlabError,
 )
 from orderlab.menger import (
     MengerGraph,
@@ -453,6 +454,64 @@ def test_wave_seq_valid_prefixes():
     assert not wave_seq_valid(g, seq + ((0, 0),) * 2)
 
 
+def test_a_path_item_that_is_not_a_plain_int_is_refused():
+    """A warp path or a cover holding a string, a bool or a float is not a
+    warp path: `is_wave` and `encode_wave` raise `InvalidWarp` (a string
+    once made `min` raise TypeError, and ``True`` and ``1.0`` passed as the
+    vertex 1), and the cover label is rejected."""
+    g = path3()
+    for item in ("a", True, 1.0):
+        with pytest.raises(InvalidWarp, match="not an int"):
+            is_wave(g, warp_of([(0, item)]))
+        with pytest.raises(InvalidWarp, match="not an int"):
+            encode_wave(g, warp_of([(0, item)]))
+    assert not wave_seq_valid(g, ((1, (0, "a", 0)),))
+    head = ((1, (0,)), (2, frozenset({0, 1})))
+    assert wave_seq_valid(g, head + ((1, (0, 1)),))
+    for item in (True, 1.0):
+        assert not wave_seq_valid(g, head + ((1, (0, item)),))
+
+
+def test_each_coding_rejection_runs():
+    """A bad cover, a meet of the wrong kind or past the path enumeration,
+    and an empty or off-path meet set each reject the sequence."""
+    g = path3()  # one A-B path, (0, 1, 2): slots 0-5
+    assert not wave_seq_valid(g, ((1, (1,)),))  # a cover ending at another vertex
+    assert not wave_seq_valid(g, ((1, (0,)), (2, frozenset({0})), (1, (0, 2))))  # missing edge
+    assert not wave_seq_valid(g, ((1, (0,)), (3, frozenset({0}))))  # wrong kind
+    assert not wave_seq_valid(g, ((1, (0,)), (2, frozenset({0})), (0, 0), (3, frozenset({0}))))
+    assert not wave_seq_valid(g, ((1, (0,)), (2, frozenset())))  # empty meet
+    d = diamond()  # A-B paths (0, 1, 3) and (0, 2, 3)
+    assert d.ab_paths == ((0, 1, 3), (0, 2, 3))
+    assert not wave_seq_valid(d, ((1, (0,)), (2, frozenset({2}))))  # off the path
+    k4 = graph(4, itertools.combinations(range(4), 2), [0], [3])
+    assert len(k4.ab_paths) == 5
+    code = encode_wave(k4, warp_of([(0,)]))
+    assert wave_seq_valid(k4, code[:8] + ((0, 0),))
+    assert not wave_seq_valid(k4, code[:8] + ((1, (0, 1, 2, 3)),))  # a cover past vertex n - 1
+
+
+def test_coding_labels_are_read_left_to_right_at_the_edges_of_each_shape():
+    """Kinds equal to a valid one but of another type, a `set` meet, a cover
+    holding a list, and a malformed label before or after a rejected slot."""
+    g = path3()
+    cover, meet = (1, (0,)), (2, frozenset({0, 1}))
+    with pytest.raises(MalformedLabel):
+        wave_seq_valid(g, (cover, (2.0, frozenset({0, 1}))))
+    with pytest.raises(MalformedLabel):
+        wave_seq_valid(g, (cover, (True, frozenset({0, 1}))))
+    assert not wave_seq_valid(g, (cover, (True, (0, 1))))  # a cover on a path slot
+    assert wave_seq_valid(g, ((True, (0,)), meet))  # a kind equal to 1 names a cover
+    assert wave_seq_valid(g, (cover, (2, {0, 1})))
+    complete = (cover, (2, {0, 1}), (1, (0, 1)), (0, 0), (0, 0), (0, 0))
+    assert decode_wave(g, complete).paths == ((0, 1),)
+    assert not wave_seq_valid(g, (cover, meet, (1, ([0],))))
+    assert not wave_seq_valid(g, ((1, ([0],)),))
+    assert not wave_seq_valid(g, (cover, (3, frozenset({0})), (5,)))  # rejected, then malformed
+    with pytest.raises(MalformedLabel):
+        wave_seq_valid(g, (cover, (5,), (3, frozenset({0}))))  # malformed, then rejected
+
+
 VALID_CODINGS = 10428
 CODING_DIGEST = "9e351b87ebedc82874b90d3f0f4da1d593b7ef5fb73d0d2ef6af7529ffbc9232"
 
@@ -506,3 +565,163 @@ def test_label_less():
         label_less((5,), (0, 0))
     with pytest.raises(MalformedLabel):
         label_less((1, 3), (0, 0))
+
+
+# The wave coding as it stood before `_coding_covers` read the three label
+# shapes directly and checked each distinct cover path once per graph: the
+# reference for `encode_wave`, `wave_seq_valid` and `decode_wave`.  Only the
+# cover check is spelled out, where `_check_path_label` now keeps a memo.
+
+
+def _reference_encode_wave(g: MengerGraph, wave: Warp) -> tuple:
+    paths = g.ab_paths
+    if not is_wave(g, wave):
+        raise NotAWave("only waves are encoded")
+    covered = wave.vertices
+    prefixes = menger._path_prefixes(wave)
+    top = max(g.n, len(paths))
+    out = []
+    for i in range(top):
+        if i < g.n and i in covered:
+            out.append((1, prefixes[i]))
+        else:
+            out.append((0, 0))
+        if i < len(paths):
+            out.append((i + 2, frozenset(paths[i]) & covered))
+        else:
+            out.append((0, 0))
+    return tuple(out)
+
+
+def _reference_coding_covers(g: MengerGraph, seq) -> dict | None:
+    paths = g.ab_paths
+    top = max(g.n, len(paths))
+    if len(seq) > 2 * top:
+        return None
+    covers = {}
+    meets = {}
+    for k, label in enumerate(seq):
+        shape = menger._label_shape(label)
+        i = k // 2
+        if shape == "blank":
+            if k % 2 and i < len(paths):
+                return None
+        elif k % 2 == 0:
+            if shape != "cover" or i >= g.n or not _reference_path_label(g, label[1], i):
+                return None
+            covers[i] = label[1]
+        else:
+            if i >= len(paths) or shape != "meet" or label[0] != i + 2:
+                return None
+            chosen = frozenset(label[1])
+            if not chosen or not chosen <= set(paths[i]):
+                return None
+            meets[i] = chosen
+    for i, j in itertools.combinations(sorted(covers), 2):
+        qi, qj = covers[i], covers[j]
+        if set(qi) & set(qj):
+            if qi != qj[: len(qi)] and qj != qi[: len(qj)]:
+                return None
+    named = set(g.A).union(*covers.values(), *meets.values())
+    if any(2 * v < len(seq) and seq[2 * v] == (0, 0) for v in named):
+        return None
+    if len(seq) == 2 * top:
+        ends = _reference_maximal_covers(covers)
+        if any(chosen.isdisjoint(ends) for chosen in meets.values()):
+            return None
+    return covers
+
+
+def _reference_path_label(g: MengerGraph, q, end: int) -> bool:
+    return bool(q) and q[-1] == end and menger._path_problem(g, q) is None
+
+
+def _reference_maximal_covers(covers: dict) -> dict:
+    inner = {q[:i] for q in covers.values() for i in range(1, len(q))}
+    return {v: q for v, q in covers.items() if q not in inner}
+
+
+def _reference_decode_wave(g: MengerGraph, seq) -> Warp:
+    complete = len(seq) == 2 * max(g.n, len(g.ab_paths))
+    covers = _reference_coding_covers(g, seq) if complete else None
+    if covers is None:
+        raise InvalidSequence("not a complete valid wave coding")
+    wave = warp_of(_reference_maximal_covers(covers).values())
+    if not is_wave(g, wave):
+        raise InvalidSequence("decoded warp is not a wave")
+    return wave
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except OrderlabError as exc:
+        return type(exc), str(exc)
+
+
+# Labels the mutations plant: the three shapes at the edges of the direct
+# tests (kinds equal to 0, 1 or 2 but not plain ints, a set meet, covers of
+# non-ints), and malformed ones.
+PLANTED = [
+    (0, 0), (0, 0.0), (False, 0), (1, (0,)), (True, (0,)), (1.0, (0,)), (1, ()),
+    (1, ([0],)), (1, (0, 1.0)), (1, (0, True)), (1, ("a",)), (2, frozenset()),
+    (2, {0}), (2, frozenset({0})), (3, frozenset({0, 1})), (9, frozenset({0})),
+    (2.0, frozenset({0})), (True, frozenset({0})), (5,), [0, 0], (1, 3), (2, [0]),
+    "ab", None, (0, 0, 0), (1, [0]), (0, 1),
+]
+
+
+def _all_warps(g: MengerGraph):
+    """Every choice of one path per source, ascending, from the source's
+    simple paths that enter no source: the warps of ``g`` and some families
+    that share a vertex."""
+    choices = [list(menger._simple_paths(g.adjacency, a, g.A)) for a in sorted(g.A)]
+    return [Warp(paths) for paths in itertools.product(*choices)]
+
+
+def test_wave_coding_matches_the_reference():
+    """On the graphs of at most 4 vertices, `encode_wave` agrees with the
+    reference on every warp, and `wave_seq_valid` and `decode_wave` agree
+    with it, value or exception type and message, on every prefix of every
+    coding and on seeded mutations: two slots swapped, a slot given a
+    planted label, another coding's label or a meet of its own kind."""
+    rng = random.Random("wave-coding-reference")
+    checked = 0
+    for n in range(1, 5):
+        for edges in oracles.connected_edge_sets(n):
+            for a, b in oracles.side_assignments(n):
+                g = graph(n, edges, a, b)
+                for w in _all_warps(g) + [warp_of([(a, "a") for a in sorted(g.A)])]:
+                    got = _outcome(encode_wave, g, w)
+                    assert got == _outcome(_reference_encode_wave, g, w), (g, w)
+                codes = [encode_wave(g, w) for w in enumerate_waves(g).waves]
+                for code in codes:
+                    assert {type(p) for k, p in code if k >= 2} <= {frozenset}
+                for code in codes:
+                    seqs = [code[:k] for k in range(len(code) + 1)]
+                    for _ in range(12):
+                        seq = list(code)
+                        k = rng.randrange(len(seq))
+                        roll = rng.random()
+                        if roll < 0.25:
+                            j = rng.randrange(len(seq))
+                            seq[j], seq[k] = seq[k], seq[j]
+                        elif roll < 0.6:
+                            seq[k] = rng.choice(PLANTED)
+                        elif roll < 0.8:
+                            seq[k] = rng.choice(codes)[k]
+                        else:
+                            vertices = rng.sample(range(-1, n + 1), rng.randint(0, 2))
+                            seq[k] = (k // 2 + 2, rng.choice([set, frozenset])(vertices))
+                        cut = rng.choice([len(seq), len(seq), rng.randrange(len(seq) + 1)])
+                        seqs.append(tuple(seq[:cut]))
+                    for seq in seqs:
+                        got = _outcome(wave_seq_valid, g, seq)
+                        want = _outcome(lambda: _reference_coding_covers(g, seq) is not None)
+                        assert got == want, (g, seq)
+                        if len(seq) == len(code):
+                            got = _outcome(decode_wave, g, seq)
+                            assert got == _outcome(_reference_decode_wave, g, seq), (g, seq)
+                        checked += 1
+    assert checked > 10000
