@@ -124,12 +124,15 @@ def _tri_partners(b: Block, blocks: Sequence[Block]) -> list[int]:
     return found
 
 
-def _tri_union(b: Block, c: Block) -> Optional[Block]:
-    """The union of the ranges of two valid blocks when ``b`` ◁ ``c``, else
-    None: ``d`` itself, which is ``b`` followed by what ``c`` adds past it."""
-    if not _tri_partners(b, (c,)):
-        return None
+def _joined(b: Block, c: Block) -> Block:
+    """The union of the ranges of valid blocks with ``b`` ◁ ``c``: ``d``
+    itself, which is ``b`` followed by what ``c`` adds past it."""
     return b + c[len(b) - 1 :] if b else c
+
+
+def _tri_union(b: Block, c: Block) -> Optional[Block]:
+    """`_joined` of two valid blocks when ``b`` ◁ ``c``, else None."""
+    return _joined(b, c) if _tri_partners(b, (c,)) else None
 
 
 def block_tri(b: Sequence[int], c: Sequence[int]) -> bool:
@@ -146,9 +149,11 @@ def union_block(b: Sequence[int], c: Sequence[int]) -> Block:
 
 
 def star_fragment(frag: BarrierFragment) -> BarrierFragment:
-    """Unions of all tri-related block pairs, over the same window."""
-    unions = (_tri_union(b, c) for b in frag.blocks for c in frag.blocks)
-    return fragment({u for u in unions if u is not None}, frag.window)
+    """Unions of all tri-related block pairs, over the same window.  Each
+    block's partners are taken in one `_tri_partners` call."""
+    blocks = tuple(frag.blocks)
+    unions = {_joined(b, blocks[j]) for b in blocks for j in _tri_partners(b, blocks)}
+    return fragment(unions, frag.window)
 
 
 @record

@@ -542,9 +542,12 @@ def _coding_covers(g: MengerGraph, seq: Sequence[Label]) -> Optional[dict[int, P
         elif i < m:
             meet = pair and isinstance(label[0], int) and isinstance(label[1], (set, frozenset))
             if meet and label[0] == i + 2:
-                if not label[1] or not label[1].issubset(paths[i]):
+                chosen = label[1]  # plain ints only, as in a cover
+                if not chosen or not _PLAIN_INT.issuperset(map(type, chosen)):
                     return None
-                meets.append(label[1])
+                if not chosen.issubset(paths[i]):
+                    return None
+                meets.append(chosen)
                 continue
         elif pair and label == _BLANK:
             continue

@@ -327,13 +327,14 @@ def natural_equality() -> QuasiOrder:
     return QuasiOrder("natural-eq", operator.eq, _is_natural)
 
 
+def _divides(x: int, y: int) -> bool:
+    return y == 0 if x == 0 else y % x == 0
+
+
 def divisibility() -> QuasiOrder:
-    """Divisibility on the naturals.  Everything divides 0; 0 divides only 0."""
-    return QuasiOrder(
-        "divides",
-        lambda x, y: y == 0 if x == 0 else y % x == 0,
-        _is_natural,
-    )
+    """Divisibility on the naturals.  Everything divides 0; 0 divides only 0.
+    Two calls return equal orders, as `natural_order` does."""
+    return QuasiOrder("divides", _divides, _is_natural)
 
 
 def finite_quasi_order(

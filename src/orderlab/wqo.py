@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from typing import Hashable, Iterable, Optional, Sequence
 
 from ._record import record
 from .errors import InvalidNode, InvalidTree, NegativeCount, PreconditionViolation
-from .order import CompiledOrder, QuasiOrder, natural_order
+from .order import CompiledOrder, QuasiOrder, divisibility, natural_order
 
 _NATURAL = natural_order()
+_DIVIDES = divisibility()
 
 
 def higman_leq(sigma: Sequence, tau: Sequence, q: QuasiOrder) -> bool:
@@ -237,11 +239,10 @@ class KTree:
                 height[p] = height[v] + 1
         return below, size, height
 
-    @functools.cached_property
-    def _maxima(self) -> list:
-        """The greatest label in each node's subtree; read under
-        `natural_order` only, once the labels are checked."""
-        top, parent = list(self.labels), self.parent
+    def _subtree_maxima(self, top: list) -> list:
+        """``top``, one value per node, raised to the greatest value in each
+        node's subtree."""
+        parent = self.parent
         for v in self._shape[0]:
             p = parent[v]
             if top[p] < top[v]:
@@ -249,36 +250,48 @@ class KTree:
         return top
 
     @functools.cached_property
+    def _maxima(self) -> list:
+        """The greatest label in each node's subtree; read under
+        `natural_order` only, once the labels are checked."""
+        return self._subtree_maxima(list(self.labels))
+
+    @functools.cached_property
+    def _divisor_maxima(self) -> list:
+        """The greatest label in each node's subtree with 0 read as +∞;
+        read under `divisibility` only, once the labels are checked."""
+        return self._subtree_maxima([x or math.inf for x in self.labels])
+
+    @functools.cached_property
     def _by_order(self) -> dict:
-        """`_compiled_labels` for each compiled order the tree has met."""
+        """`_compiled_labels`' entry for each compiled order the tree has met."""
         return {}
 
-    def _compiled_labels(self, compiled: CompiledOrder) -> tuple[list[int], ...]:
-        """Per node, under ``compiled``: its label's up-set row and bit, the
-        OR of the label bits in its subtree, and the complement of the OR of
-        their down-set rows.  Built once per order; a label outside the
-        universe raises KeyError, or TypeError when it is unhashable.
+    def _compiled_labels(self, compiled: CompiledOrder) -> tuple:
+        """The entry `ktree_leq` reads under ``compiled``, built on a miss of
+        `_by_order` and kept there.  Per node: its label's up-set row and
+        bit, the OR of the label bits in its subtree, and the complement of
+        the OR of their down-set rows; then `_shape`'s subtree sizes and
+        heights, and the children.  A label outside the universe raises
+        KeyError, or TypeError when it is unhashable, and nothing is kept.
         """
-        data = self._by_order.get(compiled)
-        if data is None:
-            ids, up, parent = compiled.ids, compiled.up, self.parent
-            at = [ids[lab] for lab in self.labels]
-            down = compiled.down
-            bits = [1 << i for i in at]
-            mask, cover = bits[:], [down[i] for i in at]
-            for v in self._shape[0]:
-                p = parent[v]
-                mask[p] |= mask[v]
-                cover[p] |= cover[v]
-            data = [up[i] for i in at], bits, mask, [~c for c in cover]
-            self._by_order[compiled] = data
-        return data
+        ids, up, parent = compiled.ids, compiled.up, self.parent
+        at = [ids[lab] for lab in self.labels]
+        down = compiled.down
+        bits = [1 << i for i in at]
+        mask, cover = bits[:], [down[i] for i in at]
+        below, size, height = self._shape
+        for v in below:
+            p = parent[v]
+            mask[p] |= mask[v]
+            cover[p] |= cover[v]
+        entry = [up[i] for i in at], bits, mask, [~c for c in cover], size, height, self._children
+        self._by_order[compiled] = entry
+        return entry
 
 
-# What the outcome of a ktree_leq frame's sweep means: the whole answer, a
-# source child's greedy match, a step of an augmenting path, or a descent
-# into a target child.
-_ANSWER, _MATCH, _AUGMENT, _DESCEND = range(4)
+# What the outcome of a ktree_leq frame's sweep means: a source child's
+# greedy match, a step of an augmenting path, or a descent into a target child.
+_MATCH, _AUGMENT, _DESCEND = range(3)
 
 
 def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
@@ -300,21 +313,28 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     Before a frame opens for a pair (a, b), three necessary conditions
     rule it out: a's subtree has no more nodes and no greater height than
     b's, and every label in a's subtree lies below some label in b's.  The
-    label condition is one bit test when ``q`` is compiled and compares
-    subtree maxima under `natural_order`; other orders get the size and
-    height tests only.  The arrays behind them are built once per tree, and
-    per order for the compiled ones.  The tests cut adversarial shapes
-    only, such as a path that does not embed into a path: inputs that pass
-    them all still settle Θ(|S|·|T|) pairs, as Chung's bipartite-matching
-    recursion does (1987).  Labels are compared through the up-set bitmasks
-    when ``q`` is compiled.  Every label is checked, the source's first,
-    before any test can answer.
+    label condition is one bit test when ``q`` is compiled, and compares
+    subtree maxima under `natural_order` and under `divisibility`, where 0
+    reads as +∞ on both sides: x | y with y > 0 forces 0 < x <= y, and 0
+    divides only 0.  Other orders get the size and height tests only.  The
+    arrays behind them are built once per tree, and per order for the
+    compiled ones, whose one entry per tree also holds the sizes, heights
+    and children, so a query reads each tree's with one lookup.  The tests
+    cut adversarial shapes only, such as a path that does not embed into a
+    path: inputs that pass them all still settle Θ(|S|·|T|) pairs, as
+    Chung's bipartite-matching recursion does (1987).  Labels are compared
+    through the up-set bitmasks when ``q`` is compiled.  Every label is
+    checked, the source's first, before any test can answer.
     """
     compiled = q.compiled
     if compiled is not None:
         try:
-            s_labels, _, s_key, _ = s_tree._compiled_labels(compiled)
-            _, t_labels, _, t_key = t_tree._compiled_labels(compiled)
+            s_labels, _, s_key, _, s_size, s_height, s_children = (
+                s_tree._by_order.get(compiled) or s_tree._compiled_labels(compiled)
+            )
+            _, t_labels, _, t_key, t_size, t_height, t_children = (
+                t_tree._by_order.get(compiled) or t_tree._compiled_labels(compiled)
+            )
         except (KeyError, TypeError):
             compiled = None  # the checks below report the first bad label
     if compiled is not None:
@@ -327,22 +347,41 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
         leq, s_labels, t_labels, beyond = q.leq, s_tree.labels, t_tree.labels, operator.gt
         if q == _NATURAL:
             s_key, t_key = s_tree._maxima, t_tree._maxima
+        elif q == _DIVIDES:
+            s_key, t_key = s_tree._divisor_maxima, t_tree._divisor_maxima
         else:
             s_key, t_key = [0] * len(s_labels), [0] * len(t_labels)
-    _, s_size, s_height = s_tree._shape
-    _, t_size, t_height = t_tree._shape
-    s_children = s_tree._children
-    t_children = t_tree._children
+        _, s_size, s_height = s_tree._shape
+        _, t_size, t_height = t_tree._shape
+        s_children = s_tree._children
+        t_children = t_tree._children
+    # The roots settle the query with no frame when the source root is a
+    # dominated leaf, or when the pair is dead or the target root a leaf.
+    a, b = s_tree.root, t_tree.root
+    if not s_children[a] and leq(s_labels[a], t_labels[b]):
+        return True
+    if not (
+        t_children[b]
+        and s_size[a] <= t_size[b]
+        and s_height[a] <= t_height[b]
+        and not beyond(s_key[a], t_key[b])
+    ):
+        return False
     m = len(t_children)
     memo: dict[int, bool] = {}
     stack: list[tuple] = []
-    # The current frame settles the pair (sv, tv) by sweeps of the form
-    # "the first target node b drawn from ``it`` and not in ``skip`` that
-    # the source node ``a`` embeds into"; the stage says what a sweep's
-    # outcome means.  The outermost frame sweeps the target root alone.
-    sv = tv = left = right = i = assign = path = None
-    stage, a, it, skip = _ANSWER, s_tree.root, iter((t_tree.root,)), ()
+    i = assign = path = None
     while True:
+        # A frame settles the pair (sv, tv) by sweeps of the form "the first
+        # target node b drawn from ``it`` and not in ``skip`` that the source
+        # node ``a`` embeds into"; the stage says what a sweep's outcome means.
+        sv, tv = a, b
+        left, right = s_children[a], t_children[b]
+        if left and len(left) <= len(right) and leq(s_labels[a], t_labels[b]):
+            stage, i, a, it = _MATCH, 0, left[0], iter(right)
+            skip = assign = {} if len(left) > 1 else ()
+        else:
+            stage, it, skip = _DESCEND, iter(right), ()
         while True:
             a_leaf = not s_children[a]
             for b in it:
@@ -364,63 +403,55 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
                         break
             else:
                 b = None
+            if b is not None and not known:
+                # a frame for the pair (a, b), to resume this one when it is settled
+                stack.append((sv, tv, left, right, stage, i, a, it, skip, assign, path, b))
                 break
-            if known:
-                break
-            # a frame for the pair (a, b), to resume this one when it is settled
-            stack.append((sv, tv, left, right, stage, i, a, it, skip, assign, path, b))
-            sv, tv = a, b
-            left, right = s_children[a], t_children[b]
-            if left and len(left) <= len(right) and leq(s_labels[a], t_labels[b]):
-                stage, i, a, it = _MATCH, 0, left[0], iter(right)
-                skip = assign = {} if len(left) > 1 else ()
-            else:
-                stage, it, skip = _DESCEND, iter(right), ()
-        while True:
-            if stage == _MATCH:
-                if b is None:
-                    if not i:  # with no target child taken, the sweep has tried them all
-                        stage, a, it, skip = _DESCEND, sv, iter(right), ()
-                    else:
-                        stage, it, skip, path = _AUGMENT, iter(right), set(), []
-                    break
-                i += 1
-                if i == len(left):
-                    result = True
-                else:
-                    assign[b] = a
-                    a, it = left[i], iter(right)
-                    break
-            elif stage == _DESCEND:
-                result = b is not None
-            elif stage == _AUGMENT:
-                if b is not None:
-                    skip.add(b)
-                    owner = assign.get(b)
-                    if owner is not None:
-                        path.append((a, it, b))
-                        a, it = owner, iter(right)
+            while True:
+                if stage == _MATCH:
+                    if b is None:
+                        if not i:  # with no target child taken, the sweep has tried them all
+                            stage, a, it, skip = _DESCEND, sv, iter(right), ()
+                        else:
+                            stage, it, skip, path = _AUGMENT, iter(right), set(), []
                         break
-                    assign[b] = a
-                    for child, _, taken in path:
-                        assign[taken] = child
                     i += 1
-                    if i < len(left):
-                        stage, a, it, skip = _MATCH, left[i], iter(right), assign
+                    if i == len(left):
+                        result = True
+                    else:
+                        assign[b] = a
+                        a, it = left[i], iter(right)
                         break
-                    result = True
-                elif path:
-                    a, it, _ = path.pop()
+                elif stage == _DESCEND:
+                    result = b is not None
+                else:  # _AUGMENT
+                    if b is not None:
+                        skip.add(b)
+                        owner = assign.get(b)
+                        if owner is not None:
+                            path.append((a, it, b))
+                            a, it = owner, iter(right)
+                            break
+                        assign[b] = a
+                        for child, _, taken in path:
+                            assign[taken] = child
+                        i += 1
+                        if i < len(left):
+                            stage, a, it, skip = _MATCH, left[i], iter(right), assign
+                            break
+                        result = True
+                    elif path:
+                        a, it, _ = path.pop()
+                        break
+                    else:
+                        stage, a, it, skip = _DESCEND, sv, iter(right), ()
+                        break
+                if not stack:
+                    return result
+                memo[sv * m + tv] = result
+                sv, tv, left, right, stage, i, a, it, skip, assign, path, b = stack.pop()
+                if not result:
                     break
-                else:
-                    stage, a, it, skip = _DESCEND, sv, iter(right), ()
-                    break
-            else:
-                return b is not None
-            memo[sv * m + tv] = result
-            sv, tv, left, right, stage, i, a, it, skip, assign, path, b = stack.pop()
-            if not result:
-                break
 
 
 def subtree(tree: KTree, v: int) -> KTree:

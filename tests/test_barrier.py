@@ -195,6 +195,42 @@ def test_star_fragment_uniform_law():
     assert star_fragment(empty).blocks == frozenset()
 
 
+def reference_star_fragment(frag):
+    """`star_fragment` by `block_tri` and `union_block` on every ordered
+    pair of blocks: the form that taking each block's partners once replaced."""
+    blocks = frag.blocks
+    unions = {union_block(b, c) for b in blocks for c in blocks if block_tri(b, c)}
+    return fragment(unions, frag.window)
+
+
+def test_star_fragment_matches_the_all_pairs_form():
+    """On seeded sets of blocks of mixed lengths, the empty block among
+    them, both forms give the same fragment or raise the same error: the
+    unions are found in the same order, so the first broken rule agrees."""
+    rng = random.Random("star-fragment")
+    seen = collections.Counter()
+    for _ in range(600):
+        window = rng.randint(0, 7)
+        blocks = {
+            tuple(sorted(rng.sample(range(window), rng.randint(0, min(window, 4)))))
+            for _ in range(rng.randint(0, 9))
+        }
+        if rng.random() < 0.5:  # a valid fragment: no range inside another
+            blocks = {b for b in blocks if not any(set(b) < set(c) for c in blocks)}
+        frag = BarrierFragment(window, frozenset(blocks))
+        outcomes = []
+        for star in (star_fragment, reference_star_fragment):
+            try:
+                outcomes.append(star(frag))
+            except OrderlabError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], frag
+        seen["raised" if isinstance(outcomes[0], tuple) else "starred"] += 1
+        seen["empty block"] += () in blocks
+        seen["mixed lengths"] += len(set(map(len, blocks))) > 1
+    assert min(seen.values()) > 50, seen
+
+
 def test_check_fragment_verdicts():
     assert check_fragment([(0,), (1,), (2,)], 3).verdict == "pass"
     inconclusive = check_fragment([(0, 1), (0, 2), (1, 2)], 3)

@@ -472,6 +472,20 @@ def test_a_path_item_that_is_not_a_plain_int_is_refused():
         assert not wave_seq_valid(g, head + ((1, (0, item)),))
 
 
+def test_a_meet_item_that_is_not_a_plain_int_is_refused():
+    """A meet set holding ``1.0`` or ``True`` in place of the vertex 1 is
+    rejected as a cover holding one is; both once decoded to ((0, 1),)."""
+    g = path3()
+    tail = ((1, (0, 1)), (0, 0), (0, 0), (0, 0))
+    assert decode_wave(g, ((1, (0,)), (2, frozenset({0, 1}))) + tail).paths == ((0, 1),)
+    for item in (1.0, True):
+        seq = ((1, (0,)), (2, frozenset({0, item}))) + tail
+        assert not wave_seq_valid(g, seq)
+        assert not wave_seq_valid(g, seq[:2])
+        with pytest.raises(InvalidSequence):
+            decode_wave(g, seq)
+
+
 def test_each_coding_rejection_runs():
     """A bad cover, a meet of the wrong kind or past the path enumeration,
     and an empty or off-path meet set each reject the sequence."""

@@ -335,7 +335,7 @@ def _star(labels):
 def test_each_filter_alone_rules_out_a_pair(q, low, mid, high):
     # At the root pair exactly one condition fails: the source has more
     # nodes, or more height, or a label below no target label.  The label
-    # rule applies to the compiled order and natural-leq only.
+    # rule applies to the compiled orders, natural-leq and divides.
     cases = [
         (_star((low,) * 4), _path((mid,) * 3), _star((mid,) * 4)),  # larger
         (_path((low,) * 3), _star((mid,) * 5), _path((mid,) * 3)),  # taller
@@ -371,6 +371,65 @@ def test_ktree_identity_ignores_the_cached_arrays():
     assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
 
 
+def _brute_shape(tree):
+    """Each node's subtree size and height, and its children, from the
+    parent array alone."""
+    n = len(tree.parent)
+
+    def up(v):  # v and every node above it
+        while v != -1:
+            yield v
+            v = tree.parent[v]
+
+    depth = [len(list(up(v))) for v in range(n)]
+    size, height = [0] * n, [0] * n
+    for v in range(n):
+        for u in up(v):
+            size[u] += 1
+            height[u] = max(height[u], depth[v] - depth[u] + 1)
+    return size, height, tuple(_scan_children(tree, v) for v in range(n))
+
+
+def test_each_order_entry_holds_its_own_tree_shape():
+    rng = random.Random("order-entry")
+    orders = [chain2(), anti2(), _chain(3)]
+    shapes = ("random", "bushy", "path", "star")
+    for _ in range(300):
+        q = rng.choice(orders)
+        items = sorted(q.elements)
+        s_tree, t_tree = (
+            _random_ktree(rng, rng.randint(1, 12), items, rng.choice(shapes)) for _ in range(2)
+        )
+        ktree_leq(s_tree, t_tree, q)
+        for tree in (s_tree, t_tree):
+            size, height, children = tree._by_order[q.compiled][4:]
+            assert (size, height, children) == _brute_shape(tree)
+            assert (size, height, children) == (*tree._shape[1:], tree._children)
+
+
+def test_a_tree_used_as_source_and_as_target_holds_one_entry_per_order():
+    tree = KTree((-1, 0, 0, 1), (0, 1, 1, 0))
+    other = KTree((-1, 0), (1, 0))
+    for q in (chain2(), anti2()):
+        ktree_leq(tree, other, q)
+        entry = tree._by_order[q.compiled]
+        assert ktree_leq(other, tree, q) and ktree_leq(tree, tree, q)
+        assert tree._by_order[q.compiled] is entry
+    assert len(tree._by_order) == len(other._by_order) == 2
+
+
+@pytest.mark.parametrize("bad_source", [True, False], ids=["source", "target"])
+@pytest.mark.parametrize("bad", [5, [1]], ids=["unknown", "unhashable"])
+def test_a_bad_label_keeps_no_entry(bad_source, bad):
+    q = chain2()
+    good, wrong = KTree((-1, 0), (0, 1)), KTree((-1, 0), (0, bad))
+    message = f"^{re.escape(repr(bad))} is outside the universe of chain2$"
+    for _ in range(2):
+        with pytest.raises(UnknownElement, match=message):
+            ktree_leq(*((wrong, good) if bad_source else (good, wrong)), q)
+    assert wrong._by_order == {}
+
+
 def _dead_pair(shape, n, rng):
     """A source of ``n`` nodes whose one label 10, on its last node, is
     above every label of a target of ``3n/2`` nodes with the same shape:
@@ -397,8 +456,35 @@ def test_a_dead_5000_node_source_is_ruled_out_at_the_root(q, shape):
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_dead_divisibility_path_is_ruled_out_at_the_root():
+    # 11 divides none of the labels 1..10, and the target holds no 0, so the
+    # rule on subtree maxima answers at the root pair.  Without it the
+    # search settled every pair, for about 20 seconds.
+    s_tree = _path((1,) * 4999 + (11,))
+    t_tree = _path(tuple(i % 10 + 1 for i in range(7500)))
+    start = time.perf_counter()
+    assert not ktree_leq(s_tree, t_tree, divisibility())
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_zero_in_the_target_subtree_keeps_a_divisibility_pair_alive():
+    # every label divides 0, so 7 embeds below a 2 although 7 > 2; and a 0
+    # in the source embeds only into a 0
+    q = divisibility()
+    assert q == divisibility() and hash(q) == hash(divisibility())
+    for s_tree, t_tree, want in [
+        (_path((3, 7)), _path((2, 0, 0)), True),
+        (_path((3, 7)), _path((2, 6, 5)), False),
+        (_path((0,)), _path((5, 0)), True),
+        (_path((1, 0)), _path((5, 10)), False),
+        (_star((1, 7, 0)), _star((2, 0, 0)), True),
+    ]:
+        assert _reference_ktree_leq(s_tree, t_tree, q) is want
+        assert ktree_leq(s_tree, t_tree, q) is want
+
+
 def test_size_and_height_cut_the_leq_calls_on_a_dead_bushy_source():
-    # An order that is neither compiled nor natural-leq gets no label rule,
+    # An order that is not compiled, natural-leq or divides gets no label rule,
     # only the size and height tests, so the search still runs; the count
     # is of its leq calls: 269 here, and 11,964 without the tests.
     calls = []
