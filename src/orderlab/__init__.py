@@ -9,7 +9,7 @@ and ``orderlab.X`` or ``from orderlab import X`` imports the one module
 that defines ``X`` on first use; ``orderlab.wqo`` imports that module.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -40,12 +40,20 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = [*_EXPORTS, *_MODULE_OF]
 
 
+def _submodule(module: str):
+    """Import ``orderlab.<module>`` as an import statement does, so that
+    ``-X importtime`` lists it also when ``from . import <module>`` loads it
+    through `__getattr__`."""
+    __import__(f"{__name__}.{module}")
+    return sys.modules[f"{__name__}.{module}"]
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _submodule(name)
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    value = getattr(_submodule(_MODULE_OF[name]), name)
     globals()[name] = value
     return value
 

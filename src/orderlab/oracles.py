@@ -11,12 +11,13 @@ import itertools
 import math
 import operator
 import random
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .menger import MengerGraph
-from .order import Poset, QuasiOrder, finite_quasi_order
-from .trees import LassoPath, TreeAutomaton, automaton
-from .wqo import KTree
+if TYPE_CHECKING:
+    from .menger import MengerGraph
+    from .order import Poset, QuasiOrder
+    from .trees import LassoPath, TreeAutomaton
+    from .wqo import KTree
 
 # ---------------------------------------------------------------- orders
 
@@ -37,6 +38,8 @@ def _close_strict(pairs: Iterable[tuple[int, int]]) -> Optional[frozenset]:
 
 def all_posets(max_elems: int) -> list[Poset]:
     """Every labelled strict order on at most ``max_elems`` elements."""
+    from .order import Poset
+
     out = []
     for n in range(max_elems + 1):
         seen = set()
@@ -58,6 +61,8 @@ def posets_on(n: int) -> list[Poset]:
 def random_poset(rng: random.Random, max_elems: int) -> Poset:
     """Random labelled strict order; labels are shuffled so declaration
     order carries no structure."""
+    from .order import Poset
+
     n = rng.randint(2, max_elems)
     density = rng.uniform(0.1, 0.6)
     relabel = list(range(n))
@@ -75,6 +80,8 @@ def random_poset(rng: random.Random, max_elems: int) -> Poset:
 
 def all_preorders(n: int) -> list[QuasiOrder]:
     """Every labelled quasi-order on ``range(n)``."""
+    from .order import finite_quasi_order
+
     slots = [(i, j) for i in range(n) for j in range(n) if i != j]
     out = []
     for bits in range(1 << len(slots)):
@@ -125,7 +132,7 @@ def higman_down_set(tau: Sequence, q: QuasiOrder, items: Sequence) -> set[tuple]
 
 
 def brute_meet_table(tree: KTree) -> list[list[int]]:
-    n = tree.size
+    n = len(tree.parent)
     chains = []
     for v in range(n):
         chain = []
@@ -144,19 +151,23 @@ def brute_meet_table(tree: KTree) -> list[list[int]]:
 def brute_ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     """Embedding by backtracking over injective node maps, checking label
     domination and meet preservation pair by pair."""
-    n, m = s_tree.size, t_tree.size
+    n, m = len(s_tree.parent), len(t_tree.parent)
     if n > m:
         return False
     smeet = brute_meet_table(s_tree)
     tmeet = brute_meet_table(t_tree)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(s_tree.parent):
+        if p != -1:
+            children[p].append(v)
     order: list[int] = []
 
     def visit(v: int) -> None:
         order.append(v)
-        for c in s_tree.children(v):
+        for c in children[v]:
             visit(c)
 
-    visit(s_tree.root)
+    visit(s_tree.parent.index(-1))
     # Preorder keeps every meet of two placed nodes already placed.
     cand = [
         [tv for tv in range(m) if q.leq(s_tree.labels[sv], t_tree.labels[tv])]
@@ -208,6 +219,8 @@ def all_ktrees(max_nodes: int, labels: Sequence) -> list[KTree]:
     ``(parent, labels)`` pair over those renamings is a normal form, and
     the first tree of each form is kept.
     """
+    from .wqo import KTree
+
     out, seen = [], set()
     for n in range(1, max_nodes + 1):
         perms = [(0,) + rest for rest in itertools.permutations(range(1, n))]
@@ -260,10 +273,9 @@ def brute_leftmost_word(
 def brute_lasso_in_tree(aut: TreeAutomaton, lasso: LassoPath) -> bool:
     """Membership by unrolling: a lasso denotes a path iff the word stays
     defined for one cycle per state past the prefix."""
-    steps = len(lasso.prefix) + len(lasso.cycle) * (aut.states + 1)
-    state = aut.start
-    for i in range(steps):
-        state = aut.delta.get((state, lasso.item(i)))
+    state, delta = aut.start, aut.delta
+    for letter in lasso.prefix + lasso.cycle * (aut.states + 1):
+        state = delta.get((state, letter))
         if state is None:
             return False
     return True
@@ -277,6 +289,8 @@ def all_lassos(alphabet: int, max_total: int) -> list[LassoPath]:
     dividing ``lcm(1..max_total)``, so that many letters past the first
     ``max_total`` tell two of them apart.
     """
+    from .trees import LassoPath
+
     letters = max_total + math.lcm(*range(1, max_total + 1))
     seen: set[tuple[int, ...]] = set()
     out = []
@@ -295,6 +309,8 @@ def all_lassos(alphabet: int, max_total: int) -> list[LassoPath]:
 def strided_automata(states: int, alphabet: int, quota: int) -> list[TreeAutomaton]:
     """Deterministic sample of partial automata on ``states`` states: dense
     cyclic tables first, then a stride through the transition-table space."""
+    from .trees import automaton
+
     out = []
     seen = set()
 

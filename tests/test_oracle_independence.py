@@ -82,3 +82,37 @@ def test_the_guard_flags_other_imports():
         ("lexcode", "encode_order"),
         ("builtins", "__import__"),
     ]
+
+
+def test_the_oracles_read_fields_not_methods(monkeypatch):
+    """Lasso membership and tree embedding give the same answers when the
+    production records' methods raise: the oracles walk ``prefix``,
+    ``cycle`` and ``parent`` themselves."""
+    from orderlab import oracles
+    from orderlab.order import finite_quasi_order
+    from orderlab.trees import LassoPath
+    from orderlab.wqo import KTree
+
+    automata = oracles.strided_automata(3, 2, 24)
+    lassos = oracles.all_lassos(2, 4)
+    forest = oracles.all_ktrees(4, (0, 1)) + [KTree((2, 2, -1, 1), (1, 0, 0, 1))]
+    chain = finite_quasi_order((0, 1), [(0, 0), (1, 1), (0, 1)], "chain2")
+
+    def answers():
+        return (
+            [oracles.brute_lasso_in_tree(aut, l) for aut in automata for l in lassos],
+            [oracles.brute_ktree_leq(s, t, chain) for s in forest for t in forest],
+        )
+
+    before = answers()
+
+    def refuse(*_):
+        raise AssertionError("an oracle called a production method")
+
+    monkeypatch.setattr(LassoPath, "item", refuse)
+    monkeypatch.setattr(LassoPath, "take", refuse)
+    monkeypatch.setattr(KTree, "children", refuse)
+    monkeypatch.setattr(KTree, "root", property(refuse))
+    assert answers() == before
+    assert any(before[0]) and not all(before[0])
+    assert any(before[1]) and not all(before[1])

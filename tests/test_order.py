@@ -229,6 +229,12 @@ def test_a_stray_pair_raises_when_the_rows_are_derived():
         lexcode.encode_order(Poset(frozenset({0, 1}), frozenset({(7, 0)})))
 
 
+def test_less_of_an_undeclared_element_is_false():
+    chain = chain3()
+    assert chain.less(2, 0)
+    assert not chain.less(2, 7) and not chain.less(7, 0) and not chain.less(7, 7)
+
+
 def _construction_routes(poset, ids):
     """``poset`` relabelled by ``ids``, built by each route: validated from
     its pairs, from their reference closure, and from the relabelled pairs

@@ -87,6 +87,8 @@ def test_the_package_loads_a_submodule_on_first_use():
         "trees": {"_record", "errors", "trees"},
         "barrier": {"_record", "errors", "barrier"},
         "wqo": {"_record", "errors", "order", "wqo"},
+        "suites": {"_record", "errors", "formats", "suites"},
+        "oracles": {"oracles"},
     }.items():
         probe = "\n".join(
             [

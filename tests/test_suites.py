@@ -5,14 +5,16 @@ generators of checks; none of them is registered in `SUITES`.
 """
 
 import itertools
+import json
 import re
 import types
 from pathlib import Path
 
 import pytest
 from test_acceptance import CHECKED
+from test_cli import run
 
-from orderlab import formats, oracles, suites, wqo
+from orderlab import barrier, formats, lexcode, menger, oracles, order, suites, trees, wqo
 from orderlab.errors import MAX_FAILURES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -124,6 +126,64 @@ def test_higman_agreement_stops_where_the_per_check_form_stops(monkeypatch):
     checked, failures = formats.tally(_per_check_higman_agreement(0))
     assert (result.verdict, result.checked, len(result.failures)) == ("fail", 8000, MAX_FAILURES)
     assert (result.checked, list(result.failures)) == (checked, failures)
+
+
+def _reversed(poset):
+    return order.Poset(poset.elements, [(y, x) for x, y in poset.lt])
+
+
+def _planted_error(pairs, elements):
+    raise RuntimeError("planted fault")
+
+
+# suite -> (module, route, fault): the suite's production route, and a
+# function of the route that returns a faulty one.  Each fault fails its
+# suite within the first few checks.
+FAULTS = {
+    "claim-monotone": (lexcode, "encode_order", lambda f: lambda p, tie: f(_reversed(p), tie)),
+    "code-roundtrip": (lexcode, "decode_path", lambda f: lambda code, word: f(code, word)[1:]),
+    "prefix-free": (lexcode, "encode_element", lambda f: lambda code, x: ()),
+    "minimal-path": (trees, "minimal_path", lambda f: lambda aut, p: f(aut, _reversed(p))),
+    "leftmost-exact": (
+        trees, "leftmost_path", lambda f: lambda aut: trees.LassoPath((), (aut.alphabet_size,))
+    ),
+    "higman-agreement": (wqo, "higman_leq", lambda f: lambda s, t, q: not f(s, t, q)),
+    "kruskal-agreement": (wqo, "ktree_leq", lambda f: lambda s, t, q: not f(s, t, q)),
+    "refine-step": (wqo, "nash_williams_step", lambda f: lambda seqs, s, q: tuple(seqs)),
+    "array-step": (barrier, "nwt_improvement_step", lambda f: lambda arr, s, frag, q: arr),
+    "array-violations": (
+        barrier, "bad_array_violations", lambda f: lambda *a: [*f(*a), "planted"]
+    ),
+    "singleton-bridge": (
+        barrier, "classify_array", lambda f: lambda arr, frag, q: f(arr, frag, q) ^ {"mixed"}
+    ),
+    "star-law": (barrier, "star_fragment", lambda f: lambda frag: frag),
+    "tri-agreement": (barrier, "block_tri", lambda f: lambda b, c: not f(b, c)),
+    "pair-homogeneous": (barrier, "barrier_pair_homogeneous", lambda f: lambda *a: None),
+    "path-system": (
+        menger, "menger_solve",
+        lambda f: lambda g: menger.MengerSystem(f(g).paths[1:], f(g).separator),
+    ),
+    "wave-coding": (menger, "encode_wave", lambda f: lambda g, w: f(g, w)[:-1]),
+    "cli-determinism": (order, "validate_poset", lambda f: _planted_error),
+}
+
+
+@pytest.mark.parametrize("name", list(suites.SUITES))
+def test_a_planted_fault_fails_its_suite_with_a_canonical_report(monkeypatch, name):
+    """Every suite's failure records are built and serialised, in process and
+    by ``orderlab oracle``, so none of them first runs on a real failure."""
+    module, route, fault = FAULTS[name]
+    monkeypatch.setattr(module, route, fault(getattr(module, route)))
+    result = suites.SUITES[name](0)
+    assert result.verdict == "fail" and result.failures
+    formats.canonical_dumps(list(result.failures))  # raises on a record JSON cannot hold
+    code, out, err = run(["oracle", name])
+    report = json.loads(out)
+    assert (code, out) == (1, formats.canonical_dumps(report) + "\n")
+    (suite,) = report["details"]["suites"]
+    assert (suite["checked"], len(suite["failures"])) == (result.checked, len(result.failures))
+    assert err.endswith("oracle: fail\n")
 
 
 def test_result_notes_are_not_the_registered_dict():
