@@ -124,33 +124,18 @@ def _lexcode_decode(a, _):
 
 
 def _lexcode_check_claims(a, _):
-    from . import lexcode
-    from .order import seq_less_by
+    from . import suites
     named, code = _load_code(a)
-    elems = named.poset.sorted_elements()
+    poset, name = named.poset, named.to_name
 
     def checks():
-        for x, y in named.poset.lt:
-            if seq_less_by(code.table[x], code.table[y], int.__lt__):
-                yield None
-            else:
-                yield {"claim": "monotone", "below": named.to_name(x), "above": named.to_name(y)}
-        images = {x: lexcode.encode_element(code, x) for x in elems}
-        for x, y in itertools.permutations(elems, 2):
-            if images[y][: len(images[x])] == images[x]:
-                yield {
-                    "claim": "prefix-free", "prefix": named.to_name(x), "word": named.to_name(y)
-                }
-            else:
-                yield None
-        space = itertools.chain.from_iterable(
-            itertools.product(elems, repeat=r) for r in range(3)
-        )
-        for seq in itertools.islice(space, 300):
-            if lexcode.decode_path(code, lexcode.encode_seq(code, seq)) == seq:
-                yield None
-            else:
-                yield {"claim": "roundtrip", "seq": [named.to_name(x) for x in seq]}
+        for pair in suites.monotone_failures(poset, code):
+            yield pair and {"claim": "monotone", "below": name(pair[0]), "above": name(pair[1])}
+        for pair in suites.prefix_failures(poset, code):
+            yield pair and {"claim": "prefix-free", "prefix": name(pair[0]), "word": name(pair[1])}
+        seqs = itertools.islice(suites.short_seqs(poset.sorted_elements()), 300)
+        for seq in suites.roundtrip_failures(code, seqs):
+            yield None if seq is None else {"claim": "roundtrip", "seq": [name(x) for x in seq]}
 
     checked, problems = formats.tally(checks())
     return _holds(not problems), {"problems": problems}, checked, len(problems)

@@ -15,7 +15,8 @@ the number of checks made.
 Suites are deterministic given ``seed``.  The registry `SUITES`, in
 definition order, is what the command line exposes.  Each suite and corpus
 helper imports the domain modules it runs, so `orderlab oracle <suite>`
-loads only those.
+loads only those.  The per-code claim checkers and `short_seqs` also serve
+`orderlab lexcode check-claims`, so each coding claim is stated once.
 """
 
 from __future__ import annotations
@@ -84,39 +85,68 @@ def _coded_corpus(seed: int):
             yield poset, tie, lexcode.encode_order(poset, tie)
 
 
+def short_seqs(items):
+    """Every sequence of length at most 2 over ``items``, shortest first,
+    each length in `itertools.product` order."""
+    return itertools.chain.from_iterable(itertools.product(items, repeat=r) for r in range(3))
+
+
+def monotone_failures(poset, code):
+    """Per strict pair ``(x, y)`` of ``poset``: None when the stem code of
+    ``x`` is below that of ``y`` at their first divergence, else the pair.
+    A code is never below its own extension."""
+    table = code.table
+    for x, y in poset.lt:
+        for a, b in zip(table[x], table[y]):
+            if a != b:
+                yield None if a < b else (x, y)
+                break
+        else:
+            yield x, y
+
+
+def prefix_failures(poset, code):
+    """Per ordered pair ``(x, y)`` of distinct elements of ``poset``: None
+    unless the prefix-free code word of ``x`` is a prefix of that of ``y``,
+    else the pair."""
+    from . import lexcode
+    words = [(x, lexcode.encode_element(code, x)) for x in poset.sorted_elements()]
+    for (x, u), (y, w) in itertools.permutations(words, 2):
+        yield (x, y) if w[: len(u)] == u else None
+
+
+def roundtrip_failures(code, seqs):
+    """Per sequence of ``seqs``: None when `lexcode.decode_path` inverts
+    `lexcode.encode_seq` on it, else the sequence."""
+    from . import lexcode
+    for seq in seqs:
+        yield None if lexcode.decode_path(code, lexcode.encode_seq(code, seq)) == seq else seq
+
+
 @_suite("claim-monotone")
 def claim_monotone(seed):
     """Strict pairs must map to lexicographically increasing stem codes,
     under both tie-break policies, over the full poset corpus."""
-    from .order import seq_less_by
     for poset, tie, code in _coded_corpus(seed):
-        for x, y in poset.lt:
-            if seq_less_by(code.table[x], code.table[y], int.__lt__):
-                yield None
-            else:
-                yield {
-                    "poset": formats.poset_to_doc(poset),
-                    "tie_break": tie,
-                    "below": x,
-                    "above": y,
-                    "codes": [list(code.table[x]), list(code.table[y])],
-                }
+        for pair in monotone_failures(poset, code):
+            yield pair and {
+                "poset": formats.poset_to_doc(poset),
+                "tie_break": tie,
+                "below": pair[0],
+                "above": pair[1],
+                "codes": [list(code.table[x]) for x in pair],
+            }
 
 
 def _roundtrip_cases(rng: random.Random):
-    """``(poset, code, seq)``: every sequence of length ≤ 2 over each poset
-    of ≤ 4 elements, then 1000 random draws of length ≤ 6 over the corpus
-    (a draw of the empty poset is skipped)."""
+    """``(poset, code, seqs)``: every sequence of length ≤ 2 over each poset
+    of ≤ 4 elements, then 1000 random draws of length ≤ 6 over the corpus,
+    one each (a draw of the empty poset is skipped)."""
     from . import lexcode
     corpus = _poset_corpus(rng)
     for poset in corpus:
-        if len(poset.elements) > 4:
-            continue
-        code = lexcode.encode_order(poset)
-        items = poset.sorted_elements()
-        for r in range(3):
-            for seq in itertools.product(items, repeat=r):
-                yield poset, code, seq
+        if len(poset.elements) <= 4:
+            yield poset, lexcode.encode_order(poset), short_seqs(poset.sorted_elements())
     for i in range(1000):
         poset = rng.choice(corpus)
         if not poset.elements:
@@ -124,19 +154,16 @@ def _roundtrip_cases(rng: random.Random):
         tie = lexcode.TIE_BREAKS[i % 2]
         code = lexcode.encode_order(poset, tie)
         items = poset.sorted_elements()
-        yield poset, code, tuple(rng.choice(items) for _ in range(rng.randint(0, 6)))
+        yield poset, code, [tuple(rng.choice(items) for _ in range(rng.randint(0, 6)))]
 
 
 @_suite("code-roundtrip")
 def code_roundtrip(seed):
     """decode_path inverts encode_seq: all short sequences over the small
     posets, plus 1000 randomised longer instances over the full corpus."""
-    from . import lexcode
-    for poset, code, seq in _roundtrip_cases(random.Random(seed)):
-        if lexcode.decode_path(code, lexcode.encode_seq(code, seq)) == seq:
-            yield None
-        else:
-            yield {"poset": formats.poset_to_doc(poset), "seq": list(seq)}
+    for poset, code, seqs in _roundtrip_cases(random.Random(seed)):
+        for seq in roundtrip_failures(code, seqs):
+            yield None if seq is None else {"poset": formats.poset_to_doc(poset), "seq": list(seq)}
 
 
 @_suite("prefix-free")
@@ -146,18 +173,14 @@ def prefix_free(seed):
     ordered pair of distinct elements."""
     from . import lexcode
     for poset, tie, code in _coded_corpus(seed):
-        words = [(x, lexcode.encode_element(code, x)) for x in poset.sorted_elements()]
-        for (x, u), (y, w) in itertools.permutations(words, 2):
-            if w[: len(u)] != u:
-                yield None
-            else:
-                yield {
-                    "poset": formats.poset_to_doc(poset),
-                    "tie_break": tie,
-                    "prefix": x,
-                    "of": y,
-                    "words": [list(u), list(w)],
-                }
+        for pair in prefix_failures(poset, code):
+            yield pair and {
+                "poset": formats.poset_to_doc(poset),
+                "tie_break": tie,
+                "prefix": pair[0],
+                "of": pair[1],
+                "words": [list(lexcode.encode_element(code, x)) for x in pair],
+            }
 
 
 # ------------------------------------------------------------ automata

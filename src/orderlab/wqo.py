@@ -16,7 +16,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 from ._record import record
 from .errors import InvalidNode, InvalidTree, NegativeCount, PreconditionViolation
-from .order import CompiledOrder, QuasiOrder, divisibility, natural_order
+from .order import QuasiOrder, divisibility, natural_order
 
 _NATURAL = natural_order()
 _DIVIDES = divisibility()
@@ -175,8 +175,8 @@ class KTree:
     marked with ``-1``.  Node order below any node is the ancestor chain, so
     meets (deepest common ancestors) always exist.  Construction keeps the
     breadth-first node order of its validation walk, parents before
-    children; the per-node arrays that `ktree_leq` reads are built on first
-    use and kept.  Equality, hashing and ``repr`` ignore both.
+    children; `ktree_leq` reads one entry per order the tree meets, built
+    on first use and kept.  Equality, hashing and ``repr`` ignore both.
     """
 
     parent: tuple[int, ...]
@@ -239,53 +239,55 @@ class KTree:
                 height[p] = height[v] + 1
         return below, size, height
 
-    def _subtree_maxima(self, top: list) -> list:
-        """``top``, one value per node, raised to the greatest value in each
-        node's subtree."""
-        parent = self.parent
-        for v in self._shape[0]:
-            p = parent[v]
-            if top[p] < top[v]:
-                top[p] = top[v]
-        return top
-
-    @functools.cached_property
-    def _maxima(self) -> list:
-        """The greatest label in each node's subtree; read under
-        `natural_order` only, once the labels are checked."""
-        return self._subtree_maxima(list(self.labels))
-
-    @functools.cached_property
-    def _divisor_maxima(self) -> list:
-        """The greatest label in each node's subtree with 0 read as +∞;
-        read under `divisibility` only, once the labels are checked."""
-        return self._subtree_maxima([x or math.inf for x in self.labels])
-
     @functools.cached_property
     def _by_order(self) -> dict:
-        """`_compiled_labels`' entry for each compiled order the tree has met."""
+        """`_entry`'s entry for each order the tree has met."""
         return {}
 
-    def _compiled_labels(self, compiled: CompiledOrder) -> tuple:
-        """The entry `ktree_leq` reads under ``compiled``, built on a miss of
-        `_by_order` and kept there.  Per node: its label's up-set row and
-        bit, the OR of the label bits in its subtree, and the complement of
-        the OR of their down-set rows; then `_shape`'s subtree sizes and
-        heights, and the children.  A label outside the universe raises
-        KeyError, or TypeError when it is unhashable, and nothing is kept.
+    def _entry(self, q: QuasiOrder, key: Hashable) -> tuple:
+        """The entry `ktree_leq` reads under ``q``, built on a miss of
+        `_by_order` and kept there under ``key``: ``q.compiled``, or ``q``
+        itself when it has none.  Per node under a compiled order: its
+        label's up-set row and bit, the OR of the label bits in its subtree,
+        and the complement of the OR of their down-set rows.  Under any
+        other: its label twice, then twice the greatest label in its subtree
+        under `natural_order`, the same with 0 read as +∞ under
+        `divisibility`, or 0.  Then `_shape`'s subtree sizes and heights,
+        and the children.  A label outside the universe raises
+        `UnknownElement`, and nothing is kept.
         """
-        ids, up, parent = compiled.ids, compiled.up, self.parent
-        at = [ids[lab] for lab in self.labels]
-        down = compiled.down
-        bits = [1 << i for i in at]
-        mask, cover = bits[:], [down[i] for i in at]
+        labels, parent = self.labels, self.parent
         below, size, height = self._shape
-        for v in below:
-            p = parent[v]
-            mask[p] |= mask[v]
-            cover[p] |= cover[v]
-        entry = [up[i] for i in at], bits, mask, [~c for c in cover], size, height, self._children
-        self._by_order[compiled] = entry
+        if key is q:
+            q.require_all(labels)
+            if q == _NATURAL:
+                top = list(labels)
+            elif q == _DIVIDES:
+                top = [x or math.inf for x in labels]
+            else:
+                top = [0] * len(labels)
+            for v in below:
+                p = parent[v]
+                if top[p] < top[v]:
+                    top[p] = top[v]
+            rows = bits = labels
+            mask = cover = top
+        else:
+            ids, up = key.ids, key.up
+            try:
+                at = [ids[lab] for lab in labels]
+            except (KeyError, TypeError):
+                q.require_all(labels)  # names the first label outside the universe
+                raise
+            down = key.down
+            bits = [1 << i for i in at]
+            mask, cover = bits[:], [down[i] for i in at]
+            for v in below:
+                p = parent[v]
+                mask[p] |= mask[v]
+                cover[p] |= cover[v]
+            rows, cover = [up[i] for i in at], [~c for c in cover]
+        self._by_order[key] = entry = rows, bits, mask, cover, size, height, self._children
         return entry
 
 
@@ -316,45 +318,29 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     label condition is one bit test when ``q`` is compiled, and compares
     subtree maxima under `natural_order` and under `divisibility`, where 0
     reads as +∞ on both sides: x | y with y > 0 forces 0 < x <= y, and 0
-    divides only 0.  Other orders get the size and height tests only.  The
-    arrays behind them are built once per tree, and per order for the
-    compiled ones, whose one entry per tree also holds the sizes, heights
-    and children, so a query reads each tree's with one lookup.  The tests
-    cut adversarial shapes only, such as a path that does not embed into a
-    path: inputs that pass them all still settle Θ(|S|·|T|) pairs, as
-    Chung's bipartite-matching recursion does (1987).  Labels are compared
-    through the up-set bitmasks when ``q`` is compiled.  Every label is
-    checked, the source's first, before any test can answer.
+    divides only 0.  Other orders get the size and height tests only.  Each
+    tree keeps one entry per order it meets, which holds the arrays behind
+    the tests with the labels and children, so a query reads each tree's
+    with one lookup.  The tests cut adversarial shapes only, such as a path
+    that does not embed into a path: inputs that pass them all still settle
+    Θ(|S|·|T|) pairs, as Chung's bipartite-matching recursion does (1987).
+    Labels are compared through the up-set bitmasks when ``q`` is compiled.
+    Every label is checked once per tree and order, when its entry is
+    built, the source's first, before any test can answer.
     """
-    compiled = q.compiled
-    if compiled is not None:
-        try:
-            s_labels, _, s_key, _, s_size, s_height, s_children = (
-                s_tree._by_order.get(compiled) or s_tree._compiled_labels(compiled)
-            )
-            _, t_labels, _, t_key, t_size, t_height, t_children = (
-                t_tree._by_order.get(compiled) or t_tree._compiled_labels(compiled)
-            )
-        except (KeyError, TypeError):
-            compiled = None  # the checks below report the first bad label
-    if compiled is not None:
+    key = q.compiled
+    if key is None:
+        key, leq, beyond = q, q.leq, operator.gt
+    else:
         # a label's up-set row and bit meet when it is dominated, and the
         # subtree bits and the complemented cover meet when a pair is dead
         leq = beyond = operator.and_
-    else:
-        q.require_all(s_tree.labels)
-        q.require_all(t_tree.labels)
-        leq, s_labels, t_labels, beyond = q.leq, s_tree.labels, t_tree.labels, operator.gt
-        if q == _NATURAL:
-            s_key, t_key = s_tree._maxima, t_tree._maxima
-        elif q == _DIVIDES:
-            s_key, t_key = s_tree._divisor_maxima, t_tree._divisor_maxima
-        else:
-            s_key, t_key = [0] * len(s_labels), [0] * len(t_labels)
-        _, s_size, s_height = s_tree._shape
-        _, t_size, t_height = t_tree._shape
-        s_children = s_tree._children
-        t_children = t_tree._children
+    s_labels, _, s_key, _, s_size, s_height, s_children = (
+        s_tree._by_order.get(key) or s_tree._entry(q, key)
+    )
+    _, t_labels, _, t_key, t_size, t_height, t_children = (
+        t_tree._by_order.get(key) or t_tree._entry(q, key)
+    )
     # The roots settle the query with no frame when the source root is a
     # dominated leaf, or when the pair is dead or the target root a leaf.
     a, b = s_tree.root, t_tree.root

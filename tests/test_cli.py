@@ -224,7 +224,8 @@ def test_lexcode_check_claims(tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["details"]["problems"] == []
-    assert report["counters"]["checked"] > 9
+    # 3 strict pairs, 6 ordered pairs of distinct words, 1 + 3 + 9 short sequences
+    assert report["counters"] == {"checked": 22, "failures": 0}
 
 
 def test_lexcode_check_claims_stops_at_the_eighth_failure(tmp_path, monkeypatch):
@@ -244,6 +245,48 @@ def test_lexcode_check_claims_stops_at_the_eighth_failure(tmp_path, monkeypatch)
     assert code == 1
     assert report["counters"] == {"checked": 8, "failures": 8}
     assert [p["claim"] for p in report["details"]["problems"]] == ["monotone"] * 8
+
+
+@pytest.mark.parametrize(
+    "route, fault, elements, passed, problems",
+    [
+        (
+            # every word is a prefix of every other: 8 of the 12 ordered pairs fail
+            "encode_element",
+            lambda f: lambda code, x: (),
+            "abcd",
+            0,
+            [
+                {"claim": "prefix-free", "prefix": x, "word": y}
+                for x, y in list(itertools.permutations("abcd", 2))[:8]
+            ],
+        ),
+        (
+            # the 6 ordered pairs and the empty sequence pass
+            "decode_path",
+            lambda f: lambda code, coded: f(code, coded)[1:],
+            "abc",
+            7,
+            [
+                {"claim": "roundtrip", "seq": list(seq)}
+                for seq in ["a", "b", "c", "aa", "ab", "ac", "ba", "bb"]
+            ],
+        ),
+    ],
+    ids=["prefix-free", "roundtrip"],
+)
+def test_lexcode_check_claims_reports_each_failed_claim(
+    tmp_path, monkeypatch, route, fault, elements, passed, problems
+):
+    from orderlab import lexcode
+
+    monkeypatch.setattr(lexcode, route, fault(getattr(lexcode, route)))
+    poset = write(tmp_path, "antichain.json", {"elements": list(elements), "lt": []})
+    code, out, _ = run(["lexcode", "check-claims", "--poset", poset])
+    report = json.loads(out)
+    assert code == 1
+    assert report["details"]["problems"] == problems
+    assert report["counters"] == {"checked": passed + 8, "failures": 8}
 
 
 def test_wqo_higman_and_bad():
@@ -433,6 +476,11 @@ ERROR_DOCS = {
     "short_delta": {"alphabet": 1, "states": 1, "start": 0, "delta": [[0, 0]]},
     "long_edge": {"vertices": 3, "edges": [[0, 1, 2]], "A": [0], "B": [2]},
     "short_label": {"labels": [[1]]},
+    "text_in_word": {"labels": [[1, [0, "x"]]]},
+    "text_kind": {"labels": [["x", 0]]},
+    "negative_label": {"parent": [-1], "labels": [-1]},
+    "scalar_seq": {"seqs": [3]},
+    "named": {"elements": ["a", "b", 3], "lt": [["a", "b"], ["b", 3], ["a", 3]]},
 }
 
 
@@ -499,12 +547,49 @@ ERROR_DOCS = {
             65,
             "each label is a pair",
         ),
+        (
+            ["menger", "decode", "--graph", "{graph}", "--seq", "{text_in_word}"],
+            65,
+            "expected a list of integers",
+        ),
+        (
+            ["menger", "decode", "--graph", "{graph}", "--seq", "{text_kind}"],
+            65,
+            "label kinds are integers",
+        ),
+        (
+            ["wqo", "higman", "--q", "{named}", "--left", "a", "--right", "b,zz"],
+            65,
+            "right: 'zz' is not a declared element",
+        ),
+        (
+            ["wqo", "higman", "--q", "nat-leq", "--left", "1,x", "--right", "1"],
+            65,
+            "left: 'x' is not a natural number",
+        ),
+        (
+            ["wqo", "higman", "--q", "nat-leq", "--left", "1", "--right=2,-1"],
+            65,
+            "right: '-1' is not a natural number",
+        ),
+        (
+            ["wqo", "kruskal", "--q", "nat-leq", "--left", "{negative_label}", "--right",
+             "{root_last}"],
+            65,
+            ".labels: -1 is not a natural number",
+        ),
+        (
+            ["wqo", "nw-step", "--q", "nat-eq", "--seqs", "{scalar_seq}", "--s", "0"],
+            65,
+            "[0]: expected a sequence",
+        ),
     ],
     ids=[
         "order-size", "empty-cycle", "challenger-letter", "bound-text", "block-item",
         "negative-block", "not-an-object", "missing-key", "name-type", "duplicate-names",
         "lt-pair", "tree-root", "array-entry", "array-sequence", "delta-triple", "edge-pair",
-        "label-pair",
+        "label-pair", "word-integers", "label-kind", "named-token", "item-text",
+        "item-negative", "json-item-negative", "seqs-sequence",
     ],
 )
 def test_error_branches(tmp_path, argv, code, report):
@@ -518,6 +603,34 @@ def test_error_branches(tmp_path, argv, code, report):
         assert out == "" and report in err
     else:
         assert json.loads(out)["details"] == report
+
+
+@pytest.mark.parametrize(
+    "argv, details",
+    [
+        (
+            ["wqo", "kruskal", "--left", "{source}", "--right", "{target}"],
+            {"embeds": True},
+        ),
+        (
+            ["barrier", "classify", "--frag", "{frag}", "--array", "{array}"],
+            {"labels": ["bad"]},
+        ),
+    ],
+    ids=["kruskal", "classify"],
+)
+def test_a_poset_file_order_reads_json_items_by_name(tmp_path, argv, details):
+    docs = {
+        "named": ERROR_DOCS["named"],
+        "source": {"parent": [-1, 0], "labels": ["a", 3]},
+        "target": {"parent": [-1, 0, 1], "labels": ["a", "b", 3]},
+        "frag": ERROR_DOCS["frag"],
+        "array": {"entries": [[[0], "b"], [[1], "a"]]},
+    }
+    paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+    argv = [paths[a[1:-1]] if a.startswith("{") else a for a in argv]
+    code, out, _ = run(argv + ["--q", paths["named"]])
+    assert (code, json.loads(out)["details"]) == (0, details)
 
 
 @pytest.mark.parametrize("bound, searched", [(10, 3), (2, 2)])
@@ -928,6 +1041,7 @@ def test_negative_sizes_and_bools_are_parse_errors(tmp_path, argv, name, doc):
 LOADED = {
     "order validate": {"_record", "errors", "formats", "order"},
     "lexcode encode": {"_record", "errors", "formats", "order", "lexcode"},
+    "lexcode check-claims": {"_record", "errors", "formats", "order", "lexcode", "suites"},
     "wqo higman": {"_record", "errors", "formats", "order", "wqo"},
     "barrier check": {"_record", "errors", "formats", "barrier"},
     "barrier tri": {"_record", "errors", "formats", "barrier"},

@@ -366,8 +366,8 @@ def test_ktree_identity_ignores_the_cached_arrays():
     for q in (chain2(), anti2(), natural_order(), divisibility()):
         assert ktree_leq(warm, warm, q)
     assert len(vars(warm)) > len(vars(cold))
-    # one tree under two compiled orders keeps the label data of both
-    assert len(warm._by_order) == 2
+    # one tree keeps one entry per order it met, compiled or not
+    assert len(warm._by_order) == 4
     assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
 
 
@@ -419,15 +419,42 @@ def test_a_tree_used_as_source_and_as_target_holds_one_entry_per_order():
 
 
 @pytest.mark.parametrize("bad_source", [True, False], ids=["source", "target"])
-@pytest.mark.parametrize("bad", [5, [1]], ids=["unknown", "unhashable"])
-def test_a_bad_label_keeps_no_entry(bad_source, bad):
-    q = chain2()
+@pytest.mark.parametrize(
+    "q, bad",
+    [(chain2(), 5), (chain2(), [1]), (natural_order(), -1), (divisibility(), -1)],
+    ids=["unknown", "unhashable", "natural-leq", "divides"],
+)
+def test_a_bad_label_keeps_no_entry(bad_source, q, bad):
     good, wrong = KTree((-1, 0), (0, 1)), KTree((-1, 0), (0, bad))
-    message = f"^{re.escape(repr(bad))} is outside the universe of chain2$"
+    message = f"^{re.escape(repr(bad))} is outside the universe of {q.name}$"
     for _ in range(2):
         with pytest.raises(UnknownElement, match=message):
             ktree_leq(*((wrong, good) if bad_source else (good, wrong)), q)
     assert wrong._by_order == {}
+    # the source is checked first, so a good target behind a bad source keeps none
+    assert len(good._by_order) == (0 if bad_source else 1)
+
+
+def test_each_tree_checks_its_labels_once_per_order(monkeypatch):
+    checked = []
+    require_all = QuasiOrder.require_all
+
+    def counted(q, items):
+        checked.append((q.name, items))
+        return require_all(q, items)
+
+    monkeypatch.setattr(QuasiOrder, "require_all", counted)
+    s_tree, t_tree = KTree((-1, 0), (0, 1)), KTree((-1, 0, 0), (1, 0, 1))
+    chain = chain2()
+    for _ in range(3):
+        # the infinite families, built afresh, are equal orders and share one entry
+        for q in (natural_order(), natural_equality(), divisibility(), chain):
+            for pair in ((s_tree, t_tree), (t_tree, s_tree), (s_tree, s_tree)):
+                ktree_leq(*pair, q)
+    # a compiled order reads its ids, so only the uncompiled ones call require_all
+    names = ("natural-leq", "natural-eq", "divides")
+    assert sorted(checked) == sorted((n, t.labels) for n in names for t in (s_tree, t_tree))
+    assert len(s_tree._by_order) == len(t_tree._by_order) == 4
 
 
 def _dead_pair(shape, n, rng):
