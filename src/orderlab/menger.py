@@ -41,13 +41,8 @@ class MengerGraph:
 
     @functools.cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Each named vertex's neighbours in ascending order, keyed in
-        ascending order and built on first use."""
-        adj: dict[int, list[int]] = {v: [] for v in _named(self)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(sorted(ws)) for v, ws in adj.items()}
+        """`_adjacency` of the graph, built on first use."""
+        return _adjacency(self)
 
     @functools.cached_property
     def ab_paths(self) -> tuple[Path, ...]:
@@ -65,11 +60,16 @@ class MengerGraph:
         return {}
 
 
-def _named(g: MengerGraph) -> list[int]:
-    """The vertices that an edge, ``A`` or ``B`` names, in ascending order.
-    Any other vertex is isolated and outside both sides, so no search
-    enters it."""
-    return sorted(g.A | g.B | {v for e in g.edges for v in e})
+def _adjacency(g: MengerGraph) -> dict[int, tuple[int, ...]]:
+    """Each named vertex's neighbours in ascending order, keyed in ascending
+    order.  An edge, ``A`` or ``B`` names a vertex; any other is isolated
+    and outside both sides, so no search enters it."""
+    named = g.A | g.B | {v for e in g.edges for v in e}
+    adj: dict[int, list[int]] = {v: [] for v in sorted(named)}
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
 
 def graph(
@@ -281,7 +281,9 @@ def menger_solve(g: MengerGraph) -> MengerSystem:
     Vertex-splitting max-flow over the named vertices, numbered in
     ascending order, so an isolated vertex costs nothing.  Arc ``k`` and its
     reverse ``k ^ 1`` share one residual list, and each node lists its
-    ``(head, arc)`` pairs by ascending head.
+    ``(head, arc)`` pairs by ascending head, as `_adjacency` gives them.  That
+    view is built afresh, not kept on the graph: kept on each of
+    path-system's 4,356 graphs, it slowed the suite by about 10%.
 
     The flow grows in Dinic's phases (Dinic 1970) that augment exactly the
     paths of Edmonds & Karp (1972).  A phase runs one breadth-first search
@@ -292,13 +294,16 @@ def menger_solve(g: MengerGraph) -> MengerSystem:
     Edmonds–Karp augments.  Augmenting never lowers a distance, so a later
     path of length ``d`` runs along level arcs, from distance ``i`` to
     ``i + 1`` below ``d`` or into the sink, that are not yet saturated.  A
-    depth-first search over those arcs in list order, dropping saturated
-    arcs and dead ends, therefore finds the path Edmonds–Karp's next search
-    would.  An attempt may build the level lists of at most ``2 * d`` nodes
-    new to the phase, twice what a path costs that meets no dead end; past
-    that, or when it finds nothing, the next phase starts with Edmonds–Karp's
-    own next search.  No attempt is made once the flow reaches
-    ``min(|A|, |B|)``, nor after a search that took in no more than
+    depth-first search over those arcs in list order, dropping dead ends,
+    therefore finds the path Edmonds–Karp's next search would.  It keeps one
+    current arc per node entered in the phase (Dinic's pointer), moved past
+    arcs that are not level or are saturated: within a phase a level arc
+    only loses residual and a node only leaves the levels, so no arc passed
+    serves again.  An attempt may open the pointers of at most ``2 * d``
+    nodes new to the phase, twice what a path costs that meets no dead end;
+    past that, or when it finds nothing, the next phase starts with
+    Edmonds–Karp's own next search.  No attempt is made once the flow
+    reaches ``min(|A|, |B|)``, nor after a search that took in no more than
     ``2 * d`` nodes, which costs no more than the attempt may; so small
     graphs run plain Edmonds–Karp.  Either way the flow, the paths and the
     separator are Edmonds–Karp's.
@@ -308,36 +313,42 @@ def menger_solve(g: MengerGraph) -> MengerSystem:
     phase, and the attempts find all but its first.  With 40 random sources
     and sinks each phase's search reaches the sink early and holds one path,
     and the attempts find none.  There, opening each phase with an attempt
-    instead of the search ran 2.2× slower, and dropping the ``2 * d`` budget
-    1.7× slower; on column grids neither change moved the time.
+    instead of the search ran 2.1× slower, and dropping the ``2 * d`` budget
+    1.6× slower; on column grids neither change moved the time.
 
     The separator is read off the residual reachability cut, which is the
     unique minimum cut closest to the sources.
     """
-    names = _named(g)
+    adj = _adjacency(g)
+    names = list(adj)
     n = len(names)
     source, sink = 2 * n, 2 * n + 1
     # the i-th named vertex has in-node 2i and out-node 2i + 1, joined by
-    # the split arc 2i of capacity 1; the other arcs have capacity n + 1
+    # the split arc 2i of capacity 1; the other arcs have capacity n + 1.
+    # Each vertex in turn appends its split arcs, then its arcs to larger
+    # neighbours (smaller ones appended theirs first); source and sink last.
     node = dict(zip(names, range(0, source, 2)))
-    pairs = [[(x ^ 1, x)] for x in range(source)] + [[], []]
+    arcs: list[list[tuple[int, int]]] = [[] for _ in range(sink + 1)]
     k = source
-    for u, v in g.edges:
-        u, v = node[u], node[v]
-        pairs[u + 1].append((v, k))
-        pairs[v].append((u + 1, k + 1))
-        pairs[v + 1].append((u, k + 2))
-        pairs[u].append((v + 1, k + 3))
-        k += 4
-    for a in g.A:
-        pairs[source].append((node[a], k))
-        pairs[node[a]].append((source, k + 1))
+    for (v, ws), x in zip(adj.items(), range(0, source, 2)):
+        arcs[x].append((x + 1, x))
+        arcs[x + 1].append((x, x + 1))
+        for w in ws:
+            if w > v:
+                y = node[w]
+                arcs[x + 1].append((y, k))
+                arcs[y].append((x + 1, k + 1))
+                arcs[y + 1].append((x, k + 2))
+                arcs[x].append((y + 1, k + 3))
+                k += 4
+    for a in sorted(g.A):
+        arcs[source].append((node[a], k))
+        arcs[node[a]].append((source, k + 1))
         k += 2
-    for b in g.B:
-        pairs[node[b] + 1].append((sink, k))
-        pairs[sink].append((node[b] + 1, k + 1))
+    for b in sorted(g.B):
+        arcs[node[b] + 1].append((sink, k))
+        arcs[sink].append((node[b] + 1, k + 1))
         k += 2
-    arcs = [sorted(p) for p in pairs]
     residual = [1, 0] * n + [n + 1, 0] * (k // 2 - n)
 
     def search() -> tuple[list[int], list[Optional[int]], int]:
@@ -365,30 +376,30 @@ def menger_solve(g: MengerGraph) -> MengerSystem:
                     queue.append(v)
         return prev, level, len(queue)
 
-    def level_path(level: list[Optional[int]], todo: dict, fresh: int) -> list[int]:
+    def level_path(level: list[Optional[int]], ptr: dict[int, int], fresh: int) -> list[int]:
         """The arcs of the first source-to-sink path along level arcs in
         list order, or none when there is none or it enters more than
-        ``fresh`` nodes that ``todo`` does not hold.  ``todo`` keeps each
-        entered node's level arcs still worth trying, the next one last;
-        a dead end leaves the levels."""
+        ``fresh`` nodes that ``ptr`` does not hold.  ``ptr`` keeps each
+        entered node's current arc, before which no arc is level and
+        unsaturated; a dead end leaves the levels."""
         stack, path = [source], []
         while stack:
             u = stack[-1]
             if u == sink:
                 return path
-            left = todo.get(u)
-            if left is None:
+            i = ptr.get(u)
+            if i is None:
                 fresh -= 1
                 if fresh < 0:
                     return []
-                up = level[u] + 1
-                left = todo[u] = [
-                    (v, k) for v, k in reversed(arcs[u]) if level[v] == up and residual[k]
-                ]
-            while left and (level[left[-1][0]] is None or not residual[left[-1][1]]):
-                left.pop()
-            if left:
-                v, k = left[-1]
+                i = 0
+            out, up = arcs[u], level[u] + 1
+            for v, k in out[i:]:
+                if level[v] == up and residual[k]:
+                    break
+                i += 1
+            ptr[u] = i
+            if i < len(out):
                 stack.append(v)
                 path.append(k)
             else:
@@ -412,7 +423,7 @@ def menger_solve(g: MengerGraph) -> MengerSystem:
                     path.append(k)
                     break
             v = u
-        todo: dict[int, list[tuple[int, int]]] = {}
+        ptr: dict[int, int] = {}
         fresh = 2 * level[sink]
         while path:
             # every path leaves an in-node next, by an arc of residual at
@@ -421,7 +432,7 @@ def menger_solve(g: MengerGraph) -> MengerSystem:
                 residual[k] -= 1
                 residual[k ^ 1] += 1
             flow += 1
-            path = level_path(level, todo, fresh) if flow < bound and fresh < reached else []
+            path = level_path(level, ptr, fresh) if flow < bound and fresh < reached else []
 
     # the last search reached every node the residual graph reaches
     separator = frozenset(
@@ -438,7 +449,9 @@ def menger_solve(g: MengerGraph) -> MengerSystem:
         walk = []
         while v != sink:
             walk.append(names[v // 2])
-            v = next(w for w, k in arcs[v + 1] if not k & 1 and residual[k ^ 1])
+            for v, k in arcs[v + 1]:
+                if not k & 1 and residual[k ^ 1]:
+                    break
         paths.append(tuple(walk))
     return MengerSystem(tuple(paths), separator)
 

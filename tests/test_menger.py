@@ -245,6 +245,25 @@ def test_menger_solve_matches_reference_on_random_graphs():
         assert menger_solve(g) == _reference_menger_solve(g), g
 
 
+@pytest.mark.parametrize("r", [30, 40])
+def test_menger_solve_matches_reference_on_shuffled_grids(r):
+    """The benchmark's grid shapes: an r x r grid whose vertex ids are a
+    seeded shuffle, from its left column to its right one and between
+    random sides of r vertices.  Vertex order and grid order differ, so the
+    arc lists are built in an order that the grid's layout does not give."""
+    rng = random.Random(f"menger-grid-{r}")
+    ids = rng.sample(range(r * r), r * r)
+    edges = [(ids[i * r + j], ids[i * r + j + 1]) for i in range(r) for j in range(r - 1)]
+    edges += [(ids[i * r + j], ids[(i + 1) * r + j]) for i in range(r - 1) for j in range(r)]
+    left, right = [ids[i * r] for i in range(r)], [ids[i * r + r - 1] for i in range(r)]
+    sides = [(left, right), (rng.sample(range(r * r), r), rng.sample(range(r * r), r))]
+    for a, b in sides:
+        g = graph(r * r, edges, a, b)
+        assert menger_solve(g) == _reference_menger_solve(g), (r, a, b)
+    rows = tuple(sorted(tuple(ids[i * r : i * r + r]) for i in range(r)))
+    assert menger_solve(graph(r * r, edges, left, right)) == MengerSystem(rows, frozenset(left))
+
+
 def test_menger_solve_reads_only_the_named_vertices():
     """Declared vertices that no edge or side names cost nothing and change
     no answer."""
@@ -368,7 +387,7 @@ def _reference_waves(g: MengerGraph) -> list[Warp]:
 
     def choose(acc, used):
         if len(acc) == len(choices):
-            if is_separator(g, terminals(Warp(tuple(acc)))):
+            if is_separator(g, {p[-1] for p in acc}):
                 waves.append(Warp(tuple(acc)))
             return
         for p in choices[len(acc)]:
@@ -391,7 +410,7 @@ def test_wave_routes_match_the_sorted_all_pairs_reference():
     """Every connected graph on at most 5 vertices under each side
     assignment, 200 random graphs and the empty graph: the waves come out
     of the search sorted, the cap cuts that order, and the last wave is the
-    greatest maximal one."""
+    greatest maximal one, whose terminals are its paths' ends."""
     graphs = [
         graph(n, edges, a, b)
         for n in range(1, 6)
@@ -404,7 +423,9 @@ def test_wave_routes_match_the_sorted_all_pairs_reference():
     for g in graphs:
         waves = _reference_waves(g)
         assert enumerate_waves(g) == (tuple(waves), False), g
-        assert maximal_wave(g) == _reference_maximal_wave(waves), g
+        top = maximal_wave(g)
+        assert top == _reference_maximal_wave(waves), g
+        assert terminals(top) == {p[-1] for p in top.paths}, g
         if g.n <= 4:
             for cap in range(len(waves) + 2):
                 assert enumerate_waves(g, cap=cap) == (tuple(waves[:cap]), cap < len(waves))

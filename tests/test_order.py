@@ -118,6 +118,17 @@ def test_seq_less_divergence_and_prefix():
     assert not seq_less((1,), (0,), anti)
 
 
+def test_seq_less_matches_the_first_divergence_on_small_posets():
+    # a sequence is below another when, at their first divergence, its
+    # item is strictly below; a prefix has no divergence
+    for n in (1, 2, 3):
+        seqs = [s for k in range(4) for s in itertools.product(range(n), repeat=k)]
+        for po in oracles.posets_on(n):
+            for a, b in itertools.product(seqs, repeat=2):
+                first = next(((x, y) for x, y in zip(a, b) if x != y), None)
+                assert seq_less(a, b, po) == (first in po.lt), (po, a, b)
+
+
 def test_seq_less_checks_membership():
     with pytest.raises(UnknownElement):
         seq_less((7,), (0,), chain3())

@@ -309,3 +309,33 @@ def test_challenger_check():
     assert not beaten.minimal
     with pytest.raises(InvalidWitness):
         challenger_check(automaton(2, 1, 0, [(0, 0, 0)]), witness, [], po)
+
+
+def test_challenger_check_matches_the_lasso_reference():
+    """Sampled automata on 1 to 3 states over 2 letters, under each order on
+    the letters: each lasso of size at most 3 as the witness against all of
+    them, with membership by unrolling and "left of" read at the first
+    divergence of 64-letter expansions."""
+    lassos = oracles.all_lassos(2, 3)
+    rows = {lasso: (lasso.prefix + lasso.cycle * 64)[:64] for lasso in lassos}
+    cases = 0
+    for states in (1, 2, 3):
+        for aut in oracles.strided_automata(states, 2, 8):
+            inside = {lasso: oracles.brute_lasso_in_tree(aut, lasso) for lasso in lassos}
+            for order in oracles.posets_on(2):
+                for witness in lassos:
+                    if not inside[witness]:
+                        with pytest.raises(InvalidWitness):
+                            challenger_check(aut, witness, lassos, order)
+                        continue
+                    want = []
+                    for lasso in lassos:
+                        pairs = zip(rows[lasso], rows[witness])
+                        first = next(((x, y) for x, y in pairs if x != y), None)
+                        want.append((lasso, inside[lasso], inside[lasso] and first in order.lt))
+                    report = challenger_check(aut, witness, lassos, order)
+                    got = [(e.challenger, e.in_tree, e.left_of_witness) for e in report.entries]
+                    assert got == want, (aut, witness, order)
+                    assert report.minimal == (not any(left for _, _, left in want))
+                    cases += 1
+    assert cases > 100

@@ -61,6 +61,17 @@ def test_is_bad_divisibility_chain():
     assert is_bad((), div) is None
 
 
+def test_is_bad_matches_the_first_good_pair_reference():
+    # itertools.combinations lists the pairs i < j in lexicographic order
+    for q in oracles.quasi_orders_upto(3):
+        universe = [x for x in range(3) if q.contains(x)]
+        for length in range(5):
+            for seq in itertools.product(universe, repeat=length):
+                pairs = itertools.combinations(range(length), 2)
+                first = next(((i, j) for i, j in pairs if q.leq(seq[i], seq[j])), None)
+                assert is_bad(seq, q) == first, (q.name, seq)
+
+
 def test_min_bad_sequence_frozen():
     assert min_bad_sequence(natural_equality(), 5, 3) == (0, 1, 2)
     assert min_bad_sequence(natural_order(), 5, 3) == (2, 1, 0)
