@@ -611,9 +611,10 @@ def path_system(seed):
     path meets it exactly once; exhaustive small graphs plus 500 random."""
     from . import menger, oracles
     rng = random.Random(seed)
-    instances = [*_small_graphs(oracles.side_assignments)]
-    instances += [oracles.random_graph(rng, 8) for _ in range(500)]
-    for g in instances:
+    for g in itertools.chain(
+        _small_graphs(oracles.side_assignments),
+        (oracles.random_graph(rng, 8) for _ in range(500)),
+    ):
         system = menger.menger_solve(g)
         problems = []
         flow = len(system.paths)

@@ -226,18 +226,20 @@ class KTree:
             raise InvalidNode(f"node {v} is outside the tree")
 
     @functools.cached_property
-    def _shape(self) -> tuple[list[int], list[int], list[int]]:
+    def _shape(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """The non-root nodes, each after every node below it, then each
-        node's subtree size and height (the nodes on its longest downward
-        path), summed up in that order."""
+        node's subtree size, height (the nodes on its longest downward
+        path) and leaf count, summed up in that order."""
         below, parent = self._order[:0:-1], self.parent
         size, height = [1] * len(parent), [1] * len(parent)
+        leaves = [0 if c else 1 for c in self._children]
         for v in below:
             p = parent[v]
             size[p] += size[v]
+            leaves[p] += leaves[v]
             if height[p] <= height[v]:
                 height[p] = height[v] + 1
-        return below, size, height
+        return below, size, height, leaves
 
     @functools.cached_property
     def _by_order(self) -> dict:
@@ -252,12 +254,12 @@ class KTree:
         and the complement of the OR of their down-set rows.  Under any
         other: its label twice, then twice the greatest label in its subtree
         under `natural_order`, the same with 0 read as +∞ under
-        `divisibility`, or 0.  Then `_shape`'s subtree sizes and heights,
-        and the children.  A label outside the universe raises
+        `divisibility`, or 0.  Then `_shape`'s subtree sizes, heights and
+        leaf counts, and the children.  A label outside the universe raises
         `UnknownElement`, and nothing is kept.
         """
         labels, parent = self.labels, self.parent
-        below, size, height = self._shape
+        below, size, height, leaves = self._shape
         if key is q:
             q.require_all(labels)
             if q == _NATURAL:
@@ -287,7 +289,7 @@ class KTree:
                 mask[p] |= mask[v]
                 cover[p] |= cover[v]
             rows, cover = [up[i] for i in at], [~c for c in cover]
-        self._by_order[key] = entry = rows, bits, mask, cover, size, height, self._children
+        self._by_order[key] = entry = rows, bits, mask, cover, size, height, leaves, self._children
         return entry
 
 
@@ -312,18 +314,23 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     and a non-leaf never embeds into a target leaf.  A source node with one
     child needs no matching, only some target child that takes the child.
 
-    Before a frame opens for a pair (a, b), three necessary conditions
-    rule it out: a's subtree has no more nodes and no greater height than
-    b's, and every label in a's subtree lies below some label in b's.  The
-    label condition is one bit test when ``q`` is compiled, and compares
-    subtree maxima under `natural_order` and under `divisibility`, where 0
-    reads as +∞ on both sides: x | y with y > 0 forces 0 < x <= y, and 0
-    divides only 0.  Other orders get the size and height tests only.  Each
-    tree keeps one entry per order it meets, which holds the arrays behind
-    the tests with the labels and children, so a query reads each tree's
-    with one lookup.  The tests cut adversarial shapes only, such as a path
-    that does not embed into a path: inputs that pass them all still settle
-    Θ(|S|·|T|) pairs, as Chung's bipartite-matching recursion does (1987).
+    Before a frame opens for a pair (a, b), four necessary conditions
+    rule it out: a's subtree has no more nodes, no more leaves and no
+    greater height than b's, and every label in a's subtree lies below some
+    label in b's.  The map sends incomparable nodes to incomparable ones,
+    since f(x) <= f(y) gives f(x∧y) = f(x)∧f(y) = f(x), so a's leaves land
+    on an antichain, which has at most as many nodes as b's subtree has
+    leaves.  The label condition is one bit test when ``q`` is compiled,
+    and compares subtree maxima under `natural_order` and under
+    `divisibility`, where 0 reads as +∞ on both sides: x | y with y > 0
+    forces 0 < x <= y, and 0 divides only 0.  Other orders get the shape
+    tests only.  Each tree keeps one entry per order it meets, which holds
+    the arrays behind the tests with the labels and children, so a query
+    reads each tree's with one lookup.  The tests cut adversarial shapes
+    only, such as a path that does not embed into a path, or a broom (a
+    path with leaves on its end) into a longer one with fewer leaves:
+    inputs that pass them all still settle Θ(|S|·|T|) pairs, as Chung's
+    bipartite-matching recursion does (1987).
     Labels are compared through the up-set bitmasks when ``q`` is compiled.
     Every label is checked once per tree and order, when its entry is
     built, the source's first, before any test can answer.
@@ -335,10 +342,10 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
         # a label's up-set row and bit meet when it is dominated, and the
         # subtree bits and the complemented cover meet when a pair is dead
         leq = beyond = operator.and_
-    s_labels, _, s_key, _, s_size, s_height, s_children = (
+    s_labels, _, s_key, _, s_size, s_height, s_leaves, s_children = (
         s_tree._by_order.get(key) or s_tree._entry(q, key)
     )
-    _, t_labels, _, t_key, t_size, t_height, t_children = (
+    _, t_labels, _, t_key, t_size, t_height, t_leaves, t_children = (
         t_tree._by_order.get(key) or t_tree._entry(q, key)
     )
     # The roots settle the query with no frame when the source root is a
@@ -349,6 +356,7 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
     if not (
         t_children[b]
         and s_size[a] <= t_size[b]
+        and s_leaves[a] <= t_leaves[b]
         and s_height[a] <= t_height[b]
         and not beyond(s_key[a], t_key[b])
     ):
@@ -381,6 +389,7 @@ def ktree_leq(s_tree: KTree, t_tree: KTree, q: QuasiOrder) -> bool:
                     if known is None:  # not settled yet: open a frame unless the pair is dead
                         if (
                             s_size[a] <= t_size[b]
+                            and s_leaves[a] <= t_leaves[b]
                             and s_height[a] <= t_height[b]
                             and not beyond(s_key[a], t_key[b])
                         ):

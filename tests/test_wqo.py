@@ -345,11 +345,14 @@ def _star(labels):
 )
 def test_each_filter_alone_rules_out_a_pair(q, low, mid, high):
     # At the root pair exactly one condition fails: the source has more
-    # nodes, or more height, or a label below no target label.  The label
-    # rule applies to the compiled orders, natural-leq and divides.
+    # nodes, or more height, or more leaves, or a label below no target
+    # label.  The label rule applies to the compiled orders, natural-leq
+    # and divides.
+    fork = (-1, 0, 0, 1, 2)  # two two-node branches under the root
     cases = [
-        (_star((low,) * 4), _path((mid,) * 3), _star((mid,) * 4)),  # larger
+        (KTree(fork, (low,) * 5), KTree(fork[:4], (mid,) * 4), KTree(fork, (mid,) * 5)),  # larger
         (_path((low,) * 3), _star((mid,) * 5), _path((mid,) * 3)),  # taller
+        (_star((low,) * 4), KTree(fork, (mid,) * 5), _star((mid,) * 4)),  # more leaves
         (_path((high,)), _path((low, mid, low, mid)), _path((low, mid, high))),  # label above
     ]
     for s_tree, dead, alive in cases:
@@ -383,8 +386,8 @@ def test_ktree_identity_ignores_the_cached_arrays():
 
 
 def _brute_shape(tree):
-    """Each node's subtree size and height, and its children, from the
-    parent array alone."""
+    """Each node's subtree size, height and leaf count, and its children,
+    from the parent array alone."""
     n = len(tree.parent)
 
     def up(v):  # v and every node above it
@@ -393,12 +396,14 @@ def _brute_shape(tree):
             v = tree.parent[v]
 
     depth = [len(list(up(v))) for v in range(n)]
-    size, height = [0] * n, [0] * n
+    size, height, leaves = [0] * n, [0] * n, [0] * n
     for v in range(n):
+        is_leaf = v not in tree.parent
         for u in up(v):
             size[u] += 1
             height[u] = max(height[u], depth[v] - depth[u] + 1)
-    return size, height, tuple(_scan_children(tree, v) for v in range(n))
+            leaves[u] += is_leaf
+    return size, height, leaves, tuple(_scan_children(tree, v) for v in range(n))
 
 
 def test_each_order_entry_holds_its_own_tree_shape():
@@ -413,9 +418,9 @@ def test_each_order_entry_holds_its_own_tree_shape():
         )
         ktree_leq(s_tree, t_tree, q)
         for tree in (s_tree, t_tree):
-            size, height, children = tree._by_order[q.compiled][4:]
-            assert (size, height, children) == _brute_shape(tree)
-            assert (size, height, children) == (*tree._shape[1:], tree._children)
+            size, height, leaves, children = tree._by_order[q.compiled][4:]
+            assert (size, height, leaves, children) == _brute_shape(tree)
+            assert (size, height, leaves, children) == (*tree._shape[1:], tree._children)
 
 
 def test_a_tree_used_as_source_and_as_target_holds_one_entry_per_order():
@@ -523,8 +528,9 @@ def test_a_zero_in_the_target_subtree_keeps_a_divisibility_pair_alive():
 
 def test_size_and_height_cut_the_leq_calls_on_a_dead_bushy_source():
     # An order that is not compiled, natural-leq or divides gets no label rule,
-    # only the size and height tests, so the search still runs; the count
-    # is of its leq calls: 269 here, and 11,964 without the tests.
+    # only the size, leaf and height tests, so the search still runs; the
+    # count is of its leq calls: 244 here, 269 without the leaf test, and
+    # 11,964 without the tests.
     calls = []
 
     def counted(x, y):
@@ -535,6 +541,32 @@ def test_size_and_height_cut_the_leq_calls_on_a_dead_bushy_source():
     s_tree, t_tree = _dead_pair("bushy", 600, random.Random("counted"))
     assert not ktree_leq(s_tree, t_tree, q)
     assert len(calls) <= 1000
+
+
+def _broom(n, k):
+    """A path of ``n`` nodes with ``k`` leaves hung on its last node, all
+    labelled 0."""
+    return KTree((-1, *range(n - 1), *(n - 1,) * k), (0,) * (n + k))
+
+
+def test_a_broom_with_more_leaves_is_ruled_out_at_the_root():
+    # An embedding sends the source's 60 leaves to pairwise incomparable
+    # nodes, and a tree with 40 leaves has no 41 such nodes; so the leaf test
+    # answers at the root pair, where the size and height tests pass.
+    # Without it the search settled the pairs of the two paths, for over 10 s.
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return x <= y
+
+    q = QuasiOrder("counted-leq", counted, natural_order().contains)
+    s_tree, t_tree = _broom(1000, 60), _broom(10000, 40)
+    start = time.perf_counter()
+    assert not ktree_leq(s_tree, t_tree, q)
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
+    assert ktree_leq(s_tree, s_tree, q)
 
 
 def test_subtree_renumbers_in_preorder():
