@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import operator
 from itertools import compress, repeat
+from types import SimpleNamespace
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from ._record import record
@@ -174,11 +175,12 @@ class CompiledOrder:
     tuple, ``asked`` how many times in a row it was asked for, and
     ``table`` its table once built, else None.  `wqo.higman_leq` reads
     ``table`` in place when its target is ``target`` itself, and hands
-    every other call to `next_table`.  ``down`` is the transpose of ``up``,
-    built on first use.
+    every other call to `next_table`.  ``checked`` is the latest target
+    tuple whose items `wqo.higman_leq`'s scan has checked, else None.
+    ``down`` is the transpose of ``up``, built on first use.
     """
 
-    __slots__ = ("ids", "up", "scans_before_table", "target", "asked", "table", "_down")
+    __slots__ = ("ids", "up", "scans_before_table", "target", "asked", "table", "checked", "_down")
 
     def __init__(self, ids: dict, up: tuple[int, ...]):
         self.ids = ids
@@ -190,7 +192,7 @@ class CompiledOrder:
         # first keeps a run of queries against one target within twice the
         # cost of its cheaper plan; building on the second query did not.
         self.scans_before_table = 4 + len(up) // 4
-        self.target = self.table = self._down = None
+        self.target = self.table = self.checked = self._down = None
         self.asked = 0
 
     @property
@@ -292,16 +294,21 @@ class QuasiOrder:
             f"contains={self.contains!r}, elements={self.elements!r})"
         )
 
-    def require_all(self, items: Sequence) -> None:
+    def __post_init__(self):
+        # Where `wqo.higman_leq` keeps ``checked``; a cached property would read
+        # ``__dict__``, which slows every later attribute read (CPython 3.11).
+        object.__setattr__(self, "_slot", self.compiled or SimpleNamespace(checked=None))
+
+    def require_all(self, items: Iterable) -> None:
         """Raise `UnknownElement` for the first item, in order, outside the
         universe.  On the natural families one C-level pass settles a
-        sequence of plain non-negative ints; any other sequence takes the
-        item-by-item loop.  An item for which ``contains`` raises TypeError,
-        as a finite universe's dict lookup does for an unhashable item, is
-        outside.
+        sequence of plain non-negative ints, read once into a tuple; any
+        other sequence takes the item-by-item loop.  An item for which
+        ``contains`` raises TypeError, as a finite universe's dict lookup
+        does for an unhashable item, is outside.
         """
         contains = self.contains
-        if contains is _is_natural and set(map(type, items)) <= {int}:
+        if contains is _is_natural and set(map(type, items := tuple(items))) <= {int}:
             if min(items, default=0) >= 0:
                 return
         for x in items:

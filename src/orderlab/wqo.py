@@ -29,17 +29,23 @@ def higman_leq(sigma: Sequence, tau: Sequence, q: QuasiOrder) -> bool:
     Every item of both sequences must lie in the universe: `QuasiOrder.require_all`
     checks ``sigma`` and then ``tau``, in one C-level pass each on the
     natural families, and reports the first item outside.  The greedy scan
-    `_embeds` then decides it.  When a compiled quasi-order is asked about
-    the same ``tau`` many times in a row, the earliest matches are read from
-    the next-occurrence table of ``tau`` instead, one column lookup per item
-    of ``sigma``.  A call whose ``tau`` is the very tuple the table was built
-    for reads it in place; any other call asks `CompiledOrder.next_table`.
+    `_embeds` then decides it.  Each order keeps the latest target tuple
+    whose items all passed, by identity, so a run of queries against that
+    very tuple checks it once: the membership of a tuple's items is taken
+    as fixed, as `KTree` takes its labels'.  Any other sequence is copied,
+    so a one-shot iterator is read once, and checked afresh.  When a
+    compiled quasi-order is asked about the same ``tau`` many times in a
+    row, the earliest matches are read from the next-occurrence table of
+    ``tau`` instead, one column lookup per item of ``sigma``.  A call whose
+    ``tau`` is the very tuple the table was built for reads it in place; any
+    other call asks `CompiledOrder.next_table`.
     """
     compiled = q.compiled
     if compiled is not None:
         try:
             table = compiled.table
             if tau is not compiled.target or table is None:
+                sigma, tau = tuple(sigma), tuple(tau)
                 table = compiled.next_table(tau)
             if table is not None:
                 j = 0
@@ -47,9 +53,15 @@ def higman_leq(sigma: Sequence, tau: Sequence, q: QuasiOrder) -> bool:
                     j = table[x][j]
                 return j != len(tau) + 1
         except (KeyError, TypeError):
-            pass  # the checks below report the first item outside the universe
+            if iter(sigma) is sigma:  # read up to x: outside, or sigma itself raised
+                q.require_all((x,))
+                raise
+    sigma, tau = tuple(sigma), tuple(tau)
     q.require_all(sigma)
-    q.require_all(tau)
+    slot = q._slot
+    if tau is not slot.checked:
+        q.require_all(tau)
+        slot.checked = tau
     return _embeds(sigma, tau, q.leq)
 
 
@@ -89,6 +101,7 @@ def higman_lift(q: QuasiOrder) -> QuasiOrder:
 
 def is_bad(seq: Sequence, q: QuasiOrder) -> Optional[tuple[int, int]]:
     """First good pair ``i < j`` with ``seq[i] <= seq[j]``, or None if bad."""
+    seq = tuple(seq)
     q.require_all(seq)
     leq = q.leq
     n = len(seq)

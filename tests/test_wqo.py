@@ -1,5 +1,6 @@
 import enum
 import itertools
+import operator
 import random
 import re
 import time
@@ -747,6 +748,102 @@ def test_is_bad_and_ktree_leq_report_the_first_bad_item():
         ktree_leq(bad_target, bad_source, nat)
     two = KTree((-1,), (_Small.TWO,))
     assert ktree_leq(two, good, divisibility()) and not ktree_leq(two, KTree((-1,), (1,)), nat)
+
+
+def test_one_shot_iterators_get_the_tuple_answers():
+    nat, chain = natural_order(), chain2()
+    assert higman_leq(iter([5]), (1,), nat) is higman_leq((5,), (1,), nat) is False
+    assert higman_leq((1,), iter([0, 2]), nat) is higman_leq((1,), (0, 2), nat) is True
+    assert higman_leq(iter([1]), (0,), chain) is higman_leq((1,), (0,), chain) is False
+    with pytest.raises(UnknownElement, match="^-1 is outside the universe of natural-leq$"):
+        nat.require_all(iter([-1]))
+    assert is_bad(iter([3, 2]), nat) is is_bad((3, 2), nat) is None
+    # the table path reads a one-shot sigma once, and reports its first item outside
+    tau = (0, 1)
+    for _ in range(_warm(chain)):
+        higman_leq((0,), tau, chain)
+    assert chain.compiled.target is tau and chain.compiled.table is not None
+    assert higman_leq(iter([0, 1]), tau, chain) and not higman_leq(iter([1, 0]), tau, chain)
+    with pytest.raises(UnknownElement, match="^5 is outside the universe of chain2$"):
+        higman_leq(iter([1, 5, 0]), tau, chain)
+
+    def failing():
+        yield 0
+        raise KeyError("from the iterator")
+
+    with pytest.raises(KeyError, match="from the iterator"):
+        higman_leq(failing(), tau, chain)
+
+
+def _counted_naturals():
+    """An order on the naturals whose ``contains`` records every item it is asked about."""
+    seen = []
+
+    def contains(x):
+        seen.append(x)
+        return type(x) is int and x >= 0
+
+    return QuasiOrder("counted-nat", operator.le, contains), seen
+
+
+def test_a_run_against_one_tuple_checks_the_target_once():
+    q, seen = _counted_naturals()
+    sigma, tau = (2, 5), tuple(range(10))
+    for _ in range(4):
+        assert higman_leq(sigma, tau, q) and not higman_leq((9, 1), tau, q)
+    assert seen == [2, 5, *tau, 9, 1] + [2, 5, 9, 1] * 3
+    # a new tuple equal to the kept one is checked again, and then kept
+    twin = tuple(list(tau))
+    assert twin is not tau
+    seen.clear()
+    for _ in range(3):
+        assert higman_leq(sigma, twin, q)
+    assert seen == [2, 5, *twin, 2, 5, 2, 5]
+    # a bad item of sigma is reported while the target stays kept
+    seen.clear()
+    with pytest.raises(UnknownElement, match="^-1 is outside the universe of counted-nat$"):
+        higman_leq((1, -1), twin, q)
+    assert higman_leq((1,), twin, q)
+    assert seen == [1, -1, 1]
+
+
+def test_a_bad_or_changed_target_raises_on_every_ask():
+    q, seen = _counted_naturals()
+    tau = (1, -1, 2)
+    for _ in range(3):
+        with pytest.raises(UnknownElement, match="^-1 is outside the universe of counted-nat$"):
+            higman_leq((1,), tau, q)
+    assert seen == [1, 1, -1] * 3
+    # a list is checked on every call, so a change between calls is seen
+    items = [3, 4]
+    assert higman_leq((4,), items, q)
+    items.append(-1)
+    for _ in range(2):
+        with pytest.raises(UnknownElement, match="^-1 is outside"):
+            higman_leq((4,), items, q)
+
+
+def test_each_order_keeps_its_own_target(monkeypatch):
+    checked = []
+    require_all = QuasiOrder.require_all
+
+    def counted(q, items):
+        checked.append((q.name, items))
+        return require_all(q, items)
+
+    monkeypatch.setattr(QuasiOrder, "require_all", counted)
+    nat, eq, chain = natural_order(), natural_equality(), chain2()
+    tau = (3, 1, 4, 1, 5)
+    for _ in range(3):
+        assert higman_leq((1, 4), tau, nat) and not higman_leq((4, 3), tau, eq)
+    assert [entry for entry in checked if entry[1] is tau] == [("natural-leq", tau), ("natural-eq", tau)]
+    # a compiled order keeps its slot beside its target and table
+    with pytest.raises(UnknownElement, match="^3 is outside the universe of chain2$"):
+        higman_leq((0,), tau, chain)
+    assert higman_leq((0,), (1, 0), chain) and chain.compiled.checked == (1, 0)
+    # the kept targets leave equality, hashing and repr alone
+    assert nat == natural_order() and hash(nat) == hash(natural_order())
+    assert repr(eq) == repr(natural_equality())
 
 
 QUASI_ORDERS = oracles.quasi_orders_upto(3)
